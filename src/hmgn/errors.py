@@ -10,9 +10,11 @@ class HmgnError(Exception):
 class SpectrumDegeneracyError(HmgnError):
     """No grid rotation avoids the roots of the coefficient polynomial.
 
-    Raised when the rotation search cannot place the circulant eigenvalue
-    grid away from the zeros of g_a, or when a supplied rotation leads to a
-    (numerically) singular eigenvalue diagonal.
+    Raised when no candidate of the root-gap placement (the midpoints of the
+    gaps between the rotations that put a grid point on a root of g_a, plus
+    the half-spacing offset) keeps every grid value of g_a nonzero, when the
+    grid has fewer points than g_a has coefficients, or when a supplied
+    rotation leads to a (numerically) singular eigenvalue diagonal.
     """
 
 

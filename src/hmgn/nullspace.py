@@ -7,7 +7,11 @@ unitary DFT, C(ã) = F⁻¹·A_g·F, with eigenvalues g_a evaluated on the
 rotated unit-circle grid ω_j = exp(i(2πj/N − α)).  Choosing the rotation α
 to keep the grid away from the roots of the coefficient polynomial
 g_a(z) = Σ a_{k+1} z^k makes A_g invertible, and a basis of Z(a) falls out
-of applying A_g⁻¹ to r fixed Fourier columns.
+of applying A_g⁻¹ to r fixed Fourier columns.  The rotation is placed in
+closed form from the r roots of g_a: each root near the unit circle forbids
+one rotation modulo 2π/N, and the midpoints of the gaps between forbidden
+rotations (plus the half-spacing offset) are the only candidates, so the
+placement costs an r×r eigenproblem and at most r + 1 grid evaluations.
 
 Two accuracy modes are provided.  The plain mode orthonormalizes
 L_r = A_g⁻¹·R_r directly; its subspace error grows with the eigenvalue
@@ -148,7 +152,7 @@ def _plain_horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# eigenvalue grids and rotation search
+# eigenvalue grids and grid rotation
 # ---------------------------------------------------------------------------
 
 
@@ -170,60 +174,52 @@ def _grid_min_abs(coeffs: np.ndarray, base: np.ndarray, alpha: float) -> float:
     return float(np.min(np.abs(_plain_horner(coeffs, z))))
 
 
-def _golden_max(f, lo: float, hi: float, iters: int = 60) -> float:
-    """Golden-section maximization of a unimodal-enough f on [lo, hi]."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(iters):
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = f(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = f(x1)
-    return x1 if f1 >= f2 else x2
-
-
 def find_rotation(a: CoeffLike, n: int) -> float:
-    """Rotation α₀ ∈ (−π/N, π/N] maximizing min_j |g_a| on the rotated grid.
+    """Rotation α₀ ∈ (−π/N, π/N] keeping the grid away from the roots of g_a.
 
-    A dense scan over 256 equispaced candidates locates the basin, then
-    golden-section refinement polishes the maximizer.  The returned rotation
-    is guaranteed to keep every grid point away from the polynomial roots
-    (minimum strictly positive).
+    A grid point lands on a root ρ when α ≡ −arg ρ (mod 2π/N), and only
+    roots with |log|ρ|| < 2π/N come close to the grid.  The candidates are
+    the midpoint of every circular gap between those forbidden rotations
+    plus the half-spacing offset π/N; the one with the largest plain
+    min_j |g_a| wins.  Every gap is tried, not only the widest, because
+    ``np.roots`` splits a t-fold root into a ring of radius about u^{1/t}
+    whose gaps say little about where the true root is.  Cost: one r×r
+    eigenproblem and at most r + 1 grid evaluations.
     """
     coeffs = _coeffs(a)
     if n < coeffs.size:
         raise SpectrumDegeneracyError(
             f"grid size {n} smaller than coefficient count {coeffs.size}"
         )
+    spacing = 2.0 * np.pi / n
+    half = 0.5 * spacing
+    cand = [half]
+    mag = np.abs(coeffs)
+    if np.all(np.isfinite(mag)) and mag.max() > 0.0:
+        # top coefficients at rounding level put roots near infinity, and a
+        # subnormal one overflows the companion matrix
+        top = np.flatnonzero(mag > np.finfo(float).eps * mag.max())[-1]
+        roots = np.roots(coeffs[top::-1])
+        roots = roots[np.isfinite(roots) & (roots != 0)]
+        near = roots[np.abs(np.log(np.abs(roots))) < spacing]
+        forbidden = np.unique(np.mod(-np.angle(near), spacing))
+        if forbidden.size:
+            gaps = np.diff(np.append(forbidden, forbidden[0] + spacing))
+            cand.extend(forbidden + 0.5 * gaps)
+    # wrap into (−π/N, π/N] (the grid is 2π/N-periodic in the rotation)
+    wrapped = np.mod(np.asarray(cand) + half, spacing)
+    wrapped[wrapped == 0.0] = spacing
+    cand = wrapped - half
     base = np.exp(2j * np.pi * np.arange(n) / n)
-    half = np.pi / n
-    step = 2.0 * half / 256.0
-    cand = -half + step * np.arange(1, 257)
-    vals = np.array([_grid_min_abs(coeffs, base, al) for al in cand])
+    vals = [_grid_min_abs(coeffs, base, al) for al in cand]
     best = int(np.argmax(vals))
-    if vals[best] <= 0.0:
+    if not vals[best] > 0.0:
         raise SpectrumDegeneracyError(
             "every candidate rotation hits a root of the coefficient "
             f"polynomial on the size-{n} grid; is the GLRR order too large "
             "for the series length?"
         )
-    alpha = _golden_max(
-        lambda al: _grid_min_abs(coeffs, base, al),
-        cand[best] - step,
-        cand[best] + step,
-    )
-    # wrap into (−π/N, π/N] (the grid is 2π/N-periodic in the rotation)
-    wrapped = np.mod(alpha + half, 2.0 * half)
-    alpha = (wrapped if wrapped != 0.0 else 2.0 * half) - half
-    if _grid_min_abs(coeffs, base, alpha) <= 0.0:  # pragma: no cover - paranoia
-        alpha = cand[best]
-    return float(alpha)
+    return float(cand[best])
 
 
 @dataclass(frozen=True)

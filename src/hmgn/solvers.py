@@ -29,7 +29,6 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import SpectrumDegeneracyError
 from .nullspace import (
     RotatedSpectrum,
     fhat_matrix,
@@ -388,15 +387,7 @@ def fit(
             tau, adot = renorm.tau, renorm.adot
 
         if config.family == "mgn":
-            try:
-                delta, s_k = mgn_step(adot, tau, ts, w, mode=mode)
-            except SpectrumDegeneracyError:
-                # the rotation search failed on this grid; retry once with a
-                # quarter-spacing offset before giving up
-                retry = rotated_spectrum(
-                    h_tau(adot, tau), n, mode, alpha0=math.pi / (2 * n)
-                )
-                delta, s_k = mgn_step(adot, tau, ts, w, mode=mode, spectrum=retry)
+            delta, s_k = mgn_step(adot, tau, ts, w, mode=mode)
         else:
             delta, s_k = vpgn_step(
                 adot, tau, ts, w,

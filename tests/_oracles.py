@@ -157,3 +157,22 @@ def gram_schmidt_cols(cols):
             v -= (u @ cols[:, j]) * u
         out.append(v / np.linalg.norm(v))
     return np.column_stack(out)
+
+
+def rotation_scan_oracle(a, n, m=2048):
+    """Rotation maximizing the plain-Horner min_j |g_a| over a dense scan.
+
+    Scans m equispaced rotations in (−π/N, π/N]; returns the first best.
+    """
+    a = np.asarray(a, dtype=float)
+    half = np.pi / n
+    alphas = -half + 2.0 * half * np.arange(1, m + 1) / m
+    base = np.exp(2j * np.pi * np.arange(n) / n)
+    mins = []
+    for start in range(0, m, 128):  # 128 rotations at a time bounds memory
+        z = np.exp(-1j * alphas[start : start + 128])[:, None] * base[None, :]
+        acc = np.full(z.shape, complex(a[-1]))
+        for c in a[-2::-1]:
+            acc = acc * z + c
+        mins.append(np.min(np.abs(acc), axis=1))
+    return float(alphas[int(np.argmax(np.concatenate(mins)))])

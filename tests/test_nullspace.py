@@ -7,12 +7,13 @@ import time
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import subspace_angles
 
 from hmgn.errors import SpectrumDegeneracyError
+import hmgn.nullspace
 from hmgn.nullspace import (
     RotatedSpectrum,
     eval_poly_grid,
@@ -23,7 +24,12 @@ from hmgn.nullspace import (
 )
 from hmgn.series import GlrrVector, embed, generate_model_signal, ModelComponent
 
-from _oracles import gram_schmidt_cols, poly_eval_oracle, q_matrix_oracle
+from _oracles import (
+    gram_schmidt_cols,
+    poly_eval_oracle,
+    q_matrix_oracle,
+    rotation_scan_oracle,
+)
 
 # well-scaled random GLRR coefficients, orders 1..4
 glrr_arrays = st.integers(min_value=1, max_value=4).flatmap(
@@ -136,6 +142,52 @@ def test_min_eigenvalue_slope(t, a):
     assert abs(slope + t) <= 0.25
 
 
+_UNIT_ROOTS = {
+    "single": (1.0, -1.0),
+    "double": (1.0, -2.0, 1.0),
+    "triple": (1.0, -3.0, 3.0, -1.0),
+    "six-fold": tuple(np.convolve((1.0, -3.0, 3.0, -1.0), (1.0, -3.0, 3.0, -1.0))),
+}
+
+
+def _compensated_min(a, n, alpha):
+    return np.min(np.abs(eval_poly_grid(a, alpha, n, "compensated")))
+
+
+@pytest.mark.parametrize("n", [1000, 5000])
+@pytest.mark.parametrize("name", sorted(_UNIT_ROOTS))
+def test_rotation_matches_dense_scan_on_unit_roots(name, n):
+    a = _UNIT_ROOTS[name]
+    alpha = find_rotation(a, n)
+    assert -np.pi / n < alpha <= np.pi / n
+    oracle = _compensated_min(a, n, rotation_scan_oracle(a, n))
+    assert _compensated_min(a, n, alpha) >= 0.95 * oracle
+
+
+def test_rotation_matches_dense_scan_on_random_coefficients():
+    rng = np.random.default_rng(20180305)
+    for _ in range(50):
+        a = rng.standard_normal(int(rng.integers(2, 8)))
+        n = int(rng.integers(16, 513))
+        oracle = _compensated_min(a, n, rotation_scan_oracle(a, n))
+        assert _compensated_min(a, n, find_rotation(a, n)) >= 0.95 * oracle
+
+
+@pytest.mark.parametrize("name", sorted(_UNIT_ROOTS) + ["random"])
+def test_rotation_grid_evaluations_bounded_by_order(monkeypatch, name):
+    a = _UNIT_ROOTS.get(name, (0.7, -1.3, 0.25, 2.0, -0.4))
+    calls = []
+    inner = hmgn.nullspace._grid_min_abs
+
+    def counting(*args):
+        calls.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(hmgn.nullspace, "_grid_min_abs", counting)
+    find_rotation(a, 5000)
+    assert 1 <= len(calls) <= len(a)
+
+
 def test_degenerate_grid_raises():
     with pytest.raises(SpectrumDegeneracyError):
         rotated_spectrum((1.0, -1.0), 8, alpha0=0.0)
@@ -187,6 +239,8 @@ def test_projector_invariant_to_basis_route():
 
 @settings(max_examples=60, deadline=None)
 @given(a=glrr_arrays, n=st.integers(min_value=16, max_value=128))
+# a subnormal leading coefficient overflows the companion matrix of np.roots
+@example(a=[1.0, 2.2250738585e-313], n=16)
 def test_basis_orthonormal_and_annihilated(a, n):
     coeffs = GlrrVector(np.asarray(a))
     basis = nullspace_basis(coeffs, n)
