@@ -21,7 +21,7 @@ import scipy.linalg
 import scipy.sparse
 
 from .errors import GammaBreakdownError, RankDeficiencyError, WeightVariantError
-from .nullspace import RotatedSpectrum, SubspaceBasis, nullspace_basis
+from .nullspace import nullspace_basis
 from .series import (
     GlrrVector,
     TimeSeries,
@@ -115,20 +115,11 @@ def project_onto_glrr_space(
     w: WeightSpec,
     x: Union[TimeSeries, np.ndarray],
     mode: str = "plain",
-    spectrum: Optional[RotatedSpectrum] = None,
-    basis: Optional[SubspaceBasis] = None,
     imag_tol: float = 1e-9,
 ) -> ProjectionResult:
-    """Π_{Z(a),W}x through an orthonormal basis of Z(a).
-
-    A precomputed ``basis`` (or ``spectrum``) can be supplied to share work
-    across projections at the same a.
-    """
+    """Π_{Z(a),W}x through an orthonormal basis of Z(a) built in ``mode``."""
     rhs = _as_vector_or_batch(x)
-    if basis is None:
-        basis = nullspace_basis(
-            a, rhs.shape[0], mode=mode, spectrum=spectrum, imag_tol=imag_tol
-        )
+    basis = nullspace_basis(a, rhs.shape[0], mode=mode, imag_tol=imag_tol)
     return weighted_pinv_apply(basis.z, w, rhs)
 
 

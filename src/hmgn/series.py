@@ -103,10 +103,6 @@ class TimeSeries:
     def has_missing(self) -> bool:
         return not bool(self.mask.all())
 
-    def with_values(self, values: ArrayLike) -> "TimeSeries":
-        """Return a copy carrying new values but the same mask."""
-        return TimeSeries(np.asarray(values, dtype=float), self.mask.copy())
-
 
 def as_time_series(x: Union[TimeSeries, ArrayLike]) -> TimeSeries:
     """Coerce an array-like (or pass through a TimeSeries) to TimeSeries."""

@@ -19,18 +19,24 @@ by evaluation noise, so the iteration switches to comparing parameter-step
 norms: a shrinking step is taken outright, a non-shrinking one stops the
 run ("SmallStepStop").  Exhausting the backtracking grid stops with
 "StepZero"; the iteration cap reports "MaxIter".
+
+All projections onto Z(a) share one projector: the Gram route for plain
+"vpgn", the basis route in their mode for the other methods.  The accepted
+trial's projection is handed to the next step, so a base point is projected
+once unless re-normalization moves the pivot τ.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .nullspace import (
     RotatedSpectrum,
+    SubspaceBasis,
     fhat_matrix,
     nullspace_basis,
     rotated_spectrum,
@@ -82,7 +88,6 @@ class SolverConfig:
     max_iter: int = 200
     gamma_min_exponent: int = 16
     zeta: float = 5e-8
-    retau_each_iter: bool = True
 
     def __post_init__(self):
         method = self.method.lower()
@@ -190,14 +195,42 @@ def initial_glrr(x: Union[TimeSeries, np.ndarray], r: int) -> GlrrVector:
     return GlrrVector(u[:, -1])
 
 
-def _basis_projector(
-    w: WeightSpec, x: np.ndarray, mode: str, imag_tol: float
-) -> Callable[[np.ndarray], np.ndarray]:
-    def project(a_full: np.ndarray) -> np.ndarray:
-        basis = nullspace_basis(a_full, x.shape[0], mode=mode, imag_tol=imag_tol)
-        return weighted_pinv_apply(basis.z, w, x).projected
+@dataclass(frozen=True)
+class _Projection:
+    """Π_{Z(a),W}x with the work that produced it: ``spectrum`` and ``basis``
+    on the basis route, ``factor`` on the Gram route."""
 
-    return project
+    signal: np.ndarray
+    spectrum: Optional[RotatedSpectrum] = None
+    basis: Optional[SubspaceBasis] = None
+    factor: Optional[GammaFactor] = None
+
+
+def _project(
+    a_full: np.ndarray,
+    values: np.ndarray,
+    w: WeightSpec,
+    family: str,
+    mode: str,
+    factor: Optional[GammaFactor] = None,
+) -> _Projection:
+    """The one projection onto Z(a) of the solvers.
+
+    Plain ``vpgn`` projects through the Gram factor (``factor`` if given);
+    every other (family, mode) builds the basis of Z(a) in ``mode``.
+    """
+    if family == "vpgn" and mode == "plain":
+        if factor is None:
+            factor = GammaFactor(a_full, w)
+        signal = project_gamma(a_full, w, values, factor=factor)
+        return _Projection(signal, factor=factor)
+    n = values.shape[0]
+    spectrum = rotated_spectrum(a_full, n, mode)
+    basis = nullspace_basis(
+        a_full, n, mode=mode, spectrum=spectrum, imag_tol=_IMAG_TOL[mode]
+    )
+    signal = weighted_pinv_apply(basis.z, w, values).projected
+    return _Projection(signal, spectrum, basis)
 
 
 def mgn_step(
@@ -206,27 +239,23 @@ def mgn_step(
     x: Union[TimeSeries, np.ndarray],
     w: WeightSpec,
     mode: str = "plain",
-    imag_tol: Optional[float] = None,
-    spectrum: Optional[RotatedSpectrum] = None,
+    at: Optional[_Projection] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """One image-space Gauss-Newton direction at the base point (τ, ȧ).
 
     Returns (Δ, S_k) where S_k = Π_{Z(H_τ(ȧ)),W}x and Δ solves the weighted
     least-squares problem for the residual against (I − Π)F̂ with F̂ from
-    the fast right-hand-side solve.  The rotated spectrum is computed once
-    and shared between the basis and F̂.
+    the fast right-hand-side solve.  The rotated spectrum is shared between
+    the basis and F̂.  ``at`` is the projection at this base point that
+    ``line_search`` returned; without it the step projects afresh.
     """
     values = as_time_series(x).values
-    tol = _IMAG_TOL[mode] if imag_tol is None else imag_tol
     a_full = h_tau(adot, tau)
-    if spectrum is None:
-        spectrum = rotated_spectrum(a_full, values.shape[0], mode)
-    basis = nullspace_basis(
-        a_full, values.shape[0], mode=mode, spectrum=spectrum, imag_tol=tol
-    )
-    s_k = weighted_pinv_apply(basis.z, w, values).projected
-    fhat = fhat_matrix(a_full, s_k, tau, mode=mode, spectrum=spectrum)
-    deflated = fhat - weighted_pinv_apply(basis.z, w, fhat).projected
+    if at is None:
+        at = _project(a_full, values, w, "mgn", mode)
+    s_k = at.signal
+    fhat = fhat_matrix(a_full, s_k, tau, mode=mode, spectrum=at.spectrum)
+    deflated = fhat - weighted_pinv_apply(at.basis.z, w, fhat).projected
     delta = weighted_pinv_apply(deflated, w, values - s_k).coefficients
     return delta, s_k
 
@@ -236,32 +265,26 @@ def vpgn_step(
     tau: int,
     x: Union[TimeSeries, np.ndarray],
     w: WeightSpec,
-    projection_mode: str = "gamma",
+    mode: str = "plain",
+    at: Optional[_Projection] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """One variable-projection Gauss-Newton direction at (τ, ȧ).
 
-    The Jacobian always runs through the banded Gram factorization; the
-    signal projection uses the same factorization ("gamma") or the
-    compensated basis ("basis"), matching the plain and stabilized variants.
+    The Jacobian always runs through the banded Gram factorization.  The
+    signal projection shares that factorization in plain mode and uses the
+    compensated basis in compensated mode.  ``at`` is the projection at this
+    base point that ``line_search`` returned; a handed-over Gram factor also
+    serves the Jacobian.
     """
-    if projection_mode not in ("gamma", "basis"):
-        raise ValueError(f"unknown projection mode {projection_mode!r}")
     values = as_time_series(x).values
     a_full = h_tau(adot, tau)
-    factor = GammaFactor(a_full, w)
-    if projection_mode == "gamma":
-        s_k = factor.kernel_projection(values)
-    else:
-        s_k = weighted_pinv_apply(
-            nullspace_basis(
-                a_full,
-                values.shape[0],
-                mode="compensated",
-                imag_tol=_IMAG_TOL["compensated"],
-            ).z,
-            w,
-            values,
-        ).projected
+    # factor first: weights without a banded W⁻¹ fail before any projection
+    factor = None if at is None else at.factor
+    if factor is None:
+        factor = GammaFactor(a_full, w)
+    if at is None:
+        at = _project(a_full, values, w, "vpgn", mode, factor=factor)
+    s_k = at.signal
     jac = vp_jacobian(a_full, tau, w, values, factor=factor)
     delta = weighted_pinv_apply(jac, w, values - s_k).coefficients
     return delta, s_k
@@ -275,25 +298,23 @@ def line_search(
     w: WeightSpec,
     prev_step_norm: Optional[float],
     config: SolverConfig,
-    project: Callable[[np.ndarray], np.ndarray],
+    s_current: np.ndarray,
     iteration: int,
-    s_current: Optional[np.ndarray] = None,
-) -> Tuple[float, np.ndarray, bool]:
-    """Step-size choice along Δ; returns (γ, next ȧ, small-step flag).
+) -> Tuple[float, np.ndarray, bool, Optional[_Projection]]:
+    """Step-size choice along Δ; returns (γ, next ȧ, small-step flag,
+    projection at the next ȧ for the next step to reuse).
 
-    ``project`` maps a full coefficient vector to the projected signal and
-    is re-evaluated at every trial point.  γ = 0 with a False flag means the
-    backtracking grid is exhausted; with a True flag it is the small-step
-    stop verdict.
+    ``s_current`` is the projected signal at the base point.  γ = 0 with a
+    False flag means the backtracking grid is exhausted; with a True flag it
+    is the small-step stop verdict.  Either way no projection is returned.
     """
     values = as_time_series(x).values
     if not np.all(np.isfinite(delta)):
         raise ValueError("non-finite search direction")
-    if s_current is None:
-        s_current = project(h_tau(adot, tau))
+    family, mode = config.family, config.mode
 
-    s_full = project(h_tau(adot + delta, tau))
-    change = np.linalg.norm(s_full - s_current)
+    trial = _project(h_tau(adot + delta, tau), values, w, family, mode)
+    change = np.linalg.norm(trial.signal - s_current)
     scale = np.linalg.norm(s_current)
     if change == 0.0:
         relative = 0.0
@@ -304,23 +325,25 @@ def line_search(
 
     if relative < config.zeta:
         if iteration == 0:
-            return 1.0, adot + delta, True
+            return 1.0, adot + delta, True, trial
         step = np.linalg.norm(delta)
         # an epsilon-scale step cannot shrink further in double precision
         negligible = step <= np.finfo(float).eps * (1.0 + np.linalg.norm(adot))
         shrinking = prev_step_norm is None or step < prev_step_norm
         if shrinking and not negligible:
-            return 1.0, adot + delta, True
-        return 0.0, adot.copy(), True
+            return 1.0, adot + delta, True, trial
+        return 0.0, adot.copy(), True, None
 
     objective = weighted_norm(w, values - s_current)
     gamma = 1.0
     for m in range(config.gamma_min_exponent + 1):
-        trial = s_full if m == 0 else project(h_tau(adot + gamma * delta, tau))
-        if weighted_norm(w, values - trial) <= objective:
-            return gamma, adot + gamma * delta, False
+        if m > 0:
+            trial = None  # release the rejected trial before building the next
+            trial = _project(h_tau(adot + gamma * delta, tau), values, w, family, mode)
+        if weighted_norm(w, values - trial.signal) <= objective:
+            return gamma, adot + gamma * delta, False, trial
         gamma *= 0.5
-    return 0.0, adot.copy(), False
+    return 0.0, adot.copy(), False, None
 
 
 def fit(
@@ -358,42 +381,25 @@ def fit(
     if ts.has_missing and not isinstance(w, Masked):
         w = mask_missing(w, ts.mask)
 
-    mode = config.mode
+    step = mgn_step if config.family == "mgn" else vpgn_step
     norm0 = normalize_glrr(start.coeffs)
     tau, adot = norm0.tau, norm0.adot
-
-    def project(a_full: np.ndarray) -> np.ndarray:
-        if config.family == "mgn":
-            basis = nullspace_basis(a_full, n, mode=mode, imag_tol=_IMAG_TOL[mode])
-            return weighted_pinv_apply(basis.z, w, ts.values).projected
-        if config.method == "vpgn":
-            return project_gamma(a_full, w, ts.values)
-        return weighted_pinv_apply(
-            nullspace_basis(
-                a_full, n, mode="compensated", imag_tol=_IMAG_TOL["compensated"]
-            ).z,
-            w,
-            ts.values,
-        ).projected
 
     rows: List[IterationRecord] = []
     termination = "MaxIter"
     prev_step_norm: Optional[float] = None
     signal = None
+    at: Optional[_Projection] = None
 
     for k in range(config.max_iter):
-        if k > 0 and config.retau_each_iter:
+        if k > 0:
             renorm = normalize_glrr(h_tau(adot, tau))
+            if renorm.tau != tau:  # else re-τ rescaled by exactly 1
+                at = None
             tau, adot = renorm.tau, renorm.adot
 
-        if config.family == "mgn":
-            delta, s_k = mgn_step(adot, tau, ts, w, mode=mode)
-        else:
-            delta, s_k = vpgn_step(
-                adot, tau, ts, w,
-                projection_mode="gamma" if config.method == "vpgn" else "basis",
-            )
-
+        delta, s_k = step(adot, tau, ts, w, mode=config.mode, at=at)
+        at = None  # consumed: keep its basis or factor out of the line search
         signal = s_k
         a_full = h_tau(adot, tau)
         objective = weighted_norm(w, ts.values - s_k)
@@ -401,8 +407,8 @@ def fit(
             np.linalg.norm(glrr_residual(s_k, a_full)) / np.linalg.norm(a_full)
         )
 
-        gamma, adot_next, small = line_search(
-            adot, delta, tau, ts, w, prev_step_norm, config, project, k, s_current=s_k
+        gamma, adot_next, small, at = line_search(
+            adot, delta, tau, ts, w, prev_step_norm, config, s_k, k
         )
         rows.append(
             IterationRecord(

@@ -188,6 +188,22 @@ def test_fit_usage_and_io_errors(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+def test_fit_kernel_methods_reject_weights_without_banded_inverse(tmp_path, capsys):
+    gapped = tmp_path / "gapped.csv"
+    run("generate", "--preset", "twotone50", "--seed", 3, "--out", gapped)
+    model = tmp_path / "model.csv"
+    run("generate", "--components", RANK2, "--n", 40, "--out", model)
+    capsys.readouterr()
+    # a gapped series masks the weights
+    assert run("fit", "--input", gapped, "--rank", 4, "--method", "vpgn",
+               "--out", tmp_path / "a.csv") == 1
+    assert "Masked does not provide one" in capsys.readouterr().err
+    # ar: weights are a banded W, not a banded W⁻¹
+    assert run("fit", "--input", model, "--rank", 2, "--method", "s-vpgn",
+               "--weights", "ar:0.5", "--out", tmp_path / "b.csv") == 1
+    assert "BandedW does not provide one" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # experiment
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from hmgn import solvers
 from hmgn.errors import WeightVariantError
 from hmgn.nullspace import nullspace_basis
 from hmgn.problems import build_known_minimum, gapped_preset
@@ -184,19 +185,15 @@ def test_vpgn_step_rejects_masked_weights():
 # ---------------------------------------------------------------------------
 
 
-def _basis_project(x, w, mode="plain"):
-    def project(a_full):
-        return project_onto_glrr_space(a_full, w, x, mode=mode).projected
-
-    return project
+def _basis_signal(adot, tau, x, w):
+    return project_onto_glrr_space(h_tau(adot, tau), w, x).projected
 
 
 def test_line_search_zero_direction_first_iteration():
     x = rank2_signal(30)
     w = Identity(30)
     norm = normalize_glrr(initial_glrr(x, 2).coeffs)
-    project = _basis_project(x, w)
-    gamma, nxt, small = line_search(
+    gamma, nxt, small, _ = line_search(
         norm.adot,
         np.zeros(2),
         norm.tau,
@@ -204,7 +201,7 @@ def test_line_search_zero_direction_first_iteration():
         w,
         None,
         SolverConfig(method="mgn"),
-        project,
+        _basis_signal(norm.adot, norm.tau, x, w),
         iteration=0,
     )
     assert gamma == 1.0
@@ -221,7 +218,7 @@ def test_line_search_accepts_improving_full_step():
     # nudge away from the optimum so the Gauss-Newton step genuinely improves
     adot = norm.adot + 0.05
     delta, _ = mgn_step(adot, norm.tau, x, w)
-    gamma, nxt, small = line_search(
+    gamma, nxt, small, _ = line_search(
         adot,
         delta,
         norm.tau,
@@ -229,7 +226,7 @@ def test_line_search_accepts_improving_full_step():
         w,
         None,
         SolverConfig(method="mgn"),
-        _basis_project(x, w),
+        _basis_signal(adot, norm.tau, x, w),
         iteration=0,
     )
     assert not small
@@ -246,7 +243,7 @@ def test_line_search_exhausts_on_adversarial_direction():
     w = Identity(n)
     norm = normalize_glrr(initial_glrr(x, 2).coeffs)
     delta = 50.0 * rng.standard_normal(2)
-    gamma, nxt, small = line_search(
+    gamma, nxt, small, _ = line_search(
         norm.adot,
         delta,
         norm.tau,
@@ -254,7 +251,7 @@ def test_line_search_exhausts_on_adversarial_direction():
         w,
         1.0,
         SolverConfig(method="mgn"),
-        _basis_project(x, w),
+        _basis_signal(norm.adot, norm.tau, x, w),
         iteration=1,
     )
     assert gamma == 0.0
@@ -345,6 +342,36 @@ def test_fit_gapped_preset_masked_identity():
     assert np.all(np.isfinite(res.signal))
     rel_err = np.linalg.norm(res.signal - clean) / np.linalg.norm(clean)
     assert rel_err < 0.2
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_fit_projects_once_per_base_point(method, monkeypatch):
+    # every base point after the first is the trial the line search before
+    # it accepted, so only the first step and the line-search trials project
+    rng = np.random.default_rng(1)
+    x = rank2_signal(80) + 0.5 * rng.standard_normal(80)
+    calls = []
+    for name in ("nullspace_basis", "project_gamma"):
+        original = getattr(solvers, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, name, counted)
+    config = SolverConfig(method=method)
+    res = fit(x, r=2, config=config)
+
+    assert {row.tau for row in res.trace.rows} == {res.tau}  # pivot never moves
+    expected = 1
+    for row in res.trace.rows:
+        if row.small_step:
+            expected += 1
+        elif row.gamma == 0.0:
+            expected += config.gamma_min_exponent + 1
+        else:
+            expected += round(-np.log2(row.gamma)) + 1
+    assert len(calls) == expected
 
 
 def test_fit_gapped_rejects_kernel_methods():
