@@ -6,8 +6,10 @@ it works for every weight variant, including masked seminorms.  The Gram
 route never forms a basis: it uses Π = I − W⁻¹Q(a)Γ⁻¹(a)Qᵀ(a) with
 Γ(a) = Qᵀ(a)W⁻¹Q(a), which stays banded when W⁻¹ is banded, so one banded
 Cholesky factorization covers a projection and the full variable-projection
-Jacobian.  The Gram route is cheaper per solve but its conditioning degrades
-like κ(Γ) ~ N^{2t} near t-fold unit-circle roots, so the basis route is the
+Jacobian.  Γ is assembled band by band as (ĈQ(a))ᵀ(ĈQ(a)), with Ĉ the
+banded factor of W⁻¹ = ĈᵀĈ, in O(N(r+p)²) and without sparse matrices.  The
+Gram route is cheaper per solve but its conditioning degrades like
+κ(Γ) ~ N^{2t} near t-fold unit-circle roots, so the basis route is the
 robust default.
 """
 
@@ -18,7 +20,6 @@ from typing import Optional, Union
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 
 from .errors import GammaBreakdownError, RankDeficiencyError, WeightVariantError
 from .nullspace import nullspace_basis
@@ -128,28 +129,51 @@ def project_onto_glrr_space(
 # ---------------------------------------------------------------------------
 
 
-def _sparse_q(coeffs: np.ndarray, n: int) -> scipy.sparse.csc_matrix:
+def _gram_upper(coeffs: np.ndarray, chat_bands: tuple, n: int) -> np.ndarray:
+    """Γ = (ĈQ(a))ᵀ(ĈQ(a)) in the upper storage of ``cholesky_banded``.
+
+    Column i of M = ĈQ(a) is nonzero only at rows i+o, o = −p..r, where
+    M[i+o, i] = Σₑ Ĉ[i+o, i+o+e]·a_{o+e}; Γ's d-th upper band is then
+    Γ[i, i+d] = Σₒ M[i+o, i]·M[i+o, i+d].  Both are vector operations of
+    length N − r, O(N(r+p)²) in all.
+    """
     r = coeffs.size - 1
-    diags = [np.full(n - r, c) for c in coeffs]
-    return scipy.sparse.diags(
-        diags, offsets=[-i for i in range(r + 1)], shape=(n, n - r)
-    ).tocsc()
+    p = len(chat_bands) - 1
+    m = n - r
+    # mb[o + p, i] = M[i+o, i], zero where row i+o lies above the matrix
+    # (for o ≤ −m that is the whole band)
+    mb = np.zeros((r + p + 1, m))
+    for o in range(max(-p, 1 - m), r + 1):
+        lo = max(0, -o)
+        row = mb[o + p, lo:]
+        for e in range(max(0, -o), min(p, r - o) + 1):
+            row += coeffs[o + e] * chat_bands[e][lo + o : m + o]
+    width = r + p
+    ab = np.zeros((width + 1, m))
+    # bands at d ≥ m have no entries (series barely longer than r + p)
+    for d in range(min(width, m - 1) + 1):
+        band = ab[width - d, d:]
+        for o in range(d - p, r + 1):
+            band += mb[o + p, : m - d] * mb[o - d + p, d:]
+    return ab
 
 
 class GammaFactor:
     """Banded Cholesky factorization of Γ(a) = Qᵀ(a)W⁻¹Q(a).
 
     Γ is (2(r+p)+1)-diagonal for a p-banded W⁻¹; its upper Cholesky factor
-    has r+p+1 diagonals.  The factor is immutable and reusable for every
-    Γ⁻¹ solve at the same (a, W) — a projection plus all Jacobian columns.
+    has r+p+1 diagonals.  Γ is built band by band from ĈQ(a), where
+    W⁻¹ = ĈᵀĈ, in O(N(r+p)²) with no sparse matrices.  The factor is
+    immutable and reusable for every Γ⁻¹ solve at the same (a, W) — a
+    projection plus all Jacobian columns.
     """
 
     def __init__(self, a: Union[GlrrVector, np.ndarray], w: WeightSpec):
         coeffs = _glrr_coeffs(a)
         if isinstance(w, Identity):
-            winv = scipy.sparse.identity(w.n, format="csc")
+            chat_bands = (np.ones(w.n),)
         elif isinstance(w, BandedWinv):
-            winv = w.winv_sparse()
+            chat_bands = w.chat_bands
         else:
             raise WeightVariantError(
                 "the Gram route needs W⁻¹ in banded form; "
@@ -159,14 +183,9 @@ class GammaFactor:
         r = coeffs.size - 1
         if n - r < 1:
             raise ValueError("series too short for this GLRR order")
-        q = _sparse_q(coeffs, n)
-        gram = (q.T @ (winv @ q)).tocsc()
-        width = r + getattr(w, "p", 0)
-        ab = np.zeros((width + 1, n - r))
-        for d in range(width + 1):
-            ab[width - d, d:] = gram.diagonal(d)
+        ab = _gram_upper(coeffs, chat_bands, n)
         try:
-            chol = scipy.linalg.cholesky_banded(ab, lower=False)
+            chol = scipy.linalg.cholesky_banded(ab, overwrite_ab=True, lower=False)
         except np.linalg.LinAlgError as exc:
             raise GammaBreakdownError(
                 f"Γ(a) is numerically indefinite at N={n}: {exc}"

@@ -77,15 +77,6 @@ def _bands_to_ab_upper(bands: Bands, n: int) -> np.ndarray:
     return ab
 
 
-def _bands_to_ab_lower_t(bands: Bands, n: int) -> np.ndarray:
-    """Lower banded storage of the TRANSPOSE: ab[d, j] = Mᵀ[j+d, j] = M[j, j+d]."""
-    p = len(bands) - 1
-    ab = np.zeros((p + 1, n))
-    for d, band in enumerate(bands):
-        ab[d, : n - d] = band
-    return ab
-
-
 def _ab_upper_to_bands(ab: np.ndarray) -> List[np.ndarray]:
     p = ab.shape[0] - 1
     return [ab[p - d, d:].copy() for d in range(p + 1)]
@@ -191,7 +182,9 @@ class BandedWinv(WeightSpec):
         return len(self.chat_bands) - 1
 
     def winv_sparse(self) -> scipy.sparse.csc_matrix:
-        """W⁻¹ = ĈᵀĈ as a sparse matrix (used by Gram-matrix assembly)."""
+        """W⁻¹ = ĈᵀĈ as a sparse matrix, for verification; Gram assembly
+        (``projection.GammaFactor``) works on the bands of Ĉ and does not
+        use it."""
         chat = scipy.sparse.diags(
             self.chat_bands, offsets=list(range(self.p + 1)), format="csr"
         )
@@ -351,8 +344,20 @@ def apply_c(w: WeightSpec, x: np.ndarray) -> np.ndarray:
     )
 
 
+def _solve_chat(w: BandedWinv, x: np.ndarray, trans: str = "N") -> np.ndarray:
+    """Ĉ⁻¹·x (``trans="N"``) or Ĉ⁻ᵀ·x (``trans="T"``): triangular banded
+    solve (LAPACK tbtrs).  Non-finite entries in x raise ``ValueError``."""
+    ab = _bands_to_ab_upper(w.chat_bands, w.n)
+    y, info = scipy.linalg.lapack.dtbtrs(
+        ab, np.asarray_chkfinite(x), uplo="U", trans=trans
+    )
+    if info != 0:
+        raise np.linalg.LinAlgError(f"triangular banded solve failed (info={info})")
+    return y
+
+
 def solve_chat_t(w: WeightSpec, x: np.ndarray) -> np.ndarray:
-    """(Ĉᵀ)⁻¹·x through a banded lower-triangular solve.
+    """(Ĉᵀ)⁻¹·x through a triangular banded solve (LAPACK tbtrs).
 
     Defined for the banded-inverse variant (and trivially for Identity).
     """
@@ -360,17 +365,10 @@ def solve_chat_t(w: WeightSpec, x: np.ndarray) -> np.ndarray:
     if isinstance(w, Identity):
         return x.copy()
     if isinstance(w, BandedWinv):
-        ab = _bands_to_ab_lower_t(w.chat_bands, w.n)
-        return scipy.linalg.solve_banded((w.p, 0), ab, x)
+        return _solve_chat(w, x, trans="T")
     raise WeightVariantError(
         f"no factor of W⁻¹ available for {type(w).__name__}"
     )
-
-
-def _solve_chat(w: BandedWinv, x: np.ndarray) -> np.ndarray:
-    """Ĉ⁻¹·x (upper-triangular banded solve)."""
-    ab = _bands_to_ab_upper(w.chat_bands, w.n)
-    return scipy.linalg.solve_banded((0, w.p), ab, x)
 
 
 def apply_w(w: WeightSpec, x: np.ndarray) -> np.ndarray:

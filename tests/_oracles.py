@@ -115,6 +115,24 @@ def gamma_projection_oracle(a, winv_dense, x):
     return x - winv @ (q @ np.linalg.solve(gamma, q.T @ x))
 
 
+def gram_oracle(coeffs, chat_bands, n):
+    """Dense Gamma = Q^T Chat^T Chat Q, with Chat placed entry by entry from
+    its bands (chat_bands[d][i] = Chat[i, i+d]) and Q(coeffs) column by
+    column."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    r = coeffs.size - 1
+    chat = np.zeros((n, n))
+    for d, band in enumerate(chat_bands):
+        for i in range(n - d):
+            chat[i, i + d] = band[i]
+    q = np.zeros((n, n - r))
+    for j in range(n - r):
+        for k in range(r + 1):
+            q[j + k, j] = coeffs[k]
+    cq = chat @ q
+    return cq.T @ cq
+
+
 def boundary_rows(tau, r, n):
     """0-based index set I(tau): first tau-1 and last r-tau+1 positions."""
     return list(range(tau - 1)) + list(range(n - (r - tau + 1), n))

@@ -22,6 +22,7 @@ from hmgn.projection import (
 from hmgn.series import acyclic_self_convolution, h_tau
 from hmgn.weights import (
     BandedW,
+    BandedWinv,
     Identity,
     Masked,
     ar_inverse_covariance,
@@ -33,6 +34,7 @@ from hmgn.weights import (
 from _oracles import (
     fd_jacobian,
     gamma_projection_oracle,
+    gram_oracle,
     q_matrix_oracle,
     weighted_projection_oracle,
 )
@@ -201,6 +203,33 @@ def test_gamma_factor_reconstructs_gram():
     gamma = q.T @ w.winv_sparse().toarray() @ q
     v = rng.standard_normal(n - 2)
     assert_allclose(factor.solve(v), np.linalg.solve(gamma, v), rtol=1e-8)
+
+
+@pytest.mark.parametrize("p", [None, 0, 1, 2, 3])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_gamma_factor_matches_dense_gram_all_lengths(r, p):
+    # p = None is the identity weight, a single band of ones; the short
+    # lengths N − r ≤ r + p leave the upper bands of Γ partly or wholly empty
+    rng = np.random.default_rng(10 * r + (p or 0))
+    a = stable_glrr(r, rng)
+    p_eff = 0 if p is None else p
+    lengths = list(range(max(r + 1, p_eff + 1), r + p_eff + 6)) + [200]
+    for n in lengths:
+        if p is None:
+            w, bands = Identity(n), (np.ones(n),)
+        else:
+            bands = [rng.uniform(0.5, 2.0, n)]
+            bands += [rng.uniform(-0.4, 0.4, n - d) for d in range(1, p + 1)]
+            w = BandedWinv(n, tuple(bands))
+        factor = GammaFactor(a, w)
+        v = rng.standard_normal(n - r)
+        want = np.linalg.solve(gram_oracle(a, bands, n), v)
+        assert np.linalg.norm(factor.solve(v) - want) <= 1e-10 * np.linalg.norm(want)
+        x = rng.standard_normal(n)
+        winv = gram_oracle((1.0,), bands, n)  # Q(1) = I, so this is Ĉᵀ Ĉ
+        want = gamma_projection_oracle(a, winv, x)
+        got = factor.kernel_projection(x)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(x), n
 
 
 def test_gamma_mean_projection_matches_basis():

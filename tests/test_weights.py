@@ -352,6 +352,36 @@ def test_matrix_right_hand_sides():
         assert_allclose(ys[:, j], solve_chat_t(w_inv, xs[:, j]), rtol=1e-12)
 
 
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
+def test_banded_winv_triangular_solves_match_dense(p):
+    rng = np.random.default_rng(31 + p)
+    n = 40
+    bands = _random_c_bands(rng, n, p)
+    if p > 0:
+        # rows where the off-diagonal outweighs the diagonal: the old
+        # general-band LU pivoted there
+        rows = np.arange(0, n - 1, 3)
+        bands[1][rows] = 2.5 * bands[0][rows] * rng.choice([-1.0, 1.0], rows.size)
+    w = BandedWinv(n, tuple(bands))
+    chat = _dense_upper(bands, n)
+    assert np.any(np.abs(np.diag(chat, 1)) > np.abs(np.diag(chat)[:-1])) == (p > 0)
+    xs = rng.standard_normal((n, 4))
+    for x in (xs[:, 0], xs):
+        want_t = np.linalg.solve(chat.T, x)
+        want_w = np.linalg.solve(chat, want_t)
+        for got, want in (
+            (solve_chat_t(w, x), want_t),
+            (whiten(w, x), want_t),
+            (apply_w(w, x), want_w),
+        ):
+            assert got.shape == x.shape
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    for f in (solve_chat_t, whiten, apply_w):
+        got = f(w, xs)
+        for j in range(4):
+            assert_allclose(got[:, j], f(w, xs[:, j]), rtol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # cost scaling
 # ---------------------------------------------------------------------------
