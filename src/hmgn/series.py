@@ -10,10 +10,11 @@ set of series annihilated by GLRR(a) is the r-dimensional subspace
 
 with Q(a) the N×(N−r) banded matrix whose columns are shifted copies of a.
 
-This module provides the embedding, the GLRR residual Qᵀ(a)S, construction
-of Q, the (τ, ȧ) pivot normalization used by the solvers, the acyclic
-self-convolution a² whose GLRR defines tangent spaces, and generators for
-finite-rank model signals (damped/modulated sinusoids times polynomials).
+This module provides the embedding, the GLRR residual Qᵀ(a)S, the products
+with Q(a) and Qᵀ(a), the (τ, ȧ) pivot normalization used by the solvers,
+the acyclic self-convolution a² whose GLRR defines tangent spaces, and
+generators for finite-rank model signals (damped/modulated sinusoids times
+polynomials).
 
 Indices in docstrings are 1-based to match standard series notation; all
 stored indices follow the same convention (``tau`` is 1-based).
@@ -37,7 +38,6 @@ __all__ = [
     "as_time_series",
     "embed",
     "glrr_residual",
-    "build_q_matrix",
     "apply_q_transpose",
     "apply_q",
     "acyclic_self_convolution",
@@ -239,22 +239,6 @@ def glrr_residual(
             f"GLRR order {coeffs.size - 1} too large for series of length {x.size}"
         )
     return apply_q_transpose(coeffs, x)
-
-
-def build_q_matrix(b: ArrayLike, M: int) -> np.ndarray:
-    """Banded matrix Q^{M,d}(b) ∈ R^{M×(M−d)} of shifted copies of b.
-
-    Column j holds b at rows j..j+d (1-based); Qᵀ(b)·S equals the sliding
-    correlation of S with b.
-    """
-    b = np.asarray(b, dtype=float).reshape(-1)
-    d = b.size - 1
-    if M <= d:
-        raise ValueError(f"size M={M} must exceed the band width d={d}")
-    q = np.zeros((M, M - d))
-    for j in range(M - d):
-        q[j : j + d + 1, j] = b
-    return q
 
 
 def acyclic_self_convolution(a: Union[GlrrVector, ArrayLike]) -> np.ndarray:

@@ -299,12 +299,14 @@ def line_search(
     prev_step_norm: Optional[float],
     config: SolverConfig,
     s_current: np.ndarray,
+    objective: float,
     iteration: int,
 ) -> Tuple[float, np.ndarray, bool, Optional[_Projection]]:
     """Step-size choice along Δ; returns (γ, next ȧ, small-step flag,
     projection at the next ȧ for the next step to reuse).
 
-    ``s_current`` is the projected signal at the base point.  γ = 0 with a
+    ``s_current`` is the projected signal at the base point and ``objective``
+    its ‖x − s_current‖_W, which trials must not exceed.  γ = 0 with a
     False flag means the backtracking grid is exhausted; with a True flag it
     is the small-step stop verdict.  Either way no projection is returned.
     """
@@ -334,7 +336,6 @@ def line_search(
             return 1.0, adot + delta, True, trial
         return 0.0, adot.copy(), True, None
 
-    objective = weighted_norm(w, values - s_current)
     gamma = 1.0
     for m in range(config.gamma_min_exponent + 1):
         if m > 0:
@@ -408,7 +409,7 @@ def fit(
         )
 
         gamma, adot_next, small, at = line_search(
-            adot, delta, tau, ts, w, prev_step_norm, config, s_k, k
+            adot, delta, tau, ts, w, prev_step_norm, config, s_k, objective, k
         )
         rows.append(
             IterationRecord(

@@ -15,7 +15,8 @@ matrices.  Four representations cover the use cases of this package:
   The effective factor is C₀·U, still banded with the same bandwidth.
 
 Banded factors are stored by diagonals: ``bands[d][i] = C[i, i+d]`` for
-d = 0..p, so ``bands[d]`` has length n−d.  All operations run in O(n·p).
+d = 0..p, so ``bands[d]`` has length n−d.  Construction runs in O(n·p²)
+and every operation in O(n·p).
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from typing import List, Sequence, Union
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 
 from .errors import WeightVariantError
 
@@ -181,15 +181,6 @@ class BandedWinv(WeightSpec):
     def p(self) -> int:
         return len(self.chat_bands) - 1
 
-    def winv_sparse(self) -> scipy.sparse.csc_matrix:
-        """W⁻¹ = ĈᵀĈ as a sparse matrix, for verification; Gram assembly
-        (``projection.GammaFactor``) works on the bands of Ĉ and does not
-        use it."""
-        chat = scipy.sparse.diags(
-            self.chat_bands, offsets=list(range(self.p + 1)), format="csr"
-        )
-        return (chat.T @ chat).tocsc()
-
     def to_dense(self) -> np.ndarray:
         chat = _bands_to_dense(self.chat_bands, self.n)
         return np.linalg.inv(chat.T @ chat)
@@ -240,8 +231,9 @@ def ar_inverse_covariance(
     the inverse of the n×n autocovariance matrix Σ is (2p+1)-diagonal.  It is
     assembled exactly from the innovations representation W = AᵀA/σ², where A
     carries the prediction-error filter (−φ_p, …, −φ_1, 1) in rows p+1..n and
-    whitens the initial p-block through the Cholesky factor of Σ_p⁻¹, then
-    Cholesky-factored in banded form.
+    whitens the initial p-block through the Cholesky factor of Σ_p⁻¹.  The
+    p+1 upper bands of W are summed band by band in O(n·p²), with no sparse
+    matrices, then Cholesky-factored in banded form.
 
     Returns Identity for p = 0, σ² = 1; otherwise a BandedW.
     """
@@ -273,17 +265,22 @@ def ar_inverse_covariance(
     sigma_p = scipy.linalg.solve_discrete_lyapunov(companion, g)
     sigma_p = 0.5 * (sigma_p + sigma_p.T)
 
+    # W = AᵀA/σ²: rows t < p of A hold the upper-triangular boundary block,
+    # row t ≥ p holds the filter in columns t−p..t.  Band d sums
+    # A[t, i]·A[t, i+d] over the rows t in increasing order, then scales by
+    # the reciprocal 1/σ² rather than dividing, which keeps the last bit of W
+    # as the sparse product AᵀA·(1/σ²) of earlier versions gave it.
     boundary = np.sqrt(sigma2) * np.linalg.cholesky(np.linalg.inv(sigma_p)).T
-
-    a = scipy.sparse.lil_matrix((n, n))
-    a[:p, :p] = boundary
     filt = np.concatenate((-phi[::-1], [1.0]))
-    for t in range(p, n):
-        a[t, t - p : t + 1] = filt
-    a = a.tocsr()
-    w = (a.T @ a) / sigma2
+    w_bands = []
+    for d in range(p + 1):
+        band = np.zeros(n - d)
+        for t in range(p - d):
+            band[t : p - d] += boundary[t, t : p - d] * boundary[t, t + d : p]
+        for s in range(d, p + 1):  # filter rows t = i + s
+            band[p - s : n - s] += filt[p - s] * filt[p - s + d]
+        w_bands.append(band * (1.0 / sigma2))
 
-    w_bands = [np.asarray(w.diagonal(d)).reshape(-1) for d in range(p + 1)]
     c_bands = _chol_banded_or_raise(w_bands, n, "AR inverse covariance")
     return BandedW(n, tuple(c_bands))
 

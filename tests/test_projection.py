@@ -200,7 +200,7 @@ def test_gamma_factor_reconstructs_gram():
     w = random_tridiagonal_winv(n, rng)
     factor = GammaFactor(a, w)
     q = q_matrix_oracle(a, n)
-    gamma = q.T @ w.winv_sparse().toarray() @ q
+    gamma = q.T @ gram_oracle((1.0,), w.chat_bands, n) @ q  # Q(1) = I: Ĉᵀ Ĉ
     v = rng.standard_normal(n - 2)
     assert_allclose(factor.solve(v), np.linalg.solve(gamma, v), rtol=1e-8)
 

@@ -19,7 +19,6 @@ from hmgn.series import (
     acyclic_self_convolution,
     apply_q,
     apply_q_transpose,
-    build_q_matrix,
     embed,
     generate_model_signal,
     glrr_residual,
@@ -132,7 +131,7 @@ def test_embed_matches_oracle_and_is_hankel(x, data):
 
 
 # ---------------------------------------------------------------------------
-# glrr_residual / build_q_matrix
+# glrr_residual / Q(a)
 # ---------------------------------------------------------------------------
 
 
@@ -153,26 +152,6 @@ def test_residual_order_too_large():
         glrr_residual([1, 2], [1, 0, -1])
 
 
-def test_q_matrix_difference():
-    q = build_q_matrix([1, -1], 3)
-    assert_array_equal(q.T, [[1, -1, 0], [0, 1, -1]])
-
-
-def test_q_matrix_cubic():
-    b = [1, -3, 3, -1]
-    q = build_q_matrix(b, 6)
-    assert q.shape == (6, 3)
-    for j in range(3):
-        col = np.zeros(6)
-        col[j : j + 4] = b
-        assert_array_equal(q[:, j], col)
-
-
-def test_q_matrix_size_too_small():
-    with pytest.raises(ValueError):
-        build_q_matrix([1, -1, 1], 2)
-
-
 @given(glrr_arrays, st.data())
 @settings(max_examples=60)
 def test_residual_consistent_with_q_matrix(a, data):
@@ -186,10 +165,10 @@ def test_residual_consistent_with_q_matrix(a, data):
         )
     )
     res = glrr_residual(x, a)
-    q = build_q_matrix(a, n)
+    q = q_matrix_oracle(a, n)
     assert_allclose(res, q.T @ np.asarray(x), rtol=1e-12, atol=1e-9)
     assert_allclose(res, glrr_residual_oracle(x, a), rtol=1e-12, atol=1e-9)
-    assert_array_equal(q, q_matrix_oracle(a, n))
+    assert_array_equal(apply_q(a, np.eye(n - r)), q)
 
 
 def test_apply_q_adjoint_pair():
@@ -197,7 +176,7 @@ def test_apply_q_adjoint_pair():
     a = rng.standard_normal(4)
     x = rng.standard_normal(12)
     v = rng.standard_normal(9)
-    q = build_q_matrix(a, 12)
+    q = q_matrix_oracle(a, 12)
     assert_allclose(apply_q_transpose(a, x), q.T @ x, rtol=1e-12)
     assert_allclose(apply_q(a, v), q @ v, rtol=1e-12)
     # matrix right-hand sides work columnwise
@@ -212,7 +191,7 @@ def test_residual_vanishes_on_nullspace():
         r = int(rng.integers(1, 6))
         n = int(rng.integers(2 * r + 2, 40))
         a = rng.standard_normal(r + 1)
-        basis = null_space(build_q_matrix(a, n).T)
+        basis = null_space(q_matrix_oracle(a, n).T)
         s = basis @ rng.standard_normal(basis.shape[1])
         res = glrr_residual(s, a)
         assert np.linalg.norm(res) <= 1e-10 * np.linalg.norm(a) * max(

@@ -185,8 +185,10 @@ def test_vpgn_step_rejects_masked_weights():
 # ---------------------------------------------------------------------------
 
 
-def _basis_signal(adot, tau, x, w):
-    return project_onto_glrr_space(h_tau(adot, tau), w, x).projected
+def _base_point(adot, tau, x, w):
+    """(projected signal, objective) at ȧ, as ``fit`` hands them over."""
+    s = project_onto_glrr_space(h_tau(adot, tau), w, x).projected
+    return s, weighted_norm(w, x - s)
 
 
 def test_line_search_zero_direction_first_iteration():
@@ -201,7 +203,7 @@ def test_line_search_zero_direction_first_iteration():
         w,
         None,
         SolverConfig(method="mgn"),
-        _basis_signal(norm.adot, norm.tau, x, w),
+        *_base_point(norm.adot, norm.tau, x, w),
         iteration=0,
     )
     assert gamma == 1.0
@@ -226,7 +228,7 @@ def test_line_search_accepts_improving_full_step():
         w,
         None,
         SolverConfig(method="mgn"),
-        _basis_signal(adot, norm.tau, x, w),
+        *_base_point(adot, norm.tau, x, w),
         iteration=0,
     )
     assert not small
@@ -251,7 +253,7 @@ def test_line_search_exhausts_on_adversarial_direction():
         w,
         1.0,
         SolverConfig(method="mgn"),
-        _basis_signal(norm.adot, norm.tau, x, w),
+        *_base_point(norm.adot, norm.tau, x, w),
         iteration=1,
     )
     assert gamma == 0.0

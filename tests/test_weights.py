@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,17 +89,38 @@ def test_ar1_matches_dense_inverse(phi, sigma2):
 
 
 def test_ar2_matches_impulse_response_oracle():
+    # AR(1) to AR(3); the short lengths n ≤ 2p + 1 are where the boundary
+    # block of W overlaps the filter rows on both sides
     rng = np.random.default_rng(31)
-    for _ in range(5):
-        # stable by construction: conjugate root pair inside the unit circle
-        rho = rng.uniform(0.3, 0.9)
-        theta = rng.uniform(0.2, 3.0)
-        phi = [2 * rho * np.cos(theta), -(rho**2)]
-        sigma2 = rng.uniform(0.5, 2.0)
-        n = 30
-        sigma = ar_dense_covariance_oracle(phi, sigma2, n)
-        w = ar_inverse_covariance(phi, sigma2, n).to_dense()
-        assert_allclose(w, np.linalg.inv(sigma), rtol=1e-8, atol=1e-8)
+    for p in (1, 2, 3):
+        for n in list(range(p + 1, 2 * p + 2)) + [30]:
+            for _ in range(5):
+                # stable by construction: a conjugate root pair (p ≥ 2) and a
+                # real root (odd p), all inside the unit circle
+                roots = []
+                if p >= 2:
+                    rho = rng.uniform(0.3, 0.9)
+                    theta = rng.uniform(0.2, 3.0)
+                    roots += [rho * np.exp(1j * theta), rho * np.exp(-1j * theta)]
+                if p % 2:
+                    roots.append(rng.uniform(-0.9, 0.9))
+                phi = -np.real(np.poly(roots))[1:]
+                sigma2 = rng.uniform(0.5, 2.0)
+                sigma = ar_dense_covariance_oracle(phi, sigma2, n)
+                w = ar_inverse_covariance(phi, sigma2, n).to_dense()
+                assert_allclose(
+                    w, np.linalg.inv(sigma), rtol=1e-8, atol=1e-8, err_msg=f"p={p} n={n}"
+                )
+
+
+def test_import_leaves_scipy_sparse_unloaded():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import hmgn, sys; assert 'scipy.sparse' not in sys.modules"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_ar_rejects_unstable():
@@ -159,7 +184,7 @@ def test_banded_winv_dense():
     w = BandedWinv(n, tuple(chat_bands))
     chat = _dense_upper(chat_bands, n)
     assert_allclose(w.to_dense(), np.linalg.inv(chat.T @ chat), rtol=1e-9)
-    assert_allclose(w.winv_sparse().toarray(), chat.T @ chat, rtol=1e-12)
+    assert_allclose(apply_winv(w, np.eye(n)), chat.T @ chat, rtol=1e-12)
 
 
 def test_banded_winv_from_winv_bands():
