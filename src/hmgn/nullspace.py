@@ -28,10 +28,20 @@ the search-direction computation needs (``fhat_matrix``): extend M by r
 zero rows, twist, and apply C(ã)⁻¹ through the FFT.
 
 All FFTs use the unitary convention (1/√N in both directions).
+
+Grid constants that do not depend on a are computed once: the unit grid
+exp(2πik/N) per N (16·N bytes) and the Fourier columns R_r per (N, r)
+(16·N·r bytes), each in a least-recently-used table of ``_TABLE_SIZE`` = 16
+entries (320 KB per (N, r) at N = 5000, r = 3).  The untwist T_N(−α₀) is
+computed once per ``RotatedSpectrum``; T_{N−r}(α₀) is its conjugate prefix,
+which equals the directly computed T_{N−r}(α₀) bit for bit.  Tabling
+changes no bit of any result.  The tables are read-only arrays, so threads,
+such as the ``HMGN_THREADS`` experiment pool, share them safely.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -79,6 +89,21 @@ def _twist(n: int, alpha: float) -> np.ndarray:
     return np.exp(1j * alpha * np.arange(n))
 
 
+#: entries per grid table; a fit uses one N and one r
+_TABLE_SIZE = 16
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+@functools.lru_cache(maxsize=_TABLE_SIZE)
+def _unit_grid(n: int) -> np.ndarray:
+    """The unrotated grid exp(2πik/N), k = 0..N−1 (read-only, tabled per N)."""
+    return _read_only(np.exp(2j * np.pi * np.arange(n) / n))
+
+
 # ---------------------------------------------------------------------------
 # error-free transformations and compensated Horner evaluation
 # ---------------------------------------------------------------------------
@@ -86,26 +111,43 @@ def _twist(n: int, alpha: float) -> np.ndarray:
 _SPLITTER = 134217729.0  # 2**27 + 1, Veltkamp splitting constant for doubles
 
 
+# The in-place steps below write only into arrays the helper allocated and
+# keep the textbook operations and their order, so every result is bitwise
+# that of the textbook form (``comp_horner_oracle`` in the tests).
+
+
 def _two_sum(a, b):
     """s, e with s = fl(a+b) and a + b = s + e exactly (Knuth, branch-free)."""
     s = a + b
     bb = s - a
-    e = (a - (s - bb)) + (b - bb)
+    e = s - bb
+    np.subtract(a, e, out=e)
+    np.subtract(b, bb, out=bb)
+    e += bb
     return s, e
 
 
 def _split(a):
-    c = _SPLITTER * a
-    hi = c - (c - a)
-    return hi, a - hi
+    """hi, lo with a = hi + lo exactly, each half fitting in 26 bits."""
+    hi = _SPLITTER * a
+    lo = hi - a
+    np.subtract(hi, lo, out=hi)
+    np.subtract(a, hi, out=lo)
+    return hi, lo
 
 
-def _two_prod(a, b):
-    """p, e with p = fl(a·b) and a·b = p + e exactly (Dekker/Veltkamp)."""
+def _two_prod_split(a, ah, al, b, bh, bl):
+    """p, e with p = fl(a·b) and a·b = p + e exactly (Dekker), given the
+    Veltkamp splits a = ah + al and b = bh + bl."""
     p = a * b
-    ah, al = _split(a)
-    bh, bl = _split(b)
-    e = al * bl - (((p - ah * bh) - al * bh) - ah * bl)
+    e = ah * bh
+    np.subtract(p, e, out=e)
+    t = al * bh
+    e -= t
+    np.multiply(ah, bl, out=t)
+    e -= t
+    np.multiply(al, bl, out=t)
+    np.subtract(t, e, out=e)
     return p, e
 
 
@@ -117,20 +159,25 @@ def _comp_horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     the rounding terms are accumulated through a plain Horner recurrence.
     The returned value s + e is accurate to ~2 ulp unless the evaluation
     condition number exceeds 1/u² (Compensated Horner scheme; the complex
-    product is compensated componentwise).
+    product is compensated componentwise).  z is split once per call and
+    each partial sum once per step.
     """
     coeffs = np.asarray(coeffs)
     zr, zi = np.real(z).astype(float), np.imag(z).astype(float)
+    zrh, zrl = _split(zr)
+    zih, zil = _split(zi)
     sr = np.full_like(zr, np.real(coeffs[-1]))
     si = np.full_like(zr, np.imag(coeffs[-1]))
     er = np.zeros_like(zr)
     ei = np.zeros_like(zr)
     for k in range(coeffs.size - 2, -1, -1):
         # s·z, componentwise error-free products and sums
-        p1, d1 = _two_prod(sr, zr)
-        p2, d2 = _two_prod(si, zi)
-        p3, d3 = _two_prod(sr, zi)
-        p4, d4 = _two_prod(si, zr)
+        srh, srl = _split(sr)
+        sih, sil = _split(si)
+        p1, d1 = _two_prod_split(sr, srh, srl, zr, zrh, zrl)
+        p2, d2 = _two_prod_split(si, sih, sil, zi, zih, zil)
+        p3, d3 = _two_prod_split(sr, srh, srl, zi, zih, zil)
+        p4, d4 = _two_prod_split(si, sih, sil, zr, zrh, zrl)
         rp, d5 = _two_sum(p1, -p2)
         ip, d6 = _two_sum(p3, p4)
         # + coefficient
@@ -210,7 +257,7 @@ def find_rotation(a: CoeffLike, n: int) -> float:
     wrapped = np.mod(np.asarray(cand) + half, spacing)
     wrapped[wrapped == 0.0] = spacing
     cand = wrapped - half
-    base = np.exp(2j * np.pi * np.arange(n) / n)
+    base = _unit_grid(n)
     vals = [_grid_min_abs(coeffs, base, al) for al in cand]
     best = int(np.argmax(vals))
     if not vals[best] > 0.0:
@@ -227,6 +274,7 @@ class RotatedSpectrum:
     """Eigenvalues of the rotated circulant C(T_{r+1}(−α₀)·a).
 
     ``eigenvalues[j] = g_a(exp(i(2πj/N − α₀)))``; all strictly nonzero.
+    ``untwist`` is the diagonal of T_N(−α₀), computed on first use.
     """
 
     alpha0: float
@@ -250,6 +298,10 @@ class RotatedSpectrum:
     @property
     def min_abs_eigenvalue(self) -> float:
         return float(np.min(np.abs(self.eigenvalues)))
+
+    @functools.cached_property
+    def untwist(self) -> np.ndarray:
+        return _read_only(_twist(self.n, -self.alpha0))
 
 
 def rotated_spectrum(
@@ -296,15 +348,16 @@ class SubspaceBasis:
         return self.z.shape[1]
 
 
+@functools.lru_cache(maxsize=_TABLE_SIZE)
 def _fourier_columns(n: int, r: int) -> np.ndarray:
     """R_r ∈ C^{N×r}: the unitary DFT of the last r standard basis vectors.
 
     Column j (1-based) is the Fourier mode (1/√N)·exp(i2πk(r+1−j)/N); the
-    columns are exactly orthonormal.
+    columns are exactly orthonormal.  Read-only, tabled per (N, r).
     """
     k = np.arange(n)[:, None]
     j = np.arange(1, r + 1)[None, :]
-    return np.exp(2j * np.pi * k * (r + 1 - j) / n) / np.sqrt(n)
+    return _read_only(np.exp(2j * np.pi * k * (r + 1 - j) / n) / np.sqrt(n))
 
 
 def _left_singular_block(m: np.ndarray, r: int) -> np.ndarray:
@@ -374,7 +427,7 @@ def nullspace_basis(
         o_r = scipy.linalg.solve_triangular(rhat, np.eye(r, dtype=complex))
         # column c of R_r·O_r equals (1/√N)·p_c(z_k) on the unrotated grid,
         # with p_c(z) = Σ_j O_r[j,c]·z^{r+1−j}
-        z_grid = np.exp(2j * np.pi * np.arange(n) / n)
+        z_grid = _unit_grid(n)
         b = np.empty((n, r), dtype=complex)
         for c in range(r):
             poly = np.zeros(r + 1, dtype=complex)
@@ -382,9 +435,7 @@ def nullspace_basis(
             b[:, c] = _comp_horner(poly, z_grid) / np.sqrt(n)
         u_r = b / eig[:, None]
 
-    z_c = _twist(n, -spectrum.alpha0)[:, None] * np.fft.ifft(
-        u_r, axis=0, norm="ortho"
-    )
+    z_c = spectrum.untwist[:, None] * np.fft.ifft(u_r, axis=0, norm="ortho")
     z, defect = _realize_basis(z_c, imag_tol)
     residual = float(np.linalg.norm(apply_q_transpose(coeffs.real, z)))
     return SubspaceBasis(z, defect, residual)
@@ -406,7 +457,8 @@ def fhat_matrix(
 
     The solve extends M by r zero rows, twists by T_{N−r}(α₀), applies the
     inverse rotated circulant through the FFT, and untwists; the real part
-    is exact because M and Q(a) are real.
+    is exact because M and Q(a) are real.  T_{N−r}(α₀) is the conjugate of
+    the leading N − r entries of the spectrum's untwist T_N(−α₀), bitwise.
     """
     _check_mode(mode)
     coeffs = _coeffs(a)
@@ -426,9 +478,8 @@ def fhat_matrix(
     keep = [i for i in range(r + 1) if i != tau - 1]  # K(τ), 0-based
     m = -traj[keep, :].T  # (N−r)×r
     m_ext = np.zeros((n, r), dtype=complex)
-    m_ext[: n - r, :] = _twist(n - r, spectrum.alpha0)[:, None] * m
+    untwist = spectrum.untwist
+    m_ext[: n - r, :] = np.conj(untwist[: n - r])[:, None] * m
     y = np.fft.fft(m_ext, axis=0, norm="ortho") / spectrum.eigenvalues[:, None]
-    fhat = _twist(n, -spectrum.alpha0)[:, None] * np.fft.ifft(
-        y, axis=0, norm="ortho"
-    )
+    fhat = untwist[:, None] * np.fft.ifft(y, axis=0, norm="ortho")
     return np.ascontiguousarray(fhat.real)

@@ -66,6 +66,52 @@ def poly_eval_oracle(a, z):
     return acc
 
 
+def comp_horner_oracle(coeffs, z):
+    """Textbook compensated Horner (Graillat, Langlois & Louvet) at complex z.
+
+    Every product is a Dekker two-product with its own Veltkamp splits and
+    every sum a Knuth two-sum; the complex product is compensated
+    componentwise and the rounding terms run through a plain Horner
+    recurrence.  Returns (s_r + e_r) + i(s_i + e_i).
+    """
+
+    def two_sum(a, b):
+        s = a + b
+        bb = s - a
+        return s, (a - (s - bb)) + (b - bb)
+
+    def split(a):
+        c = 134217729.0 * a  # 2**27 + 1
+        hi = c - (c - a)
+        return hi, a - hi
+
+    def two_prod(a, b):
+        p = a * b
+        ah, al = split(a)
+        bh, bl = split(b)
+        return p, al * bl - (((p - ah * bh) - al * bh) - ah * bl)
+
+    coeffs = np.asarray(coeffs)
+    zr, zi = np.real(z).astype(float), np.imag(z).astype(float)
+    sr = np.full_like(zr, np.real(coeffs[-1]))
+    si = np.full_like(zr, np.imag(coeffs[-1]))
+    er = np.zeros_like(zr)
+    ei = np.zeros_like(zr)
+    for k in range(coeffs.size - 2, -1, -1):
+        p1, d1 = two_prod(sr, zr)
+        p2, d2 = two_prod(si, zi)
+        p3, d3 = two_prod(sr, zi)
+        p4, d4 = two_prod(si, zr)
+        rp, d5 = two_sum(p1, -p2)
+        ip, d6 = two_sum(p3, p4)
+        sr_new, d7 = two_sum(rp, float(np.real(coeffs[k])))
+        si_new, d8 = two_sum(ip, float(np.imag(coeffs[k])))
+        er_new = er * zr - ei * zi + (d1 - d2 + d5 + d7)
+        ei_new = er * zi + ei * zr + (d3 + d4 + d6 + d8)
+        sr, si, er, ei = sr_new, si_new, er_new, ei_new
+    return (sr + er) + 1j * (si + ei)
+
+
 def weighted_norm_oracle(x, w_dense):
     """sqrt(x^T W x) against an explicit dense W."""
     x = np.asarray(x, dtype=float)

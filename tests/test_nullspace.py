@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import random
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
@@ -24,8 +27,11 @@ from hmgn.nullspace import (
 )
 from hmgn.problems import build_known_minimum
 from hmgn.series import GlrrVector, embed, generate_model_signal, ModelComponent
+from hmgn.solvers import SolverConfig, fit
+from hmgn.weights import Identity, ar_inverse_covariance
 
 from _oracles import (
+    comp_horner_oracle,
     gram_schmidt_cols,
     poly_eval_oracle,
     q_matrix_oracle,
@@ -337,3 +343,136 @@ def test_fhat_rejects_bad_shapes():
         fhat_matrix((1.0, -0.5, 0.2), np.ones(4), tau=1)  # r >= N/2
     with pytest.raises(ValueError):
         fhat_matrix((1.0, -0.5), np.ones(20), tau=3)  # tau out of range
+
+
+# ---------------------------------------------------------------------------
+# grid tables: tabled constants must change no bit of any result
+# ---------------------------------------------------------------------------
+
+
+def _clear_grid_tables():
+    hmgn.nullspace._unit_grid.cache_clear()
+    hmgn.nullspace._fourier_columns.cache_clear()
+
+
+@pytest.mark.parametrize("n", [50, 997, 5000])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("rotated", [False, True])
+def test_compensated_horner_matches_textbook_oracle(n, kind, rotated):
+    rng = np.random.default_rng(n)
+    if rotated:
+        z = _rotated_grid(n, 0.37 * np.pi / n)
+    else:
+        z = hmgn.nullspace._unit_grid(n)
+    for r in range(1, 7):
+        coeffs = rng.standard_normal(r + 1)
+        if kind == "complex":
+            coeffs = coeffs + 1j * rng.standard_normal(r + 1)
+        got = hmgn.nullspace._comp_horner(coeffs, z)
+        assert got.tobytes() == comp_horner_oracle(coeffs, z).tobytes()
+    # the cancellation regime the compensated mode exists for
+    triple = (1.0, -3.0, 3.0, -1.0)
+    got = hmgn.nullspace._comp_horner(triple, z)
+    assert got.tobytes() == comp_horner_oracle(triple, z).tobytes()
+
+
+def _fit_bytes(result):
+    rows = [
+        (row.tau, row.adot.tobytes(), row.small_step,
+         np.array([row.objective, row.gamma, row.glrr_rel_residual]).tobytes())
+        for row in result.trace.rows
+    ]
+    return (result.trace.termination, rows, result.signal.tobytes(),
+            result.glrr.coeffs.tobytes(), result.tau, result.adot.tobytes())
+
+
+@pytest.mark.parametrize("method", ["mgn", "s-mgn"])
+@pytest.mark.parametrize("weight", ["identity", "ar0.5"])
+def test_fit_identical_with_cold_and_warm_grid_tables(method, weight):
+    n = 1000
+    problem = build_known_minimum(n)
+    w = Identity(n) if weight == "identity" else ar_inverse_covariance([0.5], 1.0, n)
+    a0 = problem.a_star.coeffs + 1e-6
+
+    def run():
+        return _fit_bytes(fit(problem.x, w=w, config=SolverConfig(method=method), a0=a0))
+
+    _clear_grid_tables()
+    cold = run()
+    assert hmgn.nullspace._unit_grid.cache_info().currsize >= 1
+    assert run() == cold
+
+
+def test_grid_tables_read_only_and_bounded():
+    a = (1.0, -3.0, 3.0, -1.0)
+    spectrum = rotated_spectrum(a, 200, "compensated")
+    nullspace_basis(a, 200, "compensated", spectrum=spectrum)
+    for table in (
+        hmgn.nullspace._unit_grid(200),
+        hmgn.nullspace._fourier_columns(200, 3),
+        spectrum.untwist,
+    ):
+        with pytest.raises(ValueError):
+            table.flat[0] = 0.0
+    for n in range(64, 64 + 2 * hmgn.nullspace._TABLE_SIZE):
+        hmgn.nullspace._unit_grid(n)
+    info = hmgn.nullspace._unit_grid.cache_info()
+    assert info.currsize == info.maxsize == hmgn.nullspace._TABLE_SIZE
+
+
+def test_untwist_conjugate_prefix_is_bitwise():
+    # fhat_matrix twists by conj(T_N(−α₀))[:N−r] in place of T_{N−r}(α₀)
+    rng = np.random.default_rng(7)
+    twist = hmgn.nullspace._twist
+    for _ in range(200):
+        n = int(rng.integers(8, 20001))
+        r = int(rng.integers(1, 7))
+        alpha = float(rng.uniform(-np.pi / n, np.pi / n) * rng.choice([1.0, 1e3]))
+        want = twist(n - r, alpha)
+        assert np.conj(twist(n, -alpha)[: n - r]).tobytes() == want.tobytes()
+        spectrum = RotatedSpectrum(alpha, np.ones(n), n, r)
+        assert spectrum.untwist.tobytes() == twist(n, -alpha).tobytes()
+
+
+def test_grid_tables_shared_across_threads():
+    a = np.array([1.0, -3.0, 3.0, -1.0]) + 1e-6
+    sizes = (64, 97, 500, 5000)
+    series = {n: np.cos(0.05 * np.arange(n)) + 1e-3 * np.arange(n) for n in sizes}
+
+    def spectra():
+        return {
+            (n, mode): rotated_spectrum(a, n, mode)
+            for n in sizes
+            for mode in ("plain", "compensated")
+        }
+
+    def task(job, spectrum):
+        kind, n, mode = job
+        if kind == "basis":
+            return nullspace_basis(a, n, mode, spectrum=spectrum).z.tobytes()
+        return fhat_matrix(a, series[n], 2, mode, spectrum=spectrum).tobytes()
+
+    jobs = [
+        (kind, n, mode)
+        for _ in range(3)
+        for n in sizes
+        for mode in ("plain", "compensated")
+        for kind in ("basis", "fhat")
+    ]
+    random.Random(5).shuffle(jobs)
+
+    _clear_grid_tables()
+    shared = spectra()
+    serial = [task(job, shared[job[1:]]) for job in jobs]
+
+    _clear_grid_tables()
+    shared = spectra()  # fresh spectra: their untwists are built in the pool
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(task, job, shared[job[1:]]) for job in jobs]
+            threaded = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
