@@ -31,7 +31,7 @@ from .series import (
     apply_q_transpose,
     as_time_series,
 )
-from .weights import BandedWinv, Identity, WeightSpec, apply_winv, whiten
+from .weights import BandedWinv, Identity, WeightSpec, _mul_upper, _mul_upper_t, whiten
 
 __all__ = [
     "ProjectionResult",
@@ -165,13 +165,14 @@ class GammaFactor:
     has r+p+1 diagonals.  Γ is built band by band from ĈQ(a), where
     W⁻¹ = ĈᵀĈ, in O(N(r+p)²) with no sparse matrices.  The factor is
     immutable and reusable for every Γ⁻¹ solve at the same (a, W) — a
-    projection plus all Jacobian columns.
+    projection plus all Jacobian columns.  It also owns the products with
+    W⁻¹, through the Ĉ admitted here (none for W = I).
     """
 
     def __init__(self, a: Union[GlrrVector, np.ndarray], w: WeightSpec):
         coeffs = _glrr_coeffs(a)
         if isinstance(w, Identity):
-            chat_bands = (np.ones(w.n),)
+            chat_bands = None
         elif isinstance(w, BandedWinv):
             chat_bands = w.chat_bands
         else:
@@ -183,7 +184,7 @@ class GammaFactor:
         r = coeffs.size - 1
         if n - r < 1:
             raise ValueError("series too short for this GLRR order")
-        ab = _gram_upper(coeffs, chat_bands, n)
+        ab = _gram_upper(coeffs, (np.ones(n),) if chat_bands is None else chat_bands, n)
         try:
             chol = scipy.linalg.cholesky_banded(ab, overwrite_ab=True, lower=False)
         except np.linalg.LinAlgError as exc:
@@ -192,7 +193,7 @@ class GammaFactor:
             ) from exc
         self._chol = chol
         self._coeffs = coeffs
-        self._w = w
+        self._chat_bands = chat_bands
         self.n = n
         self.r = r
 
@@ -200,18 +201,20 @@ class GammaFactor:
     def coeffs(self) -> np.ndarray:
         return self._coeffs
 
-    @property
-    def w(self) -> WeightSpec:
-        return self._w
-
     def solve(self, v: np.ndarray) -> np.ndarray:
         """Γ⁻¹·v through the two triangular banded solves."""
         return scipy.linalg.cho_solve_banded((self._chol, False), v)
 
+    def apply_winv(self, x: np.ndarray) -> np.ndarray:
+        """W⁻¹·x = ĈᵀĈ·x for a vector or columnwise matrix (a copy for W = I)."""
+        if self._chat_bands is None:
+            return x.copy()
+        return _mul_upper_t(self._chat_bands, _mul_upper(self._chat_bands, x))
+
     def kernel_projection(self, x: np.ndarray) -> np.ndarray:
         """(I − W⁻¹Q Γ⁻¹ Qᵀ)·x for a vector or columnwise matrix."""
         qtx = apply_q_transpose(self._coeffs, x)
-        return x - apply_winv(self._w, apply_q(self._coeffs, self.solve(qtx)))
+        return x - self.apply_winv(apply_q(self._coeffs, self.solve(qtx)))
 
 
 def project_gamma(
@@ -250,24 +253,23 @@ def vp_jacobian(
     if factor is None:
         factor = GammaFactor(a, w)
     coeffs = factor.coeffs
-    w_spec = factor.w
     n = rhs.shape[0]
     r = factor.r
     if not 1 <= tau <= r + 1:
         raise ValueError(f"pivot index {tau} outside 1..{r + 1}")
 
     g = factor.solve(apply_q_transpose(coeffs, rhs))
-    pix = rhs - apply_winv(w_spec, apply_q(coeffs, g))
+    pix = rhs - factor.apply_winv(apply_q(coeffs, g))
     positions = [j for j in range(r + 1) if j != tau - 1]
 
     # first term: window Πx per position, batch-solve, expand through Q(a)
     windows = np.stack([pix[j : j + n - r] for j in positions], axis=1)
-    term1 = apply_winv(w_spec, apply_q(coeffs, factor.solve(windows)))
+    term1 = factor.apply_winv(apply_q(coeffs, factor.solve(windows)))
 
     # second term: zero-padded copies of g through W⁻¹, then the projection
     padded = np.zeros((n, r))
     for col, j in enumerate(positions):
         padded[j : j + n - r, col] = g
-    term2 = factor.kernel_projection(apply_winv(w_spec, padded))
+    term2 = factor.kernel_projection(factor.apply_winv(padded))
 
     return -term1 - term2

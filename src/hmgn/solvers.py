@@ -56,7 +56,7 @@ from .series import (
     h_tau,
     normalize_glrr,
 )
-from .weights import Identity, Masked, WeightSpec, mask_missing, weighted_norm
+from .weights import Identity, WeightSpec, mask_missing, weighted_norm
 
 __all__ = [
     "SolverConfig",
@@ -79,6 +79,13 @@ METHODS = ("mgn", "s-mgn", "vpgn", "s-vpgn")
 #: phenomenon the compensated variants exist to remove, not a failure.
 _IMAG_TOL = {"plain": 1e-2, "compensated": 1e-9}
 
+#: the line search tries γ = 2⁻ᵐ for m = 0.._GAMMA_MIN_EXPONENT
+_GAMMA_MIN_EXPONENT = 16
+
+#: relative signal change below which objective comparisons give way to
+#: comparing parameter-step norms
+_ZETA = 5e-8
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -86,8 +93,6 @@ class SolverConfig:
 
     method: str = "s-mgn"
     max_iter: int = 200
-    gamma_min_exponent: int = 16
-    zeta: float = 5e-8
 
     def __post_init__(self):
         method = self.method.lower()
@@ -96,10 +101,6 @@ class SolverConfig:
         object.__setattr__(self, "method", method)
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.gamma_min_exponent < 0:
-            raise ValueError("gamma_min_exponent must be non-negative")
-        if not self.zeta > 0:
-            raise ValueError("zeta must be positive")
 
     @property
     def mode(self) -> str:
@@ -300,15 +301,16 @@ def line_search(
     config: SolverConfig,
     s_current: np.ndarray,
     objective: float,
-    iteration: int,
 ) -> Tuple[float, np.ndarray, bool, Optional[_Projection]]:
     """Step-size choice along Δ; returns (γ, next ȧ, small-step flag,
     projection at the next ȧ for the next step to reuse).
 
     ``s_current`` is the projected signal at the base point and ``objective``
-    its ‖x − s_current‖_W, which trials must not exceed.  γ = 0 with a
-    False flag means the backtracking grid is exhausted; with a True flag it
-    is the small-step stop verdict.  Either way no projection is returned.
+    its ‖x − s_current‖_W, which trials must not exceed.  ``prev_step_norm``
+    is the norm of the previous accepted step, ``None`` on the first
+    iteration.  γ = 0 with a False flag means the backtracking grid is
+    exhausted; with a True flag it is the small-step stop verdict.  Either
+    way no projection is returned.
     """
     values = as_time_series(x).values
     if not np.all(np.isfinite(delta)):
@@ -325,19 +327,19 @@ def line_search(
     else:
         relative = change / scale
 
-    if relative < config.zeta:
-        if iteration == 0:
+    if relative < _ZETA:
+        if prev_step_norm is None:  # first iteration
             return 1.0, adot + delta, True, trial
         step = np.linalg.norm(delta)
         # an epsilon-scale step cannot shrink further in double precision
         negligible = step <= np.finfo(float).eps * (1.0 + np.linalg.norm(adot))
-        shrinking = prev_step_norm is None or step < prev_step_norm
+        shrinking = step < prev_step_norm
         if shrinking and not negligible:
             return 1.0, adot + delta, True, trial
         return 0.0, adot.copy(), True, None
 
     gamma = 1.0
-    for m in range(config.gamma_min_exponent + 1):
+    for m in range(_GAMMA_MIN_EXPONENT + 1):
         if m > 0:
             trial = None  # release the rejected trial before building the next
             trial = _project(h_tau(adot + gamma * delta, tau), values, w, family, mode)
@@ -358,8 +360,9 @@ def fit(
 
     Either ``r`` or an explicit starting GLRR ``a0`` fixes the rank.  A
     series with unobserved entries automatically masks the weights, so the
-    objective ignores the gaps.  The kernel-space family needs W⁻¹ in banded
-    form and therefore rejects masked weights.
+    objective ignores the gaps; a weight already masked by the caller keeps
+    only the positions observed under both masks.  The kernel-space family
+    needs W⁻¹ in banded form and therefore rejects masked weights.
     """
     ts = as_time_series(x)
     n = ts.n
@@ -379,7 +382,7 @@ def fit(
     w = Identity(n) if w is None else w
     if w.n != n:
         raise ValueError(f"weight dimension {w.n} does not match series length {n}")
-    if ts.has_missing and not isinstance(w, Masked):
+    if ts.has_missing:  # intersects a caller's mask with the gaps
         w = mask_missing(w, ts.mask)
 
     step = mgn_step if config.family == "mgn" else vpgn_step
@@ -409,7 +412,7 @@ def fit(
         )
 
         gamma, adot_next, small, at = line_search(
-            adot, delta, tau, ts, w, prev_step_norm, config, s_k, objective, k
+            adot, delta, tau, ts, w, prev_step_norm, config, s_k, objective
         )
         rows.append(
             IterationRecord(

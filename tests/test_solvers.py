@@ -204,7 +204,6 @@ def test_line_search_zero_direction_first_iteration():
         None,
         SolverConfig(method="mgn"),
         *_base_point(norm.adot, norm.tau, x, w),
-        iteration=0,
     )
     assert gamma == 1.0
     assert small
@@ -229,7 +228,6 @@ def test_line_search_accepts_improving_full_step():
         None,
         SolverConfig(method="mgn"),
         *_base_point(adot, norm.tau, x, w),
-        iteration=0,
     )
     assert not small
     assert gamma == 1.0
@@ -254,7 +252,6 @@ def test_line_search_exhausts_on_adversarial_direction():
         1.0,
         SolverConfig(method="mgn"),
         *_base_point(norm.adot, norm.tau, x, w),
-        iteration=1,
     )
     assert gamma == 0.0
     assert not small
@@ -346,6 +343,23 @@ def test_fit_gapped_preset_masked_identity():
     assert rel_err < 0.2
 
 
+def test_fit_intersects_caller_mask_with_gaps():
+    # the caller's mask hides samples 1-3 but not the gaps, which hold 0.0
+    # in the stored values; they must stay out of the objective
+    observed, clean = gapped_preset(seed=3)
+    partial = np.ones(observed.n, dtype=bool)
+    partial[1:4] = False
+    config = SolverConfig(method="s-mgn")
+    w_caller = mask_missing(Identity(observed.n), partial)
+    w_both = mask_missing(Identity(observed.n), partial & observed.mask)
+    got = fit(observed, r=4, w=w_caller, config=config)
+    want = fit(observed, r=4, w=w_both, config=config)
+    assert got.signal.tobytes() == want.signal.tobytes()
+    assert got.glrr.coeffs.tobytes() == want.glrr.coeffs.tobytes()
+    assert got.trace.objectives.tobytes() == want.trace.objectives.tobytes()
+    assert np.linalg.norm(got.signal - clean) / np.linalg.norm(clean) < 0.2
+
+
 @pytest.mark.parametrize("method", METHODS)
 def test_fit_projects_once_per_base_point(method, monkeypatch):
     # every base point after the first is the trial the line search before
@@ -370,7 +384,7 @@ def test_fit_projects_once_per_base_point(method, monkeypatch):
         if row.small_step:
             expected += 1
         elif row.gamma == 0.0:
-            expected += config.gamma_min_exponent + 1
+            expected += solvers._GAMMA_MIN_EXPONENT + 1
         else:
             expected += round(-np.log2(row.gamma)) + 1
     assert len(calls) == expected

@@ -13,19 +13,17 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from hmgn.errors import WeightVariantError
+from hmgn.projection import GammaFactor
 from hmgn.weights import (
     BandedW,
     BandedWinv,
     Identity,
     Masked,
-    apply_c,
-    apply_w,
-    apply_winv,
+    WeightSpec,
     ar_inverse_covariance,
     banded_w_from_w_bands,
     banded_winv_from_winv_bands,
     mask_missing,
-    solve_chat_t,
     weighted_norm,
     whiten,
 )
@@ -46,6 +44,12 @@ def _dense_upper(bands, n):
     for d, band in enumerate(bands):
         m += np.diag(band, k=d)
     return m
+
+
+def _apply_winv(w, x):
+    """W⁻¹·x through the Gram factor, the one owner of W⁻¹; the GLRR is an
+    arbitrary order-1 vector, which W⁻¹ does not depend on."""
+    return GammaFactor(np.array([1.0, -0.5]), w).apply_winv(x)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +188,7 @@ def test_banded_winv_dense():
     w = BandedWinv(n, tuple(chat_bands))
     chat = _dense_upper(chat_bands, n)
     assert_allclose(w.to_dense(), np.linalg.inv(chat.T @ chat), rtol=1e-9)
-    assert_allclose(apply_winv(w, np.eye(n)), chat.T @ chat, rtol=1e-12)
+    assert_allclose(_apply_winv(w, np.eye(n)), chat.T @ chat, rtol=1e-12)
 
 
 def test_banded_winv_from_winv_bands():
@@ -261,30 +265,31 @@ def test_masked_seminorm_vanishes_off_support():
 
 
 # ---------------------------------------------------------------------------
-# apply_w / apply_c / solve_chat_t / whiten
+# whiten / the Gram factor's W⁻¹
 # ---------------------------------------------------------------------------
 
 
 def test_identity_maps():
     w = Identity(4)
     x = np.array([1.0, -2.0, 3.0, 0.5])
-    assert_array_equal(apply_w(w, x), x)
-    assert_array_equal(apply_c(w, x), x)
-    assert_array_equal(solve_chat_t(w, x), x)
+    y = whiten(w, x)
+    assert_array_equal(y, x)
+    assert y is not x
 
 
 def test_banded_w_factor_norm():
     rng = np.random.default_rng(13)
     w = ar_inverse_covariance([0.5], 1.0, 15)
     dense = w.to_dense()
+    c = _dense_upper(w.c_bands, 15)
     for _ in range(10):
         x = rng.standard_normal(15)
-        cx = apply_c(w, x)
+        cx = whiten(w, x)
         assert_allclose(float(cx @ cx), float(x @ dense @ x), rtol=1e-12)
-        assert_allclose(apply_w(w, x), dense @ x, rtol=1e-11, atol=1e-13)
+        assert_allclose(cx, c @ x, rtol=1e-11, atol=1e-13)
 
 
-def test_solve_chat_t_inverse_property():
+def test_whiten_banded_winv_inverse_property():
     rng = np.random.default_rng(17)
     n, p = 18, 2
     chat_bands = _random_c_bands(rng, n, p)
@@ -292,57 +297,68 @@ def test_solve_chat_t_inverse_property():
     chat = _dense_upper(chat_bands, n)
     for _ in range(8):
         x = rng.standard_normal(n)
-        y = solve_chat_t(w, x)
+        y = whiten(w, x)
         assert_allclose(chat.T @ y, x, rtol=1e-10, atol=1e-12)
-    # applying W equals the dense inverse route
+    # the whitened norm equals the dense inverse route
     x = rng.standard_normal(n)
-    assert_allclose(apply_w(w, x), w.to_dense() @ x, rtol=1e-8, atol=1e-10)
+    y = whiten(w, x)
+    assert_allclose(float(y @ y), float(x @ w.to_dense() @ x), rtol=1e-8, atol=1e-10)
 
 
 def test_variant_mismatch_errors():
-    w_banded = ar_inverse_covariance([0.5], 1.0, 8)
+    class Unknown(WeightSpec):
+        n = 8
+
     with pytest.raises(WeightVariantError):
-        solve_chat_t(w_banded, np.ones(8))
-    w_inv = BandedWinv(8, (np.ones(8),))
+        whiten(Unknown(), np.ones(8))
     with pytest.raises(WeightVariantError):
-        apply_c(w_inv, np.ones(8))
-    masked = mask_missing(Identity(8), np.ones(8, dtype=bool))
-    with pytest.raises(WeightVariantError):
-        solve_chat_t(masked, np.ones(8))
+        whiten(Masked(Unknown(), np.ones(8, dtype=bool)), np.ones(8))
+    # only Identity and BandedWinv carry W⁻¹ in banded form
+    for w in (
+        ar_inverse_covariance([0.5], 1.0, 8),
+        mask_missing(Identity(8), np.ones(8, dtype=bool)),
+    ):
+        with pytest.raises(WeightVariantError):
+            _apply_winv(w, np.ones(8))
 
 
-def test_apply_winv_inverts_apply_w():
+def test_gamma_factor_winv_matches_dense_solve():
     rng = np.random.default_rng(23)
     n, p = 18, 2
     w = BandedWinv(n, tuple(_random_c_bands(rng, n, p)))
     for _ in range(8):
         x = rng.standard_normal(n)
-        assert_allclose(apply_w(w, apply_winv(w, x)), x, rtol=1e-9, atol=1e-11)
+        # ‖whiten(W⁻¹x)‖² = (W⁻¹x)ᵀW(W⁻¹x) = xᵀW⁻¹x
+        y = whiten(w, _apply_winv(w, x))
+        assert_allclose(
+            float(y @ y), float(x @ _apply_winv(w, x)), rtol=1e-9, atol=1e-11
+        )
     x = rng.standard_normal(n)
-    assert_allclose(apply_winv(w, x), np.linalg.solve(w.to_dense(), x), rtol=1e-9)
+    assert_allclose(_apply_winv(w, x), np.linalg.solve(w.to_dense(), x), rtol=1e-9)
     # identity: a fresh copy, not an alias
-    y = apply_winv(Identity(n), x)
+    y = _apply_winv(Identity(n), x)
     assert_array_equal(y, x)
     assert y is not x
-    # W-variant stores C, not Chat -- no O(p) inverse application exists
-    with pytest.raises(WeightVariantError):
-        apply_winv(ar_inverse_covariance([0.5], 1.0, n), x)
 
 
 def test_dimension_mismatch():
     with pytest.raises(ValueError):
-        apply_w(Identity(4), np.ones(5))
+        whiten(Identity(4), np.ones(5))
 
 
 def test_whiten_matches_quadratic_form_all_variants():
     rng = np.random.default_rng(19)
     n = 16
     mask = rng.uniform(size=n) > 0.2
+    outer = rng.uniform(size=n) > 0.2
+    inner = ar_inverse_covariance([0.3], 1.0, n)
     variants = [
         Identity(n),
         ar_inverse_covariance([0.6, -0.2], 1.4, n),
         BandedWinv(n, tuple(_random_c_bands(rng, n, 1))),
-        mask_missing(ar_inverse_covariance([0.3], 1.0, n), mask),
+        mask_missing(inner, mask),
+        # built directly: mask_missing would flatten the nesting
+        Masked(Masked(inner, mask), outer),
     ]
     for w in variants:
         dense = w.to_dense()
@@ -353,6 +369,8 @@ def test_whiten_matches_quadratic_form_all_variants():
                 float(y @ y), float(x @ dense @ x), rtol=1e-9, atol=1e-11
             )
             assert_allclose(weighted_norm(w, x), np.linalg.norm(y), rtol=1e-14)
+    x = rng.standard_normal(n)
+    assert_array_equal(whiten(variants[-1], x), whiten(Masked(inner, mask & outer), x))
 
 
 def test_weighted_norm_examples():
@@ -364,17 +382,20 @@ def test_weighted_norm_examples():
 def test_matrix_right_hand_sides():
     rng = np.random.default_rng(23)
     n = 12
-    w = ar_inverse_covariance([0.5], 2.0, n)
     xs = rng.standard_normal((n, 4))
-    dense = w.to_dense()
-    assert_allclose(apply_w(w, xs), dense @ xs, rtol=1e-11, atol=1e-13)
-    got = apply_c(w, xs)
-    for j in range(4):
-        assert_allclose(got[:, j], apply_c(w, xs[:, j]), rtol=1e-14)
+    w = ar_inverse_covariance([0.5], 2.0, n)
+    c = _dense_upper(w.c_bands, n)
+    assert_allclose(whiten(w, xs), c @ xs, rtol=1e-11, atol=1e-13)
+    mask = rng.uniform(size=n) > 0.3
     w_inv = BandedWinv(n, tuple(_random_c_bands(rng, n, 1)))
-    ys = solve_chat_t(w_inv, xs)
+    variants = (Identity(n), w, w_inv, mask_missing(w, mask), mask_missing(Identity(n), mask))
+    for v in variants:
+        got = whiten(v, xs)
+        for j in range(4):
+            assert_allclose(got[:, j], whiten(v, xs[:, j]), rtol=1e-12)
+    got = _apply_winv(w_inv, xs)
     for j in range(4):
-        assert_allclose(ys[:, j], solve_chat_t(w_inv, xs[:, j]), rtol=1e-12)
+        assert_allclose(got[:, j], _apply_winv(w_inv, xs[:, j]), rtol=1e-12)
 
 
 @pytest.mark.parametrize("p", [0, 1, 2, 3])
@@ -392,19 +413,13 @@ def test_banded_winv_triangular_solves_match_dense(p):
     assert np.any(np.abs(np.diag(chat, 1)) > np.abs(np.diag(chat)[:-1])) == (p > 0)
     xs = rng.standard_normal((n, 4))
     for x in (xs[:, 0], xs):
-        want_t = np.linalg.solve(chat.T, x)
-        want_w = np.linalg.solve(chat, want_t)
-        for got, want in (
-            (solve_chat_t(w, x), want_t),
-            (whiten(w, x), want_t),
-            (apply_w(w, x), want_w),
-        ):
-            assert got.shape == x.shape
-            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-    for f in (solve_chat_t, whiten, apply_w):
-        got = f(w, xs)
-        for j in range(4):
-            assert_allclose(got[:, j], f(w, xs[:, j]), rtol=1e-12)
+        want = np.linalg.solve(chat.T, x)
+        got = whiten(w, x)
+        assert got.shape == x.shape
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    got = whiten(w, xs)
+    for j in range(4):
+        assert_allclose(got[:, j], whiten(w, xs[:, j]), rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +436,7 @@ def _min_runtime(f, reps=30):
     return best
 
 
-def test_apply_w_cost_is_linear_in_n():
+def test_whiten_cost_is_linear_in_n():
     rng = np.random.default_rng(29)
     p = 2
     n1 = 250_000
@@ -429,8 +444,8 @@ def test_apply_w_cost_is_linear_in_n():
     w4 = BandedW(4 * n1, tuple(_random_c_bands(rng, 4 * n1, p)))
     x1 = rng.standard_normal(n1)
     x4 = rng.standard_normal(4 * n1)
-    apply_w(w1, x1), apply_w(w4, x4)  # warm-up
-    t1 = _min_runtime(lambda: apply_w(w1, x1))
-    t4 = _min_runtime(lambda: apply_w(w4, x4))
+    whiten(w1, x1), whiten(w4, x4)  # warm-up
+    t1 = _min_runtime(lambda: whiten(w1, x1))
+    t4 = _min_runtime(lambda: whiten(w4, x4))
     ratio = t4 / t1
-    assert 3.0 <= ratio <= 6.0, f"apply_w scaling ratio {ratio:.2f} not linear"
+    assert 3.0 <= ratio <= 6.0, f"whiten scaling ratio {ratio:.2f} not linear"
