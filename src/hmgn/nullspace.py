@@ -27,6 +27,13 @@ The same rotated spectrum also solves the banded system Qᵀ(a)·F̂ = M that
 the search-direction computation needs (``fhat_matrix``): extend M by r
 zero rows, twist, and apply C(ã)⁻¹ through the FFT.
 
+The ``RotatedSpectrum`` is the only carrier of (a, N, mode): it holds the
+coefficients and the arithmetic mode its eigenvalues were evaluated in, N
+and r follow from it, and the order (1 ≤ r < N/2) and the mode are checked
+once, when it is made.  ``nullspace_basis`` and ``fhat_matrix`` take the
+spectrum alone, so a basis and an F̂ solve cannot be built from a spectrum
+of other coefficients.
+
 All FFTs use the unitary convention (1/√N in both directions).
 
 Grid constants that do not depend on a are computed once: the unit grid
@@ -43,7 +50,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 import scipy.linalg
@@ -61,7 +68,13 @@ __all__ = [
     "fhat_matrix",
 ]
 
-_MODES = ("plain", "compensated")
+#: bound on the relative defect of the complex-to-real basis realization per
+#: mode; the plain mode is allowed a loose bound because its complex basis is
+#: legitimately further from a real subspace at large N — that gap is the
+#: phenomenon the compensated mode exists to remove, not a failure.
+_IMAG_TOL = {"plain": 1e-2, "compensated": 1e-9}
+
+_MODES = tuple(_IMAG_TOL)
 
 CoeffLike = Union[GlrrVector, Sequence[float], np.ndarray]
 
@@ -82,6 +95,13 @@ def _coeffs(a: CoeffLike) -> np.ndarray:
 def _check_mode(mode: str) -> None:
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
+
+
+def _check_order(r: int, n: int) -> None:
+    if r < 1:
+        raise ValueError("GLRR order must be at least 1")
+    if not r < n / 2:
+        raise ValueError(f"GLRR order r={r} must satisfy r < N/2 (N={n})")
 
 
 def _twist(n: int, alpha: float) -> np.ndarray:
@@ -271,21 +291,24 @@ def find_rotation(a: CoeffLike, n: int) -> float:
 
 @dataclass(frozen=True)
 class RotatedSpectrum:
-    """Eigenvalues of the rotated circulant C(T_{r+1}(−α₀)·a).
+    """Eigenvalues of the rotated circulant C(T_{r+1}(−α₀)·a), with the
+    coefficients a and the arithmetic ``mode`` they were evaluated in.
 
-    ``eigenvalues[j] = g_a(exp(i(2πj/N − α₀)))``; all strictly nonzero.
+    ``eigenvalues[j] = g_a(exp(i(2πj/N − α₀)))``; all strictly nonzero.  N is
+    the eigenvalue count and r the order of a, with 1 ≤ r < N/2.
     ``untwist`` is the diagonal of T_N(−α₀), computed on first use.
     """
 
+    coeffs: np.ndarray
+    mode: str
     alpha0: float
     eigenvalues: np.ndarray
-    n: int
-    r: int
 
     def __post_init__(self):
+        _check_mode(self.mode)
+        coeffs = _read_only(_coeffs(self.coeffs).copy())
         eig = np.asarray(self.eigenvalues, dtype=complex).reshape(-1)
-        if eig.size != self.n:
-            raise ValueError("eigenvalue count does not match grid size")
+        _check_order(coeffs.size - 1, eig.size)
         if not np.all(np.isfinite(eig.view(float))):
             raise SpectrumDegeneracyError("non-finite circulant eigenvalues")
         if np.min(np.abs(eig)) == 0.0:
@@ -293,7 +316,16 @@ class RotatedSpectrum:
                 "zero circulant eigenvalue: rotated grid hits a polynomial root"
             )
         eig.flags.writeable = False
+        object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "eigenvalues", eig)
+
+    @property
+    def n(self) -> int:
+        return self.eigenvalues.size
+
+    @property
+    def r(self) -> int:
+        return self.coeffs.size - 1
 
     @property
     def min_abs_eigenvalue(self) -> float:
@@ -304,16 +336,14 @@ class RotatedSpectrum:
         return _read_only(_twist(self.n, -self.alpha0))
 
 
-def rotated_spectrum(
-    a: CoeffLike, n: int, mode: str = "plain", alpha0: Optional[float] = None
-) -> RotatedSpectrum:
-    """Find (or accept) a rotation and evaluate the circulant eigenvalues."""
-    _check_mode(mode)
+def rotated_spectrum(a: CoeffLike, n: int, mode: str = "plain") -> RotatedSpectrum:
+    """Place the rotation and evaluate the circulant eigenvalues in ``mode``."""
     coeffs = _coeffs(a)
-    if alpha0 is None:
-        alpha0 = find_rotation(coeffs, n)
-    eig = eval_poly_grid(coeffs, alpha0, n, mode)
-    return RotatedSpectrum(float(alpha0), eig, n, coeffs.size - 1)
+    # fail on the order and mode before the rotation search
+    _check_mode(mode)
+    _check_order(coeffs.size - 1, n)
+    alpha0 = find_rotation(coeffs, n)
+    return RotatedSpectrum(coeffs, mode, alpha0, eval_poly_grid(coeffs, alpha0, n, mode))
 
 
 # ---------------------------------------------------------------------------
@@ -388,14 +418,9 @@ def _realize_basis(z_c: np.ndarray, imag_tol: float) -> tuple:
     return u[:, :r], defect
 
 
-def nullspace_basis(
-    a: CoeffLike,
-    n: int,
-    mode: str = "plain",
-    spectrum: Optional[RotatedSpectrum] = None,
-    imag_tol: float = 1e-9,
-) -> SubspaceBasis:
-    """Orthonormal basis of Z(a) = ker Qᵀ(a) in O(rN log N + Nr²).
+def nullspace_basis(spectrum: RotatedSpectrum) -> SubspaceBasis:
+    """Orthonormal basis of Z(a) = ker Qᵀ(a) in O(rN log N + Nr²), for the
+    coefficients and mode the spectrum carries.
 
     Plain mode orthonormalizes L_r = A_g⁻¹·R_r by an SVD.  Compensated mode
     computes the triangular factor O_r = R̂⁻¹ from a QR of L_r, re-evaluates
@@ -403,24 +428,16 @@ def nullspace_basis(
     unrotated grid in compensated arithmetic, and uses U_r = A_g⁻¹·B; this
     removes the λ_max/λ_min error amplification of the plain route.
 
-    ``imag_tol`` bounds the relative defect of the final complex-to-real
-    realization; exceeding it raises ``BasisRealizationError`` rather than
-    silently truncating imaginary parts.
+    A relative defect of the final complex-to-real realization beyond the
+    mode's bound (1e-2 plain, 1e-9 compensated) raises
+    ``BasisRealizationError`` rather than silently truncating imaginary parts.
     """
-    _check_mode(mode)
-    coeffs = _coeffs(a)
-    r = coeffs.size - 1
-    if r < 1:
-        raise ValueError("GLRR order must be at least 1")
-    if not r < n / 2:
-        raise ValueError(f"GLRR order r={r} must satisfy r < N/2 (N={n})")
-    if spectrum is None:
-        spectrum = rotated_spectrum(coeffs, n, mode)
+    n, r = spectrum.n, spectrum.r
     eig = spectrum.eigenvalues
     r_cols = _fourier_columns(n, r)
     l_mat = r_cols / eig[:, None]
 
-    if mode == "plain":
+    if spectrum.mode == "plain":
         u_r = _left_singular_block(l_mat, r)
     else:
         _, rhat = np.linalg.qr(l_mat)
@@ -436,8 +453,8 @@ def nullspace_basis(
         u_r = b / eig[:, None]
 
     z_c = spectrum.untwist[:, None] * np.fft.ifft(u_r, axis=0, norm="ortho")
-    z, defect = _realize_basis(z_c, imag_tol)
-    residual = float(np.linalg.norm(apply_q_transpose(coeffs.real, z)))
+    z, defect = _realize_basis(z_c, _IMAG_TOL[spectrum.mode])
+    residual = float(np.linalg.norm(apply_q_transpose(spectrum.coeffs.real, z)))
     return SubspaceBasis(z, defect, residual)
 
 
@@ -447,32 +464,24 @@ def nullspace_basis(
 
 
 def fhat_matrix(
-    a: CoeffLike,
+    spectrum: RotatedSpectrum,
     s: Union[TimeSeries, Sequence[float], np.ndarray],
     tau: int,
-    mode: str = "plain",
-    spectrum: Optional[RotatedSpectrum] = None,
 ) -> np.ndarray:
-    """Solve Qᵀ(a)·F̂ = M for F̂ ∈ R^{N×r}, M = −(rows K(τ) of T_{r+1}(S))ᵀ.
+    """Solve Qᵀ(a)·F̂ = M for F̂ ∈ R^{N×r}, M = −(rows K(τ) of T_{r+1}(S))ᵀ,
+    with a the spectrum's coefficients.
 
     The solve extends M by r zero rows, twists by T_{N−r}(α₀), applies the
     inverse rotated circulant through the FFT, and untwists; the real part
     is exact because M and Q(a) are real.  T_{N−r}(α₀) is the conjugate of
     the leading N − r entries of the spectrum's untwist T_N(−α₀), bitwise.
     """
-    _check_mode(mode)
-    coeffs = _coeffs(a)
-    r = coeffs.size - 1
     x = as_time_series(s)
-    n = x.n
-    if r < 1:
-        raise ValueError("GLRR order must be at least 1")
-    if not r < n / 2:
-        raise ValueError(f"GLRR order r={r} must satisfy r < N/2 (N={n})")
+    n, r = spectrum.n, spectrum.r
+    if x.n != n:
+        raise ValueError(f"series length {x.n} does not match grid size {n}")
     if not 1 <= tau <= r + 1:
         raise ValueError(f"tau={tau} out of range 1..{r + 1}")
-    if spectrum is None:
-        spectrum = rotated_spectrum(coeffs, n, mode)
 
     traj = embed(x, r + 1)  # (r+1)×(N−r)
     keep = [i for i in range(r + 1) if i != tau - 1]  # K(τ), 0-based

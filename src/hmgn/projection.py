@@ -11,18 +11,23 @@ banded factor of W⁻¹ = ĈᵀĈ, in O(N(r+p)²) and without sparse matrices.  
 Gram route is cheaper per solve but its conditioning degrades like
 κ(Γ) ~ N^{2t} near t-fold unit-circle roots, so the basis route is the
 robust default.
+
+The ``GammaFactor`` is the only carrier of (a, W) on the Gram route:
+``project_gamma`` and ``vp_jacobian`` take the factor alone, as the basis
+route's building blocks take the rotated spectrum of :mod:`hmgn.nullspace`,
+so a projection and its Jacobian cannot mix coefficients or weights.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 import scipy.linalg
 
 from .errors import GammaBreakdownError, RankDeficiencyError, WeightVariantError
-from .nullspace import nullspace_basis
+from .nullspace import nullspace_basis, rotated_spectrum
 from .series import (
     GlrrVector,
     TimeSeries,
@@ -116,11 +121,10 @@ def project_onto_glrr_space(
     w: WeightSpec,
     x: Union[TimeSeries, np.ndarray],
     mode: str = "plain",
-    imag_tol: float = 1e-9,
 ) -> ProjectionResult:
     """Π_{Z(a),W}x through an orthonormal basis of Z(a) built in ``mode``."""
     rhs = _as_vector_or_batch(x)
-    basis = nullspace_basis(a, rhs.shape[0], mode=mode, imag_tol=imag_tol)
+    basis = nullspace_basis(rotated_spectrum(a, rhs.shape[0], mode))
     return weighted_pinv_apply(basis.z, w, rhs)
 
 
@@ -217,28 +221,17 @@ class GammaFactor:
         return x - self.apply_winv(apply_q(self._coeffs, self.solve(qtx)))
 
 
-def project_gamma(
-    a: Union[GlrrVector, np.ndarray],
-    w: WeightSpec,
-    x: Union[TimeSeries, np.ndarray],
-    factor: Optional[GammaFactor] = None,
-) -> np.ndarray:
-    """Π_{Z(a),W}x = (I − W⁻¹Q(a)Γ⁻¹(a)Qᵀ(a))x without forming a basis."""
-    rhs = _as_vector_or_batch(x)
-    if factor is None:
-        factor = GammaFactor(a, w)
-    return factor.kernel_projection(rhs)
+def project_gamma(factor: GammaFactor, x: Union[TimeSeries, np.ndarray]) -> np.ndarray:
+    """Π_{Z(a),W}x = (I − W⁻¹Q(a)Γ⁻¹(a)Qᵀ(a))x without forming a basis, for
+    the (a, W) of ``factor``."""
+    return factor.kernel_projection(_as_vector_or_batch(x))
 
 
 def vp_jacobian(
-    a: Union[GlrrVector, np.ndarray],
-    tau: int,
-    w: WeightSpec,
-    x: Union[TimeSeries, np.ndarray],
-    factor: Optional[GammaFactor] = None,
+    factor: GammaFactor, tau: int, x: Union[TimeSeries, np.ndarray]
 ) -> np.ndarray:
     """Jacobian of ȧ ↦ Π_{Z(H_τ(ȧ)),W}x at a = H_τ(ȧ), one column per free
-    coefficient.
+    coefficient, for the (a, W) of ``factor``.
 
     Column for the full-vector position j ∈ K(τ) is
 
@@ -250,8 +243,6 @@ def vp_jacobian(
     rhs = _as_vector_or_batch(x)
     if rhs.ndim != 1:
         raise ValueError("the Jacobian is defined for a single series")
-    if factor is None:
-        factor = GammaFactor(a, w)
     coeffs = factor.coeffs
     n = rhs.shape[0]
     r = factor.r

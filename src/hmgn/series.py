@@ -118,11 +118,7 @@ class GlrrVector:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        coeffs = np.asarray(self.coeffs, dtype=float).reshape(-1)
-        if coeffs.size < 2:
-            raise ValueError("a GLRR coefficient vector needs length >= 2")
-        if not np.any(coeffs != 0.0):
-            raise ValueError("GLRR coefficients must not be all zero")
+        coeffs = _glrr_coeffs(self.coeffs)
         coeffs.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -132,12 +128,15 @@ class GlrrVector:
 
 
 def _glrr_coeffs(a: Union[GlrrVector, ArrayLike]) -> np.ndarray:
-    """Extract a validated coefficient array from a GlrrVector or array-like."""
+    """Extract a validated coefficient array from a GlrrVector or array-like:
+    length ≥ 2, finite, not all zero."""
     if isinstance(a, GlrrVector):
         return a.coeffs
     coeffs = np.asarray(a, dtype=float).reshape(-1)
     if coeffs.size < 2:
         raise ValueError("a GLRR coefficient vector needs length >= 2")
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError("GLRR coefficients must be finite")
     if not np.any(coeffs != 0.0):
         raise ValueError("GLRR coefficients must not be all zero")
     return coeffs

@@ -73,12 +73,6 @@ __all__ = [
 
 METHODS = ("mgn", "s-mgn", "vpgn", "s-vpgn")
 
-#: realization tolerance handed to the basis construction by the solvers;
-#: the plain variants are allowed a loose bound because their complex basis
-#: is legitimately further from a real subspace at large N — that gap is the
-#: phenomenon the compensated variants exist to remove, not a failure.
-_IMAG_TOL = {"plain": 1e-2, "compensated": 1e-9}
-
 #: the line search tries γ = 2⁻ᵐ for m = 0.._GAMMA_MIN_EXPONENT
 _GAMMA_MIN_EXPONENT = 16
 
@@ -223,13 +217,9 @@ def _project(
     if family == "vpgn" and mode == "plain":
         if factor is None:
             factor = GammaFactor(a_full, w)
-        signal = project_gamma(a_full, w, values, factor=factor)
-        return _Projection(signal, factor=factor)
-    n = values.shape[0]
-    spectrum = rotated_spectrum(a_full, n, mode)
-    basis = nullspace_basis(
-        a_full, n, mode=mode, spectrum=spectrum, imag_tol=_IMAG_TOL[mode]
-    )
+        return _Projection(project_gamma(factor, values), factor=factor)
+    spectrum = rotated_spectrum(a_full, values.shape[0], mode)
+    basis = nullspace_basis(spectrum)
     signal = weighted_pinv_apply(basis.z, w, values).projected
     return _Projection(signal, spectrum, basis)
 
@@ -255,7 +245,7 @@ def mgn_step(
     if at is None:
         at = _project(a_full, values, w, "mgn", mode)
     s_k = at.signal
-    fhat = fhat_matrix(a_full, s_k, tau, mode=mode, spectrum=at.spectrum)
+    fhat = fhat_matrix(at.spectrum, s_k, tau)
     deflated = fhat - weighted_pinv_apply(at.basis.z, w, fhat).projected
     delta = weighted_pinv_apply(deflated, w, values - s_k).coefficients
     return delta, s_k
@@ -286,7 +276,7 @@ def vpgn_step(
     if at is None:
         at = _project(a_full, values, w, "vpgn", mode, factor=factor)
     s_k = at.signal
-    jac = vp_jacobian(a_full, tau, w, values, factor=factor)
+    jac = vp_jacobian(factor, tau, values)
     delta = weighted_pinv_apply(jac, w, values - s_k).coefficients
     return delta, s_k
 

@@ -25,7 +25,7 @@ and every operation in O(n·p).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Sequence
 
 import numpy as np
@@ -167,16 +167,25 @@ class BandedW(WeightSpec):
 
 @dataclass(frozen=True)
 class BandedWinv(WeightSpec):
-    """W⁻¹ = ĈᵀĈ with banded upper-triangular Ĉ (bands[d][i] = Ĉ[i, i+d])."""
+    """W⁻¹ = ĈᵀĈ with banded upper-triangular Ĉ (bands[d][i] = Ĉ[i, i+d]).
+
+    ``ab_upper`` holds Ĉ once more in LAPACK's upper band storage, Fortran
+    ordered and read-only, so the triangular solve of ``whiten`` neither
+    rebuilds nor copies it.
+    """
 
     n: int
     chat_bands: tuple
+    ab_upper: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bands = _freeze_bands(self.chat_bands, self.n)
         if np.any(bands[0] == 0.0):
             raise ValueError("factor of W⁻¹ must be nonsingular")
         object.__setattr__(self, "chat_bands", bands)
+        ab = np.asfortranarray(_bands_to_ab_upper(bands, self.n))
+        ab.flags.writeable = False
+        object.__setattr__(self, "ab_upper", ab)
 
     @property
     def p(self) -> int:
@@ -342,9 +351,8 @@ def whiten(w: WeightSpec, x: np.ndarray) -> np.ndarray:
     if isinstance(w, BandedW):
         return _mul_upper(w.c_bands, x)
     if isinstance(w, BandedWinv):
-        ab = _bands_to_ab_upper(w.chat_bands, w.n)
         y, info = scipy.linalg.lapack.dtbtrs(
-            ab, np.asarray_chkfinite(x), uplo="U", trans="T"
+            w.ab_upper, np.asarray_chkfinite(x), uplo="U", trans="T"
         )
         if info != 0:
             raise np.linalg.LinAlgError(f"triangular banded solve failed (info={info})")

@@ -182,6 +182,11 @@ def test_fit_usage_and_io_errors(tmp_path, capsys):
     assert run("fit", "--input", data, "--rank", 2, "--weights", "toeplitz") == 2
     # missing input file
     assert run("fit", "--input", tmp_path / "nope.csv", "--rank", 2) == 1
+    # a starting GLRR with a non-finite coefficient
+    a0_file = tmp_path / "a0.txt"
+    a0_file.write_text("1.0\nnan\n1.0\n")
+    assert run("fit", "--input", data, "--a0", a0_file) == 2
+    assert "finite" in capsys.readouterr().err
     # unknown method is an argparse usage error
     with pytest.raises(SystemExit) as exc:
         run("fit", "--input", data, "--rank", 2, "--method", "newton")

@@ -196,9 +196,30 @@ def test_rotation_grid_evaluations_bounded_by_order(monkeypatch, name):
     assert 1 <= len(calls) <= len(a)
 
 
+def test_spectrum_carries_and_checks_its_inputs():
+    sp = rotated_spectrum((1.0, -2.0, 1.0), 50, "compensated")
+    assert (sp.n, sp.r, sp.mode) == (50, 2, "compensated")
+    assert sp.coeffs.tolist() == [1.0, -2.0, 1.0]
+    with pytest.raises(ValueError):
+        sp.coeffs[0] = 0.0
+    eig = np.ones(8)
+    with pytest.raises(ValueError):
+        RotatedSpectrum((1.0, -1.0), "exact", 0.1, eig)
+    with pytest.raises(ValueError):
+        RotatedSpectrum((1.0,), "plain", 0.1, eig)  # r = 0
+    with pytest.raises(ValueError):
+        RotatedSpectrum((1.0, -0.5, 0.2, 0.1, 0.3), "plain", 0.1, eig)  # r = N/2
+    with pytest.raises(ValueError):
+        rotated_spectrum((1.0, -0.5), 8, "exact")
+    # the order is checked before the rotation search, which would raise
+    # SpectrumDegeneracyError on a grid shorter than the coefficients
+    with pytest.raises(ValueError):
+        rotated_spectrum((1.0, -1.0, 0.0, 0.0, 0.0), 4)
+
+
 def test_degenerate_grid_raises():
     with pytest.raises(SpectrumDegeneracyError):
-        rotated_spectrum((1.0, -1.0), 8, alpha0=0.0)
+        RotatedSpectrum((1.0, -1.0), "plain", 0.0, eval_poly_grid((1.0, -1.0), 0.0, 8))
     with pytest.raises(SpectrumDegeneracyError):
         find_rotation((1.0, -1.0, 0.0, 0.0, 0.0), 4)
 
@@ -209,14 +230,14 @@ def test_degenerate_grid_raises():
 
 
 def test_constant_series_basis():
-    basis = nullspace_basis((1.0, -1.0), 5)
+    basis = nullspace_basis(rotated_spectrum((1.0, -1.0), 5))
     col = basis.z[:, 0]
     assert_allclose(np.abs(col), np.full(5, 1 / np.sqrt(5)), atol=1e-12)
     assert basis.residual_norm <= 1e-12
 
 
 def test_affine_sequences_basis():
-    basis = nullspace_basis((1.0, -2.0, 1.0), 6)
+    basis = nullspace_basis(rotated_spectrum((1.0, -2.0, 1.0), 6))
     n = np.arange(6, dtype=float)
     want = gram_schmidt_cols(np.column_stack([np.ones(6), n]))
     angles = subspace_angles(basis.z, want)
@@ -230,7 +251,7 @@ def test_affine_sequences_basis():
 )
 def test_quadratic_span_large_n(mode, angle_tol):
     n = 1000
-    basis = nullspace_basis((1.0, -3.0, 3.0, -1.0), n, mode)
+    basis = nullspace_basis(rotated_spectrum((1.0, -3.0, 3.0, -1.0), n, mode))
     grid = np.arange(n, dtype=float)
     want = gram_schmidt_cols(np.column_stack([np.ones(n), grid, grid**2]))
     assert np.max(subspace_angles(basis.z, want)) <= angle_tol
@@ -255,8 +276,8 @@ def test_projector_invariant_to_basis_route():
     # plain and compensated assemble the basis differently; the projectors
     # they induce must agree
     a = (1.0, -0.9, 0.3, -0.4)
-    zp = nullspace_basis(a, 240, "plain").z
-    zc = nullspace_basis(a, 240, "compensated").z
+    zp = nullspace_basis(rotated_spectrum(a, 240, "plain")).z
+    zc = nullspace_basis(rotated_spectrum(a, 240, "compensated")).z
     assert np.linalg.norm(zp @ zp.T - zc @ zc.T) <= 1e-8
 
 
@@ -266,7 +287,7 @@ def test_projector_invariant_to_basis_route():
 @example(a=[1.0, 2.2250738585e-313], n=16)
 def test_basis_orthonormal_and_annihilated(a, n):
     coeffs = GlrrVector(np.asarray(a))
-    basis = nullspace_basis(coeffs, n)
+    basis = nullspace_basis(rotated_spectrum(coeffs, n))
     r = coeffs.order
     assert basis.z.shape == (n, r)
     assert np.linalg.norm(basis.z.T @ basis.z - np.eye(r)) <= 1e-10
@@ -283,7 +304,7 @@ def test_basis_cost_scaling():
         best = np.inf
         for _ in range(5):
             t0 = time.perf_counter()
-            nullspace_basis(a, n)
+            nullspace_basis(rotated_spectrum(a, n))
             best = min(best, time.perf_counter() - t0)
         return best
 
@@ -298,7 +319,7 @@ def test_basis_cost_scaling():
 
 
 def test_fhat_zero_series():
-    fhat = fhat_matrix((1.0, -0.7), np.zeros(40), tau=1)
+    fhat = fhat_matrix(rotated_spectrum((1.0, -0.7), 40), np.zeros(40), tau=1)
     assert_allclose(fhat, np.zeros((40, 1)), atol=1e-14)
 
 
@@ -306,7 +327,7 @@ def test_fhat_constant_series_hand_case():
     # a = (1,-1), tau=1: K(tau) = {2}, M = -(second row of T_2(S))^T
     n = 30
     s = np.full(n, 2.5)
-    fhat = fhat_matrix((1.0, -1.0), s, tau=1)
+    fhat = fhat_matrix(rotated_spectrum((1.0, -1.0), n), s, tau=1)
     m = -embed(s, 2)[1, :].reshape(-1, 1)
     q = q_matrix_oracle((1.0, -1.0), n)
     assert np.linalg.norm(q.T @ fhat - m) <= 1e-10 * np.linalg.norm(m)
@@ -331,18 +352,26 @@ def test_fhat_residual_random_rank_r(seed):
     while np.linalg.norm(coeffs) < 0.5:
         coeffs = rng.standard_normal(r + 1)
     tau = int(rng.integers(1, r + 2))
-    fhat = fhat_matrix(coeffs, s, tau=tau)
+    fhat = fhat_matrix(rotated_spectrum(coeffs, n), s, tau=tau)
     rows = [j for j in range(r + 1) if j != tau - 1]
     m = -embed(s, r + 1)[rows, :].T
     q = q_matrix_oracle(coeffs, n)
     assert np.linalg.norm(q.T @ fhat - m) <= 1e-8 * max(1.0, np.linalg.norm(m))
 
 
+def test_fhat_rejects_series_of_another_length():
+    spectrum = rotated_spectrum((1.0, -0.5), 20)
+    with pytest.raises(ValueError):
+        fhat_matrix(spectrum, np.ones(21), tau=1)
+    with pytest.raises(ValueError):
+        fhat_matrix(spectrum, np.ones(19), tau=1)
+
+
 def test_fhat_rejects_bad_shapes():
     with pytest.raises(ValueError):
-        fhat_matrix((1.0, -0.5, 0.2), np.ones(4), tau=1)  # r >= N/2
+        fhat_matrix(rotated_spectrum((1.0, -0.5, 0.2), 4), np.ones(4), tau=1)  # r >= N/2
     with pytest.raises(ValueError):
-        fhat_matrix((1.0, -0.5), np.ones(20), tau=3)  # tau out of range
+        fhat_matrix(rotated_spectrum((1.0, -0.5), 20), np.ones(20), tau=3)  # tau out of range
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +435,7 @@ def test_fit_identical_with_cold_and_warm_grid_tables(method, weight):
 def test_grid_tables_read_only_and_bounded():
     a = (1.0, -3.0, 3.0, -1.0)
     spectrum = rotated_spectrum(a, 200, "compensated")
-    nullspace_basis(a, 200, "compensated", spectrum=spectrum)
+    nullspace_basis(spectrum)
     for table in (
         hmgn.nullspace._unit_grid(200),
         hmgn.nullspace._fourier_columns(200, 3),
@@ -430,7 +459,7 @@ def test_untwist_conjugate_prefix_is_bitwise():
         alpha = float(rng.uniform(-np.pi / n, np.pi / n) * rng.choice([1.0, 1e3]))
         want = twist(n - r, alpha)
         assert np.conj(twist(n, -alpha)[: n - r]).tobytes() == want.tobytes()
-        spectrum = RotatedSpectrum(alpha, np.ones(n), n, r)
+        spectrum = RotatedSpectrum((1.0, -1.0), "plain", alpha, np.ones(n))
         assert spectrum.untwist.tobytes() == twist(n, -alpha).tobytes()
 
 
@@ -447,10 +476,10 @@ def test_grid_tables_shared_across_threads():
         }
 
     def task(job, spectrum):
-        kind, n, mode = job
+        kind, n, _ = job
         if kind == "basis":
-            return nullspace_basis(a, n, mode, spectrum=spectrum).z.tobytes()
-        return fhat_matrix(a, series[n], 2, mode, spectrum=spectrum).tobytes()
+            return nullspace_basis(spectrum).z.tobytes()
+        return fhat_matrix(spectrum, series[n], 2).tobytes()
 
     jobs = [
         (kind, n, mode)

@@ -11,7 +11,8 @@ from hmgn.errors import (
     RankDeficiencyError,
     WeightVariantError,
 )
-from hmgn.nullspace import nullspace_basis
+from hmgn.nullspace import nullspace_basis, rotated_spectrum
+from hmgn.problems import build_known_minimum
 from hmgn.projection import (
     GammaFactor,
     project_gamma,
@@ -117,7 +118,7 @@ def test_pinv_rank_deficiency_detected():
 def test_project_member_is_fixed():
     rng = np.random.default_rng(4)
     a = (1.0, -1.4, 0.5)
-    z = nullspace_basis(a, 50).z
+    z = nullspace_basis(rotated_spectrum(a, 50)).z
     x = z @ rng.standard_normal(2)
     res = project_onto_glrr_space(a, Identity(50), x)
     assert np.linalg.norm(res.projected - x) <= 1e-10 * np.linalg.norm(x)
@@ -153,7 +154,7 @@ def test_residual_w_orthogonal_to_basis():
     w = ar_inverse_covariance([0.6], 0.5, n)
     x = rng.standard_normal(n)
     res = project_onto_glrr_space(a, w, x)
-    z = nullspace_basis(a, n).z
+    z = nullspace_basis(rotated_spectrum(a, n)).z
     wd = w.to_dense()
     resid = x - res.projected
     xn = weighted_norm(w, x)
@@ -186,6 +187,20 @@ def test_masked_projection_ignores_unobserved():
     p1 = project_onto_glrr_space(a, w, x).projected
     p2 = project_onto_glrr_space(a, w, x_tampered).projected
     assert_allclose(p1, p2, atol=1e-9)
+
+
+def test_plain_projection_uses_the_plain_realization_bound():
+    # a*² has a six-fold unit root: at N = 1000 its plain basis is about
+    # 2.7e-4 from real, inside the plain mode's bound of 1e-2 that the
+    # solvers apply too (the compensated bound 1e-9 would reject it)
+    problem = build_known_minimum(1000)
+    a2 = acyclic_self_convolution(problem.a_star)
+    basis = nullspace_basis(rotated_spectrum(a2, 1000, "plain"))
+    assert 1e-9 < basis.defect <= 1e-2
+    x = problem.x.values
+    res = project_onto_glrr_space(a2, Identity(1000), x, mode="plain")
+    want = basis.z @ (basis.z.T @ x)
+    assert np.linalg.norm(res.projected - want) <= 1e-10 * np.linalg.norm(x)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +249,7 @@ def test_gamma_factor_matches_dense_gram_all_lengths(r, p):
 
 def test_gamma_mean_projection_matches_basis():
     x = np.array([0.5, 1.5, -2.0, 4.0, 1.0, 0.0])
-    got = project_gamma((1.0, -1.0), Identity(6), x)
+    got = project_gamma(GammaFactor((1.0, -1.0), Identity(6)), x)
     want = project_onto_glrr_space((1.0, -1.0), Identity(6), x).projected
     assert_allclose(got, want, atol=1e-10)
 
@@ -246,7 +261,7 @@ def test_gamma_matches_dense_formula(seed):
     n = int(rng.integers(20, 100))
     a = stable_glrr(r, rng)
     x = rng.standard_normal(n)
-    got = project_gamma(a, Identity(n), x)
+    got = project_gamma(GammaFactor(a, Identity(n)), x)
     want = gamma_projection_oracle(a, np.eye(n), x)
     assert_allclose(got, want, rtol=1e-9, atol=1e-11)
 
@@ -259,7 +274,7 @@ def test_gamma_matches_basis_path_banded_winv(seed):
     a = stable_glrr(r, rng)
     w = random_tridiagonal_winv(n, rng)
     x = rng.standard_normal(n)
-    got = project_gamma(a, w, x)
+    got = project_gamma(GammaFactor(a, w), x)
     want = project_onto_glrr_space(a, w, x).projected
     assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(x)
 
@@ -267,7 +282,7 @@ def test_gamma_matches_basis_path_banded_winv(seed):
 def test_gamma_rejects_masked_weights():
     w = mask_missing(Identity(30), np.ones(30, dtype=bool))
     with pytest.raises(WeightVariantError):
-        project_gamma((1.0, -0.5), w, np.ones(30))
+        project_gamma(GammaFactor((1.0, -0.5), w), np.ones(30))
 
 
 def test_gamma_rejects_banded_w_without_inverse():
@@ -291,7 +306,7 @@ def test_gamma_degrades_at_triple_unit_root():
     ).projected
     basis_resid = np.linalg.norm(q.T @ basis_out)
     try:
-        gamma_out = project_gamma(a, Identity(n), x)
+        gamma_out = project_gamma(GammaFactor(a, Identity(n)), x)
     except GammaBreakdownError:
         return
     gamma_resid = np.linalg.norm(q.T @ gamma_out)
@@ -314,10 +329,10 @@ def test_vp_jacobian_matches_finite_differences(seed):
     w = random_tridiagonal_winv(n, rng)
     x = rng.standard_normal(n)
 
-    jac = vp_jacobian(h_tau(adot, tau), tau, w, x)
+    jac = vp_jacobian(GammaFactor(h_tau(adot, tau), w), tau, x)
 
     def s_star(ad):
-        return project_gamma(h_tau(ad, tau), w, x)
+        return project_gamma(GammaFactor(h_tau(ad, tau), w), x)
 
     want = fd_jacobian(s_star, adot, h=1e-6)
     assert np.linalg.norm(jac - want) <= 1e-4 * max(1.0, np.linalg.norm(want))
@@ -330,14 +345,14 @@ def test_vp_jacobian_member_term_cancellation():
     rng = np.random.default_rng(11)
     a = np.array([0.56, -1.5, 1.0])  # roots 0.7, 0.8; tau = 2 pivot
     n = 40
-    z = nullspace_basis(a, n).z
+    z = nullspace_basis(rotated_spectrum(a, n)).z
     x = z @ rng.standard_normal(2)
     tau = 2
     a_norm = a / -a[tau - 1]
     adot = np.delete(a_norm, tau - 1)
-    jac = vp_jacobian(h_tau(adot, tau), tau, Identity(n), x)
-
     factor = GammaFactor(h_tau(adot, tau), Identity(n))
+    jac = vp_jacobian(factor, tau, x)
+
     q = q_matrix_oracle(h_tau(adot, tau), n)
     positions = [j for j in range(3) if j != tau - 1]
     for col, j in enumerate(positions):
@@ -355,7 +370,7 @@ def test_vp_jacobian_columns_in_tangent_space():
     a = h_tau(adot, tau)
     w = random_tridiagonal_winv(n, rng)
     x = rng.standard_normal(n)
-    jac = vp_jacobian(a, tau, w, x)
+    jac = vp_jacobian(GammaFactor(a, w), tau, x)
     a2 = acyclic_self_convolution(a)
     q2 = q_matrix_oracle(a2, n)
     assert np.linalg.norm(q2.T @ jac) <= 1e-6 * np.linalg.norm(jac)

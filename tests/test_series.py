@@ -293,6 +293,17 @@ def test_glrr_vector_validation():
     assert v.order == 2
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_glrr_coefficients_must_be_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        GlrrVector(np.array([1.0, bad, 1.0]))
+    # the array-like path of every GLRR operation
+    with pytest.raises(ValueError, match="finite"):
+        normalize_glrr([1.0, bad, 1.0])
+    with pytest.raises(ValueError, match="finite"):
+        glrr_residual(np.ones(10), [1.0, bad, 1.0])
+
+
 # ---------------------------------------------------------------------------
 # model signals
 # ---------------------------------------------------------------------------

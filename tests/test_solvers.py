@@ -8,9 +8,9 @@ from numpy.testing import assert_allclose
 
 from hmgn import solvers
 from hmgn.errors import WeightVariantError
-from hmgn.nullspace import nullspace_basis
+from hmgn.nullspace import nullspace_basis, rotated_spectrum
 from hmgn.problems import build_known_minimum, gapped_preset
-from hmgn.projection import project_gamma, project_onto_glrr_space
+from hmgn.projection import GammaFactor, project_gamma, project_onto_glrr_space
 from hmgn.series import (
     GlrrVector,
     TimeSeries,
@@ -83,7 +83,7 @@ def test_mgn_step_zero_at_member():
     tau = 2
     adot = np.delete(a, tau - 1)
     n = 50
-    z = nullspace_basis(a, n).z
+    z = nullspace_basis(rotated_spectrum(a, n)).z
     x = z @ rng.standard_normal(2)
     delta, s_k = mgn_step(adot, tau, x, Identity(n))
     assert np.linalg.norm(s_k - x) <= 1e-9 * np.linalg.norm(x)
@@ -104,7 +104,7 @@ def test_mgn_step_matches_full_jacobian_direction(seed):
     a_full = h_tau(adot, tau)
     w = Identity(n)
 
-    z = nullspace_basis(a_full, n).z
+    z = nullspace_basis(rotated_spectrum(a_full, n)).z
     x = z @ rng.standard_normal(r) + 0.05 * rng.standard_normal(n)
 
     delta, s_k = mgn_step(adot, tau, x, w)
@@ -143,7 +143,7 @@ def test_vpgn_step_zero_at_fixed_point():
     a = np.array([0.56, -1.5, 1.0])
     norm = normalize_glrr(a)
     n = 40
-    z = nullspace_basis(a, n).z
+    z = nullspace_basis(rotated_spectrum(a, n)).z
     x = z @ rng.standard_normal(2)
     delta, s_k = vpgn_step(norm.adot, norm.tau, x, Identity(n))
     assert np.linalg.norm(s_k - x) <= 1e-9 * np.linalg.norm(x)
@@ -167,7 +167,7 @@ def test_vpgn_step_descends_on_noisy_instances():
         w = Identity(n)
         delta, s_k = vpgn_step(norm.adot, norm.tau, x, w)
         before = weighted_norm(w, x - s_k)
-        trial = project_gamma(h_tau(norm.adot + 1e-3 * delta, norm.tau), w, x)
+        trial = project_gamma(GammaFactor(h_tau(norm.adot + 1e-3 * delta, norm.tau), w), x)
         after = weighted_norm(w, x - trial)
         if after < before:
             successes += 1
@@ -276,6 +276,14 @@ def test_fit_all_methods_recover_clean_signal(method):
     x = rank2_signal(80)
     res = fit(x, r=2, config=SolverConfig(method=method))
     assert np.linalg.norm(res.signal - x) <= 1e-7 * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_fit_rejects_non_finite_start(method):
+    # before the rotation search or the Gram factor sees the coefficients
+    x = rank2_signal(80)
+    with pytest.raises(ValueError, match="finite"):
+        fit(x, config=SolverConfig(method=method), a0=[1.0, np.nan, 1.0])
 
 
 def test_fit_known_minimum_smgn_n100():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose, assert_array_equal
 
 from hmgn.errors import WeightVariantError
@@ -25,6 +27,7 @@ from hmgn.weights import (
     banded_winv_from_winv_bands,
     mask_missing,
     weighted_norm,
+    _bands_to_ab_upper,
     whiten,
 )
 
@@ -420,6 +423,25 @@ def test_banded_winv_triangular_solves_match_dense(p):
     got = whiten(w, xs)
     for j in range(4):
         assert_allclose(got[:, j], whiten(w, xs[:, j]), rtol=1e-12)
+
+
+def test_banded_winv_band_array_built_once():
+    rng = np.random.default_rng(37)
+    n, p = 30, 2
+    bands = _random_c_bands(rng, n, p)
+    w = BandedWinv(n, tuple(bands))
+    ab = w.ab_upper
+    assert ab.flags.f_contiguous and not ab.flags.writeable
+    with pytest.raises(ValueError):
+        ab[0, 0] = 1.0
+    spec = {f.name: f for f in dataclasses.fields(w)}["ab_upper"]
+    assert not spec.compare and not spec.repr and not spec.init
+    # bitwise the solve on a band array rebuilt per call
+    fresh = scipy.linalg.lapack.dtbtrs(
+        _bands_to_ab_upper(w.chat_bands, n), np.ones(n), uplo="U", trans="T"
+    )[0]
+    assert whiten(w, np.ones(n)).tobytes() == fresh.tobytes()
+    assert whiten(w, np.ones(n)).tobytes() == fresh.tobytes()  # not consumed
 
 
 # ---------------------------------------------------------------------------
