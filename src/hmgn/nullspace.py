@@ -289,7 +289,7 @@ def find_rotation(a: CoeffLike, n: int) -> float:
     return float(cand[best])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RotatedSpectrum:
     """Eigenvalues of the rotated circulant C(T_{r+1}(−α₀)·a), with the
     coefficients a and the arithmetic ``mode`` they were evaluated in.
@@ -297,6 +297,9 @@ class RotatedSpectrum:
     ``eigenvalues[j] = g_a(exp(i(2πj/N − α₀)))``; all strictly nonzero.  N is
     the eigenvalue count and r the order of a, with 1 ≤ r < N/2.
     ``untwist`` is the diagonal of T_N(−α₀), computed on first use.
+
+    Compared and hashed by identity (``eq=False``): a field-wise ``==``
+    would compare arrays and raise instead of returning a bool.
     """
 
     coeffs: np.ndarray
@@ -351,13 +354,16 @@ def rotated_spectrum(a: CoeffLike, n: int, mode: str = "plain") -> RotatedSpectr
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubspaceBasis:
     """Orthonormal basis Z (N×r) of Z(a), with realization diagnostics.
 
     ``defect`` is the relative size σ_{r+1}/σ₁ of the complex-to-real
     realization (0 when the complex basis spanned the complexification of a
     real subspace exactly); ``residual_norm`` is ‖Qᵀ(a)·Z‖_F.
+
+    Compared and hashed by identity (``eq=False``): a field-wise ``==``
+    would compare arrays and raise instead of returning a bool.
     """
 
     z: np.ndarray

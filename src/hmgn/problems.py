@@ -42,13 +42,16 @@ _A_STAR = (1.0, -3.0, 3.0, -1.0)
 _TANGENT_DEGREE = 5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KnownMinimumProblem:
     """Observed series with an exactly known rank-3 minimizer.
 
     ``tangent_basis`` holds the orthonormalized polynomial tangent basis the
     construction projected the noise out of; it doubles as the certificate
     basis for stationarity checks.
+
+    Compared and hashed by identity (``eq=False``): a field-wise ``==``
+    would compare arrays and raise instead of returning a bool.
     """
 
     x: TimeSeries

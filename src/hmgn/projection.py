@@ -12,6 +12,16 @@ Gram route is cheaper per solve but its conditioning degrades like
 κ(Γ) ~ N^{2t} near t-fold unit-circle roots, so the basis route is the
 robust default.
 
+With g = Γ⁻¹Qᵀ(a)x and E_j = Q(e_j), the Jacobian column
+−W⁻¹QΓ⁻¹E_jᵀΠx − ΠW⁻¹E_j·g is taken in the merged form W⁻¹K_j,
+
+    K_j = −E_j·g − QΓ⁻¹(E_jᵀΠx − QᵀW⁻¹E_j·g),
+
+which follows from Π = I − W⁻¹QΓ⁻¹Qᵀ.  All r columns take one batched
+solve, the g solve aside, and a caller holding Πx passes it in.  Since
+whiten(W, W⁻¹v) = Ĉv, the whitened design of the Gauss-Newton least squares
+is ĈK, so the solvers never form J.
+
 The ``GammaFactor`` is the only carrier of (a, W) on the Gram route:
 ``project_gamma`` and ``vp_jacobian`` take the factor alone, as the basis
 route's building blocks take the rotated spectrum of :mod:`hmgn.nullspace`,
@@ -55,13 +65,16 @@ _QR_COND_LIMIT = 1e12
 _RANK_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProjectionResult:
     """Outcome of a weighted least-squares projection.
 
     ``projected`` is Z·q; ``coefficients`` holds q, the expansion of the
     projection in the columns of the supplied matrix.  For a batch of
     right-hand sides both fields gain a trailing axis.
+
+    Compared and hashed by identity (``eq=False``): a field-wise ``==``
+    would compare arrays and raise instead of returning a bool.
     """
 
     projected: np.ndarray
@@ -75,6 +88,33 @@ def _as_vector_or_batch(x: Union[TimeSeries, np.ndarray]) -> np.ndarray:
     if arr.ndim not in (1, 2):
         raise ValueError("right-hand side must be a vector or a matrix")
     return arr
+
+
+def _whitened_lstsq(zw: np.ndarray, xw: np.ndarray) -> np.ndarray:
+    """q minimizing ‖xw − zw·q‖₂ for an already whitened design and
+    right-hand side (vector or columnwise batch).
+
+    Column-pivoted QR; if the R factor's condition estimate exceeds 1e12 the
+    solve restarts as an SVD, and a smallest singular value below 1e−12 of
+    the largest raises ``RankDeficiencyError``.
+    """
+    q_mat, r_mat, piv = scipy.linalg.qr(zw, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(r_mat))
+    if diag.size == 0:
+        raise ValueError("basis must have at least one column")
+    use_svd = diag[-1] == 0.0 or diag[0] / diag[-1] > _QR_COND_LIMIT
+    if use_svd:
+        u, s, vt = np.linalg.svd(zw, full_matrices=False)
+        if s[0] == 0.0 or s[-1] < _RANK_TOL * s[0]:
+            raise RankDeficiencyError(
+                "weighted design lost column rank "
+                f"(σ_min/σ_max = {0.0 if s[0] == 0.0 else s[-1] / s[0]:.3e})"
+            )
+        return vt.T @ ((u.T @ xw) / (s if xw.ndim == 1 else s[:, None]))
+    y = scipy.linalg.solve_triangular(r_mat, q_mat.T @ xw)
+    coeffs = np.empty_like(y)
+    coeffs[piv] = y
+    return coeffs
 
 
 def weighted_pinv_apply(
@@ -93,26 +133,7 @@ def weighted_pinv_apply(
     if z.ndim != 2:
         raise ValueError("basis must be a two-dimensional array")
     rhs = _as_vector_or_batch(x)
-    zw = whiten(w, z)
-    xw = whiten(w, rhs)
-
-    q_mat, r_mat, piv = scipy.linalg.qr(zw, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r_mat))
-    if diag.size == 0:
-        raise ValueError("basis must have at least one column")
-    use_svd = diag[-1] == 0.0 or diag[0] / diag[-1] > _QR_COND_LIMIT
-    if use_svd:
-        u, s, vt = np.linalg.svd(zw, full_matrices=False)
-        if s[0] == 0.0 or s[-1] < _RANK_TOL * s[0]:
-            raise RankDeficiencyError(
-                "weighted design lost column rank "
-                f"(σ_min/σ_max = {0.0 if s[0] == 0.0 else s[-1] / s[0]:.3e})"
-            )
-        coeffs = vt.T @ ((u.T @ xw) / (s if xw.ndim == 1 else s[:, None]))
-    else:
-        y = scipy.linalg.solve_triangular(r_mat, q_mat.T @ xw)
-        coeffs = np.empty_like(y)
-        coeffs[piv] = y
+    coeffs = _whitened_lstsq(whiten(w, z), whiten(w, rhs))
     return ProjectionResult(projected=z @ coeffs, coefficients=coeffs)
 
 
@@ -209,11 +230,21 @@ class GammaFactor:
         """Γ⁻¹·v through the two triangular banded solves."""
         return scipy.linalg.cho_solve_banded((self._chol, False), v)
 
+    def apply_chat(self, v: np.ndarray) -> np.ndarray:
+        """Ĉ·v for a vector or columnwise matrix (a copy for W = I).
+
+        This is whiten(W, W⁻¹v) without the triangular solve that would undo
+        W⁻¹'s Ĉᵀ.
+        """
+        if self._chat_bands is None:
+            return v.copy()
+        return _mul_upper(self._chat_bands, v)
+
     def apply_winv(self, x: np.ndarray) -> np.ndarray:
         """W⁻¹·x = ĈᵀĈ·x for a vector or columnwise matrix (a copy for W = I)."""
         if self._chat_bands is None:
             return x.copy()
-        return _mul_upper_t(self._chat_bands, _mul_upper(self._chat_bands, x))
+        return _mul_upper_t(self._chat_bands, self.apply_chat(x))
 
     def kernel_projection(self, x: np.ndarray) -> np.ndarray:
         """(I − W⁻¹Q Γ⁻¹ Qᵀ)·x for a vector or columnwise matrix."""
@@ -227,6 +258,28 @@ def project_gamma(factor: GammaFactor, x: Union[TimeSeries, np.ndarray]) -> np.n
     return factor.kernel_projection(_as_vector_or_batch(x))
 
 
+def _vp_columns(
+    factor: GammaFactor, tau: int, x: np.ndarray, pix: np.ndarray
+) -> np.ndarray:
+    """K with W⁻¹K the VP Jacobian at the (a, W) of ``factor``, given
+    ``pix`` = Πx: column K_j = −E_j·g − QΓ⁻¹(E_jᵀΠx − QᵀW⁻¹E_j·g) for the
+    positions j ∈ K(τ), with g = Γ⁻¹Qᵀx.  One solve for g, one batched solve
+    for the r columns.
+    """
+    coeffs = factor.coeffs
+    n, r = x.shape[0], factor.r
+    m = n - r
+    g = factor.solve(apply_q_transpose(coeffs, x))
+    # column-major, so the banded products with Ĉ run down whole columns
+    padded = np.zeros((n, r), order="F")  # E_j·g: g zero-padded to offset j
+    windows = np.empty((m, r), order="F")  # E_jᵀΠx: Πx windowed at offset j
+    for col, j in enumerate(j for j in range(r + 1) if j != tau - 1):
+        padded[j : j + m, col] = g
+        windows[:, col] = pix[j : j + m]
+    rhs = windows - apply_q_transpose(coeffs, factor.apply_winv(padded))
+    return -padded - apply_q(coeffs, factor.solve(rhs))
+
+
 def vp_jacobian(
     factor: GammaFactor, tau: int, x: Union[TimeSeries, np.ndarray]
 ) -> np.ndarray:
@@ -238,29 +291,13 @@ def vp_jacobian(
         −W⁻¹Q(a)Γ⁻¹Qᵀ(e_j)Πx − Π W⁻¹Q(e_j)Γ⁻¹Qᵀ(a)x,
 
     where Qᵀ(e_j)v windows v at offset j−1 and Q(e_j)u zero-pads u to that
-    window.  All Γ⁻¹ solves reuse one factorization, batched columnwise.
+    window.  It is computed in the merged form W⁻¹K_j of the module
+    docstring: one batched solve for all r columns, besides the solves of
+    Πx and g, all on one factorization.
     """
     rhs = _as_vector_or_batch(x)
     if rhs.ndim != 1:
         raise ValueError("the Jacobian is defined for a single series")
-    coeffs = factor.coeffs
-    n = rhs.shape[0]
-    r = factor.r
-    if not 1 <= tau <= r + 1:
-        raise ValueError(f"pivot index {tau} outside 1..{r + 1}")
-
-    g = factor.solve(apply_q_transpose(coeffs, rhs))
-    pix = rhs - factor.apply_winv(apply_q(coeffs, g))
-    positions = [j for j in range(r + 1) if j != tau - 1]
-
-    # first term: window Πx per position, batch-solve, expand through Q(a)
-    windows = np.stack([pix[j : j + n - r] for j in positions], axis=1)
-    term1 = factor.apply_winv(apply_q(coeffs, factor.solve(windows)))
-
-    # second term: zero-padded copies of g through W⁻¹, then the projection
-    padded = np.zeros((n, r))
-    for col, j in enumerate(positions):
-        padded[j : j + n - r, col] = g
-    term2 = factor.kernel_projection(factor.apply_winv(padded))
-
-    return -term1 - term2
+    if not 1 <= tau <= factor.r + 1:
+        raise ValueError(f"pivot index {tau} outside 1..{factor.r + 1}")
+    return factor.apply_winv(_vp_columns(factor, tau, rhs, factor.kernel_projection(rhs)))

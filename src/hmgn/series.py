@@ -57,9 +57,12 @@ ArrayLike = Union[np.ndarray, Sequence[float]]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeSeries:
     """A real-valued series with an observation mask.
+
+    Compared and hashed by identity (``eq=False``): a field-wise ``==``
+    would compare arrays and raise instead of returning a bool.
 
     Parameters
     ----------
@@ -111,9 +114,13 @@ def as_time_series(x: Union[TimeSeries, ArrayLike]) -> TimeSeries:
     return TimeSeries(np.asarray(x, dtype=float))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GlrrVector:
-    """Coefficient vector a ∈ R^{r+1} of a generalized LRR of order r."""
+    """Coefficient vector a ∈ R^{r+1} of a generalized LRR of order r.
+
+    Compared and hashed by identity (``eq=False``): a field-wise ``==``
+    would compare arrays and raise instead of returning a bool.
+    """
 
     coeffs: np.ndarray
 
@@ -142,11 +149,14 @@ def _glrr_coeffs(a: Union[GlrrVector, ArrayLike]) -> np.ndarray:
     return coeffs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NormalizedGlrr:
     """Pivot form of a GLRR vector: a = H_τ(ȧ) has −1 at position τ.
 
     ``tau`` is 1-based; ``adot`` holds the remaining r coefficients in order.
+
+    Compared and hashed by identity (``eq=False``): a field-wise ``==``
+    would compare arrays and raise instead of returning a bool.
     """
 
     tau: int

@@ -8,6 +8,9 @@ parameterized locally by the free GLRR coefficients ȧ:
   right-hand-side solve of :func:`hmgn.nullspace.fhat_matrix`;
 * the kernel-space family ("vpgn"/"s-vpgn") is classic variable projection,
   with the Jacobian assembled from one banded Gram factorization per step.
+  The step solves its least squares on the design whitened by Ĉ, the
+  banded factor of W⁻¹ = ĈᵀĈ: ĈK, where J = W⁻¹K, so J itself is never
+  formed (see :mod:`hmgn.projection`).
 
 The "s-" prefix selects compensated-Horner spectra and basis construction;
 the plain variants run the same iterations in ordinary double precision.
@@ -43,8 +46,9 @@ from .nullspace import (
 )
 from .projection import (
     GammaFactor,
+    _vp_columns,
+    _whitened_lstsq,
     project_gamma,
-    vp_jacobian,
     weighted_pinv_apply,
 )
 from .series import (
@@ -56,7 +60,7 @@ from .series import (
     h_tau,
     normalize_glrr,
 )
-from .weights import Identity, WeightSpec, mask_missing, weighted_norm
+from .weights import Identity, WeightSpec, mask_missing, weighted_norm, whiten
 
 __all__ = [
     "SolverConfig",
@@ -106,13 +110,16 @@ class SolverConfig:
         return "mgn" if self.method.endswith("mgn") else "vpgn"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IterationRecord:
     """One accepted or terminal iteration.
 
     ``adot`` is the base point the step was computed at; ``objective`` is
     ‖X − S_k‖_W there; ``glrr_rel_residual`` is ‖Qᵀ(a)S_k‖/‖a‖ for the full
     coefficient vector a = H_τ(ȧ).
+
+    Compared and hashed by identity (``eq=False``): a field-wise ``==``
+    would compare arrays and raise instead of returning a bool.
     """
 
     tau: int
@@ -140,13 +147,16 @@ class SolverTrace:
         return len(self.rows)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FitResult:
     """Signal estimate with the GLRR it was driven to.
 
     ``signal`` is the projection at the last base point of the iteration;
     ``glrr`` the full coefficient vector after the final accepted update.
     They coincide except when the iteration cap cut the run mid-step.
+
+    Compared and hashed by identity (``eq=False``): a field-wise ``==``
+    would compare arrays and raise instead of returning a bool.
     """
 
     signal: np.ndarray
@@ -190,10 +200,14 @@ def initial_glrr(x: Union[TimeSeries, np.ndarray], r: int) -> GlrrVector:
     return GlrrVector(u[:, -1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Projection:
     """Π_{Z(a),W}x with the work that produced it: ``spectrum`` and ``basis``
-    on the basis route, ``factor`` on the Gram route."""
+    on the basis route, ``factor`` on the Gram route.
+
+    Compared and hashed by identity (``eq=False``): a field-wise ``==``
+    would compare arrays and raise instead of returning a bool.
+    """
 
     signal: np.ndarray
     spectrum: Optional[RotatedSpectrum] = None
@@ -263,9 +277,12 @@ def vpgn_step(
 
     The Jacobian always runs through the banded Gram factorization.  The
     signal projection shares that factorization in plain mode and uses the
-    compensated basis in compensated mode.  ``at`` is the projection at this
-    base point that ``line_search`` returned; a handed-over Gram factor also
-    serves the Jacobian.
+    compensated basis in compensated mode; either way the Jacobian reads Πx
+    from it.  Δ solves the least squares on the design whitened by Ĉ, ĈK
+    with J = W⁻¹K, against the whitened residual, from one batched Γ⁻¹
+    solve of the r columns besides the solve of Γ⁻¹Qᵀ(a)x.  ``at`` is the
+    projection at this base point that ``line_search`` returned; a
+    handed-over Gram factor also serves the Jacobian.
     """
     values = as_time_series(x).values
     a_full = h_tau(adot, tau)
@@ -276,8 +293,8 @@ def vpgn_step(
     if at is None:
         at = _project(a_full, values, w, "vpgn", mode, factor=factor)
     s_k = at.signal
-    jac = vp_jacobian(factor, tau, values)
-    delta = weighted_pinv_apply(jac, w, values - s_k).coefficients
+    design = factor.apply_chat(_vp_columns(factor, tau, values, s_k))
+    delta = _whitened_lstsq(design, whiten(w, values - s_k))
     return delta, s_k
 
 

@@ -146,9 +146,13 @@ class Identity(WeightSpec):
         return np.eye(self.n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BandedW(WeightSpec):
-    """W = CᵀC with banded upper-triangular C (bands[d][i] = C[i, i+d])."""
+    """W = CᵀC with banded upper-triangular C (bands[d][i] = C[i, i+d]).
+
+    Compared and hashed by identity (``eq=False``): a field-wise ``==``
+    would compare arrays and raise instead of returning a bool.
+    """
 
     n: int
     c_bands: tuple
@@ -165,13 +169,16 @@ class BandedW(WeightSpec):
         return c.T @ c
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BandedWinv(WeightSpec):
     """W⁻¹ = ĈᵀĈ with banded upper-triangular Ĉ (bands[d][i] = Ĉ[i, i+d]).
 
     ``ab_upper`` holds Ĉ once more in LAPACK's upper band storage, Fortran
     ordered and read-only, so the triangular solve of ``whiten`` neither
     rebuilds nor copies it.
+
+    Compared and hashed by identity (``eq=False``): a field-wise ``==``
+    would compare arrays and raise instead of returning a bool.
     """
 
     n: int
@@ -196,9 +203,13 @@ class BandedWinv(WeightSpec):
         return np.linalg.inv(chat.T @ chat)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Masked(WeightSpec):
-    """W = U·W₀·U, U = diag(mask); a seminorm ignoring unobserved entries."""
+    """W = U·W₀·U, U = diag(mask); a seminorm ignoring unobserved entries.
+
+    Compared and hashed by identity (``eq=False``): a field-wise ``==``
+    would compare arrays and raise instead of returning a bool.
+    """
 
     inner: WeightSpec
     mask: np.ndarray

@@ -161,6 +161,64 @@ def gamma_projection_oracle(a, winv_dense, x):
     return x - winv @ (q @ np.linalg.solve(gamma, q.T @ x))
 
 
+def vp_jacobian_two_solve_oracle(factor, tau, x, winv_dense):
+    """The two-solve form of the Gram-route VP Jacobian, as the package
+    computed it before the merged form: column j is
+
+        −W⁻¹QΓ⁻¹E_jᵀΠx − ΠW⁻¹E_j·g,  g = Γ⁻¹Qᵀx,
+
+    with Πx and Π applied through their own Γ⁻¹ solves, 2r + 1 solve
+    columns in all.  Γ⁻¹ is ``factor.solve`` (the same banded factor the
+    package uses, so a difference measures the algebra alone); Q(a) and W⁻¹
+    are dense.
+    """
+    x = np.asarray(x, dtype=float)
+    coeffs = np.asarray(factor.coeffs, dtype=float)
+    n, r = x.size, coeffs.size - 1
+    q = q_matrix_oracle(coeffs, n)
+    g = factor.solve(q.T @ x)
+    pix = x - winv_dense @ (q @ g)
+    positions = [j for j in range(r + 1) if j != tau - 1]
+    windows = np.column_stack([pix[j : j + n - r] for j in positions])
+    term1 = winv_dense @ (q @ factor.solve(windows))
+    padded = np.zeros((n, r))
+    for col, j in enumerate(positions):
+        padded[j : j + n - r, col] = g
+    wp = winv_dense @ padded
+    term2 = wp - winv_dense @ (q @ factor.solve(q.T @ wp))
+    return -term1 - term2
+
+
+def vp_jacobian_dense_oracle(a, winv_dense, tau, x):
+    """VP Jacobian as the product-rule derivative of Π(a)x, all dense.
+
+    Π(a) = I − W⁻¹QΓ⁻¹Qᵀ with Γ = QᵀW⁻¹Q.  Moving the free coefficient at
+    position j moves Q by E_j = Q(e_j), so
+
+        ∂(Πx)/∂a_j = −W⁻¹E_jΓ⁻¹Qᵀx − W⁻¹QΓ⁻¹E_jᵀx
+                     + W⁻¹QΓ⁻¹(E_jᵀW⁻¹Q + QᵀW⁻¹E_j)Γ⁻¹Qᵀx,
+
+    with no simplification through Π.
+    """
+    a = np.asarray(a, dtype=float)
+    x = np.asarray(x, dtype=float)
+    n, r = x.size, a.size - 1
+    q = q_matrix_oracle(a, n)
+    gamma = q.T @ winv_dense @ q
+    g = np.linalg.solve(gamma, q.T @ x)
+    cols = []
+    for j in range(r + 1):
+        if j == tau - 1:
+            continue
+        unit = np.zeros(r + 1)
+        unit[j] = 1.0
+        e = q_matrix_oracle(unit, n)
+        dgamma = e.T @ winv_dense @ q + q.T @ winv_dense @ e
+        inner = -e.T @ x + dgamma @ g
+        cols.append(-winv_dense @ (e @ g) + winv_dense @ (q @ np.linalg.solve(gamma, inner)))
+    return np.column_stack(cols)
+
+
 def gram_oracle(coeffs, chat_bands, n):
     """Dense Gamma = Q^T Chat^T Chat Q, with Chat placed entry by entry from
     its bands (chat_bands[d][i] = Chat[i, i+d]) and Q(coeffs) column by

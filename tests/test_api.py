@@ -1,4 +1,5 @@
-"""Every exported name and every traced layer function resolves."""
+"""Every exported name and every traced layer function resolves, and the
+frozen dataclasses that hold arrays compare by identity."""
 
 from __future__ import annotations
 
@@ -7,9 +8,11 @@ import pkgutil
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hmgn
+from hmgn import nullspace, problems, projection, series, solvers, weights
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(hmgn.__path__))
 
@@ -58,3 +61,59 @@ def test_traced_layer_functions_resolve():
                 f"{layer}.{cls_name}.{m}" for m in methods if m not in vars(cls)
             ]
     assert not missing, missing
+
+
+def _rotated_spectrum():
+    return nullspace.rotated_spectrum((1.0, -1.5, 1.0), 50)
+
+
+def _subspace_basis():
+    return nullspace.SubspaceBasis(np.eye(6, 2), 0.0, 0.0)
+
+
+def _projection_result():
+    return projection.ProjectionResult(np.ones(4), np.ones(1))
+
+
+def _iteration_record():
+    return solvers.IterationRecord(1, np.ones(2), 1.0, 1.0, 0.0, False)
+
+
+def _fit_result():
+    trace = solvers.SolverTrace(rows=(), termination="MaxIter")
+    return solvers.FitResult(np.ones(5), series.GlrrVector((1.0, -1.0)), 1, np.ones(1), trace)
+
+
+def _gram_projection():
+    return solvers._Projection(np.ones(5))
+
+
+#: one factory per frozen dataclass of ``hmgn`` whose fields hold arrays;
+#: each call builds a fresh instance with the same field values
+ARRAY_DATACLASSES = {
+    "RotatedSpectrum": _rotated_spectrum,
+    "SubspaceBasis": _subspace_basis,
+    "ProjectionResult": _projection_result,
+    "TimeSeries": lambda: series.TimeSeries(np.arange(5.0)),
+    "GlrrVector": lambda: series.GlrrVector((1.0, -1.5, 1.0)),
+    "NormalizedGlrr": lambda: series.NormalizedGlrr(2, np.ones(2)),
+    "KnownMinimumProblem": lambda: problems.build_known_minimum(20),
+    "IterationRecord": _iteration_record,
+    "FitResult": _fit_result,
+    "_Projection": _gram_projection,
+    "BandedW": lambda: weights.BandedW(5, (np.ones(5),)),
+    "BandedWinv": lambda: weights.BandedWinv(5, (np.ones(5),)),
+    "Masked": lambda: weights.Masked(weights.Identity(5), np.ones(5, dtype=bool)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_DATACLASSES))
+def test_array_dataclass_compares_by_identity(name):
+    make = ARRAY_DATACLASSES[name]
+    one, other = make(), make()
+    assert type(one).__name__ == name
+    assert (one == other) is False
+    assert (one == one) is True
+    assert (one != other) is True
+    hash(one)
+    assert len({one, other, one}) == 2

@@ -30,6 +30,7 @@ from hmgn.weights import (
     banded_winv_from_winv_bands,
     mask_missing,
     weighted_norm,
+    whiten,
 )
 
 from _oracles import (
@@ -37,6 +38,8 @@ from _oracles import (
     gamma_projection_oracle,
     gram_oracle,
     q_matrix_oracle,
+    vp_jacobian_dense_oracle,
+    vp_jacobian_two_solve_oracle,
     weighted_projection_oracle,
 )
 
@@ -279,6 +282,22 @@ def test_gamma_matches_basis_path_banded_winv(seed):
     assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(x)
 
 
+@pytest.mark.parametrize("shape", ["vector", "block"])
+@pytest.mark.parametrize("weight", ["identity", "banded_winv"])
+def test_gamma_factor_apply_chat_is_whitened_winv(weight, shape):
+    # whiten(W, W⁻¹v) = Ĉ⁻ᵀĈᵀĈv = Ĉv, which apply_chat gives without a solve
+    rng = np.random.default_rng(14)
+    n = 50
+    w = Identity(n) if weight == "identity" else random_tridiagonal_winv(n, rng)
+    factor = GammaFactor((1.0, -0.9, 0.25), w)
+    v = rng.standard_normal(n if shape == "vector" else (n, 3))
+    got = factor.apply_chat(v)
+    assert_allclose(got, whiten(w, factor.apply_winv(v)), rtol=1e-12)
+    if weight == "identity":
+        assert got is not v and not np.shares_memory(got, v)
+        assert got.tobytes() == v.tobytes()
+
+
 def test_gamma_rejects_masked_weights():
     w = mask_missing(Identity(30), np.ones(30, dtype=bool))
     with pytest.raises(WeightVariantError):
@@ -336,6 +355,37 @@ def test_vp_jacobian_matches_finite_differences(seed):
 
     want = fd_jacobian(s_star, adot, h=1e-6)
     assert np.linalg.norm(jac - want) <= 1e-4 * max(1.0, np.linalg.norm(want))
+
+
+def _jacobian_case(r, weight, n=60):
+    """(factor, τ, x, dense W⁻¹) at a stable order-r GLRR."""
+    rng = np.random.default_rng(300 + 10 * r + (weight == "banded_winv"))
+    a_raw = stable_glrr(r, rng)
+    tau = int(np.argmax(np.abs(a_raw)) + 1)
+    adot = np.delete(a_raw / -a_raw[tau - 1], tau - 1)
+    if weight == "identity":
+        w, bands = Identity(n), (np.ones(n),)
+    else:
+        w = random_tridiagonal_winv(n, rng)
+        bands = w.chat_bands
+    winv = gram_oracle((1.0,), bands, n)  # Q(1) = I, so this is Ĉᵀ Ĉ
+    x = rng.standard_normal(n)
+    return GammaFactor(h_tau(adot, tau), w), tau, x, winv
+
+
+@pytest.mark.parametrize("weight", ["identity", "banded_winv"])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_vp_jacobian_matches_two_solve_and_dense_oracles(r, weight):
+    # the merged one-batched-solve form against the earlier two-solve form
+    # on the same factor, and against the unsimplified dense derivative
+    factor, tau, x, winv = _jacobian_case(r, weight)
+    jac = vp_jacobian(factor, tau, x)
+    assert jac.shape == (x.size, r)
+    for want in (
+        vp_jacobian_two_solve_oracle(factor, tau, x, winv),
+        vp_jacobian_dense_oracle(factor.coeffs, winv, tau, x),
+    ):
+        assert np.linalg.norm(jac - want) <= 1e-9 * np.linalg.norm(want)
 
 
 def test_vp_jacobian_member_term_cancellation():

@@ -6,11 +6,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hmgn import solvers
+from hmgn import projection, solvers, weights
 from hmgn.errors import WeightVariantError
 from hmgn.nullspace import nullspace_basis, rotated_spectrum
 from hmgn.problems import build_known_minimum, gapped_preset
-from hmgn.projection import GammaFactor, project_gamma, project_onto_glrr_space
+from hmgn.projection import (
+    GammaFactor,
+    project_gamma,
+    project_onto_glrr_space,
+    weighted_pinv_apply,
+)
 from hmgn.series import (
     GlrrVector,
     TimeSeries,
@@ -27,13 +32,20 @@ from hmgn.solvers import (
     mgn_step,
     vpgn_step,
 )
-from hmgn.weights import Identity, mask_missing, weighted_norm
+from hmgn.weights import (
+    Identity,
+    banded_winv_from_winv_bands,
+    mask_missing,
+    weighted_norm,
+)
 
 from _oracles import (
     boundary_rows,
     fd_jacobian,
+    gram_oracle,
     q_matrix_oracle,
     s_tau_oracle,
+    vp_jacobian_two_solve_oracle,
 )
 
 
@@ -172,6 +184,64 @@ def test_vpgn_step_descends_on_noisy_instances():
         if after < before:
             successes += 1
     assert successes >= 95
+
+
+def _banded_step_case(r, weight, n=60):
+    """(ȧ, τ, x, W, dense W⁻¹) at a stable order-r GLRR with a noisy x."""
+    rng = np.random.default_rng(400 + 10 * r + (weight == "banded_winv"))
+    roots = rng.uniform(0.2, 0.8, r) * np.exp(1j * rng.uniform(0, np.pi, r))
+    a_raw = np.real(np.poly(roots))[::-1]
+    norm = normalize_glrr(a_raw)
+    if weight == "identity":
+        w, bands = Identity(n), (np.ones(n),)
+    else:
+        diag = 1.0 + rng.uniform(0.0, 1.0, n)
+        w = banded_winv_from_winv_bands((diag, rng.uniform(-0.4, 0.4, n - 1)))
+        bands = w.chat_bands
+    return norm.adot, norm.tau, rng.standard_normal(n), w, gram_oracle((1.0,), bands, n)
+
+
+@pytest.mark.parametrize("weight", ["identity", "banded_winv"])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_vpgn_step_matches_two_solve_direction(r, weight):
+    # Δ from the whitened design ĈK against the weighted pseudoinverse of
+    # the earlier two-solve Jacobian W⁻¹K
+    adot, tau, x, w, winv = _banded_step_case(r, weight)
+    factor = GammaFactor(h_tau(adot, tau), w)
+    delta, s_k = vpgn_step(adot, tau, x, w)
+    assert s_k.tobytes() == project_gamma(factor, x).tobytes()
+    jac = vp_jacobian_two_solve_oracle(factor, tau, x, winv)
+    want = weighted_pinv_apply(jac, w, x - s_k).coefficients
+    assert np.linalg.norm(delta - want) <= 1e-6 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("r", [2, 4])
+def test_vpgn_step_one_batched_solve_and_vector_whitening(r, monkeypatch):
+    # a step at a handed-over Gram projection solves Γ⁻¹ for g and for one
+    # r-column batch (r + 1 columns), and whitens only the residual vector
+    adot, tau, x, w, _ = _banded_step_case(r, "banded_winv", n=200)
+    at = solvers._project(h_tau(adot, tau), x, w, "vpgn", "plain")
+    columns = []
+    original_solve = GammaFactor.solve
+
+    def counted_solve(self, v):
+        columns.append(1 if np.ndim(v) == 1 else np.shape(v)[1])
+        return original_solve(self, v)
+
+    whitened = []
+    original_whiten = weights.whiten
+
+    def counted_whiten(w_, v):
+        whitened.append(np.ndim(v))
+        return original_whiten(w_, v)
+
+    monkeypatch.setattr(GammaFactor, "solve", counted_solve)
+    for module in (weights, projection, solvers):
+        if getattr(module, "whiten", None) is original_whiten:
+            monkeypatch.setattr(module, "whiten", counted_whiten)
+    vpgn_step(adot, tau, x, w, at=at)
+    assert sum(columns) == r + 1
+    assert whitened == [1]
 
 
 def test_vpgn_step_rejects_masked_weights():
