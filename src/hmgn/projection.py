@@ -12,6 +12,14 @@ Gram route is cheaper per solve but its conditioning degrades like
 κ(Γ) ~ N^{2t} near t-fold unit-circle roots, so the basis route is the
 robust default.
 
+Every least-squares solve on a whitened design goes through one factor of
+that design (``_LstsqFactor``): a column-pivoted QR, or an SVD past the
+1e12 condition estimate, made once and reused for every right-hand side
+solved against it.  The factor calls LAPACK (geqp3, orgqr, trtrs) directly,
+with the workspace sizes and the triangular-solve layout that
+``scipy.linalg.qr`` and ``solve_triangular`` use, so its solves are bitwise
+those of the scipy wrappers.
+
 With g = Γ⁻¹Qᵀ(a)x and E_j = Q(e_j), the Jacobian column
 −W⁻¹QΓ⁻¹E_jᵀΠx − ΠW⁻¹E_j·g is taken in the merged form W⁻¹K_j,
 
@@ -30,8 +38,9 @@ so a projection and its Jacobian cannot mix coefficients or weights.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Union
+from typing import Tuple, Union
 
 import numpy as np
 import scipy.linalg
@@ -64,6 +73,10 @@ _QR_COND_LIMIT = 1e12
 #: relative singular-value cutoff declaring the weighted design rank-deficient
 _RANK_TOL = 1e-12
 
+_GEQP3, _ORGQR, _TRTRS = scipy.linalg.lapack.get_lapack_funcs(
+    ("geqp3", "orgqr", "trtrs"), dtype=np.float64
+)
+
 
 @dataclass(frozen=True, eq=False)
 class ProjectionResult:
@@ -90,31 +103,78 @@ def _as_vector_or_batch(x: Union[TimeSeries, np.ndarray]) -> np.ndarray:
     return arr
 
 
-def _whitened_lstsq(zw: np.ndarray, xw: np.ndarray) -> np.ndarray:
-    """q minimizing ‖xw − zw·q‖₂ for an already whitened design and
-    right-hand side (vector or columnwise batch).
+@functools.lru_cache(maxsize=16)
+def _qr_workspace(m: int, k: int) -> Tuple[int, int]:
+    """Optimal ``lwork`` of geqp3 and orgqr for an m×k design, from the
+    workspace queries that ``scipy.linalg.qr`` makes on every call.  The
+    blocking, and with it every bit, follows ``lwork``, which depends on the
+    shape alone."""
+    probe = np.zeros((m, k), order="F")
+    *_, work_qp3, info_qp3 = _GEQP3(probe, lwork=-1)
+    *_, work_gqr, info_gqr = _ORGQR(probe, np.zeros(k), lwork=-1)
+    if info_qp3 != 0 or info_gqr != 0:
+        raise ValueError(f"LAPACK workspace query failed for a {m}×{k} design")
+    return int(work_qp3[0].real), int(work_gqr[0].real)
+
+
+class _LstsqFactor:
+    """Factor of a whitened design zw for q minimizing ‖xw − zw·q‖₂, with
+    ``solve(xw)`` for a vector or columnwise batch xw.
 
     Column-pivoted QR; if the R factor's condition estimate exceeds 1e12 the
-    solve restarts as an SVD, and a smallest singular value below 1e−12 of
-    the largest raises ``RankDeficiencyError``.
+    factor is an SVD instead, and a smallest singular value below 1e−12 of
+    the largest raises ``RankDeficiencyError``.  LAPACK runs as
+    ``scipy.linalg.qr`` and ``solve_triangular`` run it, so each solve is
+    bitwise theirs: geqp3 and orgqr with the same workspace, and trtrs on Rᵀ
+    in Fortran order as the lower triangle with ``trans``, which is how
+    ``solve_triangular`` passes the C-ordered R that ``qr`` returns.
     """
-    q_mat, r_mat, piv = scipy.linalg.qr(zw, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r_mat))
-    if diag.size == 0:
-        raise ValueError("basis must have at least one column")
-    use_svd = diag[-1] == 0.0 or diag[0] / diag[-1] > _QR_COND_LIMIT
-    if use_svd:
-        u, s, vt = np.linalg.svd(zw, full_matrices=False)
-        if s[0] == 0.0 or s[-1] < _RANK_TOL * s[0]:
-            raise RankDeficiencyError(
-                "weighted design lost column rank "
-                f"(σ_min/σ_max = {0.0 if s[0] == 0.0 else s[-1] / s[0]:.3e})"
-            )
-        return vt.T @ ((u.T @ xw) / (s if xw.ndim == 1 else s[:, None]))
-    y = scipy.linalg.solve_triangular(r_mat, q_mat.T @ xw)
-    coeffs = np.empty_like(y)
-    coeffs[piv] = y
-    return coeffs
+
+    __slots__ = ("_q", "_rt", "_piv", "_svd")
+
+    def __init__(self, zw: np.ndarray):
+        if not np.isfinite(zw).all():
+            raise ValueError("weighted design must not contain infs or NaNs")
+        m, k = zw.shape
+        if k == 0 or m == 0:
+            raise ValueError("basis must have at least one column")
+        if k > m:
+            raise ValueError(f"weighted design has more columns ({k}) than rows ({m})")
+        lwork_qp3, lwork_gqr = _qr_workspace(m, k)
+        qr, piv, tau, _, info = _GEQP3(zw, lwork=lwork_qp3)
+        if info != 0:
+            raise ValueError(f"LAPACK geqp3 failed (info={info})")
+        diag = np.abs(qr.diagonal())
+        self._svd = None
+        if diag[-1] == 0.0 or diag[0] / diag[-1] > _QR_COND_LIMIT:
+            u, s, vt = np.linalg.svd(zw, full_matrices=False)
+            if s[0] == 0.0 or s[-1] < _RANK_TOL * s[0]:
+                raise RankDeficiencyError(
+                    "weighted design lost column rank "
+                    f"(σ_min/σ_max = {0.0 if s[0] == 0.0 else s[-1] / s[0]:.3e})"
+                )
+            self._svd = (u, s, vt)
+            return
+        # R's upper triangle, transposed; trtrs reads no other entry
+        self._rt = np.array(qr[:k].T, order="F")
+        self._q, _, info = _ORGQR(qr, tau, lwork=lwork_gqr, overwrite_a=1)
+        if info != 0:
+            raise ValueError(f"LAPACK orgqr failed (info={info})")
+        piv -= 1  # geqp3 numbers columns from 1
+        self._piv = piv
+
+    def solve(self, xw: np.ndarray) -> np.ndarray:
+        if not np.isfinite(xw).all():
+            raise ValueError("weighted right-hand side must not contain infs or NaNs")
+        if self._svd is not None:
+            u, s, vt = self._svd
+            return vt.T @ ((u.T @ xw) / (s if xw.ndim == 1 else s[:, None]))
+        y, info = _TRTRS(self._rt, self._q.T @ xw, lower=1, trans=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"triangular solve failed (info={info})")
+        coeffs = np.empty_like(y)
+        coeffs[self._piv] = y
+        return coeffs
 
 
 def weighted_pinv_apply(
@@ -122,18 +182,19 @@ def weighted_pinv_apply(
 ) -> ProjectionResult:
     """Apply the weighted pseudoinverse: q = Z^{†W}x and Π_{Z,W}x = Z·q.
 
-    The design is whitened (C·Z against C·x, or the banded-inverse analogue)
-    and solved by column-pivoted QR; if the R factor's condition estimate
-    exceeds 1e12 the solve restarts as an SVD.  A smallest singular value
-    below 1e−12 of the largest means W^{1/2}Z lost column rank and raises
-    ``RankDeficiencyError`` — for masked weights this typically means a basis
-    vector is unobserved on the mask's support.
+    The design is whitened (C·Z against C·x, or the banded-inverse analogue),
+    factored and solved by column-pivoted QR; if the R factor's condition
+    estimate exceeds 1e12 the solve restarts as an SVD.  A smallest
+    singular value below 1e−12 of the largest means W^{1/2}Z lost column
+    rank and raises ``RankDeficiencyError`` — for masked weights this
+    typically means a basis vector is unobserved on the mask's support.
     """
     z = np.asarray(z, dtype=float)
     if z.ndim != 2:
         raise ValueError("basis must be a two-dimensional array")
     rhs = _as_vector_or_batch(x)
-    coeffs = _whitened_lstsq(whiten(w, z), whiten(w, rhs))
+    zw, xw = whiten(w, z), whiten(w, rhs)
+    coeffs = _LstsqFactor(zw).solve(xw)
     return ProjectionResult(projected=z @ coeffs, coefficients=coeffs)
 
 

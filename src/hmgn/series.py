@@ -264,6 +264,10 @@ def acyclic_self_convolution(a: Union[GlrrVector, ArrayLike]) -> np.ndarray:
 # Pivot normalization
 # ---------------------------------------------------------------------------
 
+#: the pivot entry H_τ inserts (read-only)
+_MINUS_ONE = np.array([-1.0])
+_MINUS_ONE.flags.writeable = False
+
 
 def normalize_glrr(a: Union[GlrrVector, ArrayLike]) -> NormalizedGlrr:
     """Normalize a GLRR vector to pivot form (τ, ȧ).
@@ -277,7 +281,7 @@ def normalize_glrr(a: Union[GlrrVector, ArrayLike]) -> NormalizedGlrr:
     tau = int(np.argmax(np.abs(coeffs)))  # np.argmax returns the first maximum
     scale = -1.0 / coeffs[tau]
     scaled = scale * coeffs
-    adot = np.delete(scaled, tau)
+    adot = np.concatenate((scaled[:tau], scaled[tau + 1 :]))
     return NormalizedGlrr(tau + 1, adot)
 
 
@@ -286,7 +290,7 @@ def h_tau(adot: ArrayLike, tau: int) -> np.ndarray:
     adot = np.asarray(adot, dtype=float).reshape(-1)
     if not 1 <= tau <= adot.size + 1:
         raise ValueError(f"tau={tau} out of range 1..{adot.size + 1}")
-    return np.insert(adot, tau - 1, -1.0)
+    return np.concatenate((adot[: tau - 1], _MINUS_ONE, adot[tau - 1 :]))
 
 
 # ---------------------------------------------------------------------------

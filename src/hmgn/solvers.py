@@ -26,7 +26,10 @@ run ("SmallStepStop").  Exhausting the backtracking grid stops with
 All projections onto Z(a) share one projector: the Gram route for plain
 "vpgn", the basis route in their mode for the other methods.  The accepted
 trial's projection is handed to the next step, so a base point is projected
-once unless re-normalization moves the pivot τ.
+once unless re-normalization moves the pivot τ.  On the basis route the
+projection keeps the factor of its whitened basis, so that basis is also
+factored once: the step deflates F̂ with the same factor, and one iteration
+factors two whitened designs, the trial's basis and the deflated F̂.
 """
 
 from __future__ import annotations
@@ -44,13 +47,7 @@ from .nullspace import (
     nullspace_basis,
     rotated_spectrum,
 )
-from .projection import (
-    GammaFactor,
-    _vp_columns,
-    _whitened_lstsq,
-    project_gamma,
-    weighted_pinv_apply,
-)
+from .projection import GammaFactor, _LstsqFactor, _vp_columns, project_gamma
 from .series import (
     GlrrVector,
     TimeSeries,
@@ -202,8 +199,9 @@ def initial_glrr(x: Union[TimeSeries, np.ndarray], r: int) -> GlrrVector:
 
 @dataclass(frozen=True, eq=False)
 class _Projection:
-    """Π_{Z(a),W}x with the work that produced it: ``spectrum`` and ``basis``
-    on the basis route, ``factor`` on the Gram route.
+    """Π_{Z(a),W}x with the work that produced it: ``spectrum``, ``basis``
+    and the least-squares factor ``lstsq`` of the whitened basis on the basis
+    route, ``factor`` on the Gram route.
 
     Compared and hashed by identity (``eq=False``): a field-wise ``==``
     would compare arrays and raise instead of returning a bool.
@@ -212,6 +210,7 @@ class _Projection:
     signal: np.ndarray
     spectrum: Optional[RotatedSpectrum] = None
     basis: Optional[SubspaceBasis] = None
+    lstsq: Optional[_LstsqFactor] = None
     factor: Optional[GammaFactor] = None
 
 
@@ -226,7 +225,8 @@ def _project(
     """The one projection onto Z(a) of the solvers.
 
     Plain ``vpgn`` projects through the Gram factor (``factor`` if given);
-    every other (family, mode) builds the basis of Z(a) in ``mode``.
+    every other (family, mode) builds the basis of Z(a) in ``mode`` and
+    factors it whitened once, for this projection and the step's F̂ solve.
     """
     if family == "vpgn" and mode == "plain":
         if factor is None:
@@ -234,8 +234,9 @@ def _project(
         return _Projection(project_gamma(factor, values), factor=factor)
     spectrum = rotated_spectrum(a_full, values.shape[0], mode)
     basis = nullspace_basis(spectrum)
-    signal = weighted_pinv_apply(basis.z, w, values).projected
-    return _Projection(signal, spectrum, basis)
+    lstsq = _LstsqFactor(whiten(w, basis.z))
+    signal = basis.z @ lstsq.solve(whiten(w, values))
+    return _Projection(signal, spectrum, basis, lstsq)
 
 
 def mgn_step(
@@ -251,8 +252,10 @@ def mgn_step(
     Returns (Δ, S_k) where S_k = Π_{Z(H_τ(ȧ)),W}x and Δ solves the weighted
     least-squares problem for the residual against (I − Π)F̂ with F̂ from
     the fast right-hand-side solve.  The rotated spectrum is shared between
-    the basis and F̂.  ``at`` is the projection at this base point that
-    ``line_search`` returned; without it the step projects afresh.
+    the basis and F̂, and the factor of the whitened basis serves both the
+    projection and the deflation of F̂.  ``at`` is the projection at this
+    base point that ``line_search`` returned; without it the step projects
+    afresh.
     """
     values = as_time_series(x).values
     a_full = h_tau(adot, tau)
@@ -260,8 +263,8 @@ def mgn_step(
         at = _project(a_full, values, w, "mgn", mode)
     s_k = at.signal
     fhat = fhat_matrix(at.spectrum, s_k, tau)
-    deflated = fhat - weighted_pinv_apply(at.basis.z, w, fhat).projected
-    delta = weighted_pinv_apply(deflated, w, values - s_k).coefficients
+    deflated = fhat - at.basis.z @ at.lstsq.solve(whiten(w, fhat))
+    delta = _LstsqFactor(whiten(w, deflated)).solve(whiten(w, values - s_k))
     return delta, s_k
 
 
@@ -294,7 +297,7 @@ def vpgn_step(
         at = _project(a_full, values, w, "vpgn", mode, factor=factor)
     s_k = at.signal
     design = factor.apply_chat(_vp_columns(factor, tau, values, s_k))
-    delta = _whitened_lstsq(design, whiten(w, values - s_k))
+    delta = _LstsqFactor(design).solve(whiten(w, values - s_k))
     return delta, s_k
 
 

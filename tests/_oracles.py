@@ -8,6 +8,7 @@ output against these oracles (or against values frozen from them).
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 
 
 def hankel_oracle(x, L):
@@ -332,3 +333,38 @@ def recurrence_kernel_oracle(coeffs, n, squared=False, dps=60):
             norm = mpmath.sqrt(mpmath.fdot(s, s))
             cols.append([si / norm for si in s])
         return np.array([[float(v) for v in col] for col in cols]).T
+
+
+def whitened_lstsq_oracle(zw, xw, cond_limit=1e12, rank_tol=1e-12):
+    """q minimizing ‖xw − zw·q‖₂ through the scipy and numpy wrappers.
+
+    Pivoted ``scipy.linalg.qr`` and ``solve_triangular``; an SVD once the R
+    factor's condition estimate exceeds ``cond_limit``, raising
+    ``np.linalg.LinAlgError`` when σ_min < ``rank_tol``·σ_max.  The wrappers
+    raise ``ValueError`` on a non-finite design or right-hand side on the QR
+    branch.
+    """
+    q_mat, r_mat, piv = scipy.linalg.qr(zw, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(r_mat))
+    if diag[-1] == 0.0 or diag[0] / diag[-1] > cond_limit:
+        u, s, vt = np.linalg.svd(zw, full_matrices=False)
+        if s[0] == 0.0 or s[-1] < rank_tol * s[0]:
+            raise np.linalg.LinAlgError("weighted design lost column rank")
+        return vt.T @ ((u.T @ xw) / (s if xw.ndim == 1 else s[:, None]))
+    y = scipy.linalg.solve_triangular(r_mat, q_mat.T @ xw)
+    coeffs = np.empty_like(y)
+    coeffs[piv] = y
+    return coeffs
+
+
+def grid_min_abs_loop_oracle(coeffs, base, alphas):
+    """min_j |g_a| on the grid ``base`` rotated by each alpha: one plain
+    Horner pass per rotation, in a loop over the rotations."""
+    out = []
+    for alpha in alphas:
+        z = base * np.exp(-1j * alpha)
+        acc = np.full(z.shape, complex(coeffs[-1]))
+        for k in range(coeffs.size - 2, -1, -1):
+            acc = acc * z + complex(coeffs[k])
+        out.append(float(np.min(np.abs(acc))))
+    return np.array(out)

@@ -33,6 +33,7 @@ from hmgn.weights import Identity, ar_inverse_covariance
 from _oracles import (
     comp_horner_oracle,
     gram_schmidt_cols,
+    grid_min_abs_loop_oracle,
     poly_eval_oracle,
     q_matrix_oracle,
     recurrence_kernel_oracle,
@@ -403,6 +404,20 @@ def test_compensated_horner_matches_textbook_oracle(n, kind, rotated):
     triple = (1.0, -3.0, 3.0, -1.0)
     got = hmgn.nullspace._comp_horner(triple, z)
     assert got.tobytes() == comp_horner_oracle(triple, z).tobytes()
+
+
+@pytest.mark.parametrize("n", [50, 51, 200, 1000, 5000, 20000])
+def test_rotation_batch_is_bitwise_the_candidate_loop(n):
+    rng = np.random.default_rng(n + 2)
+    base = hmgn.nullspace._unit_grid(n)
+    half = np.pi / n
+    cases = [np.asarray(a, dtype=float) for a in _UNIT_ROOTS.values()]
+    cases += [rng.standard_normal(r + 1) for r in rng.integers(1, 6, size=20)]
+    for coeffs in cases:
+        alphas = rng.uniform(-half, half, size=coeffs.size)
+        alphas[0] = half  # the half-spacing offset is always a candidate
+        got = hmgn.nullspace._grid_min_abs(coeffs, base, alphas)
+        assert got.tobytes() == grid_min_abs_loop_oracle(coeffs, base, alphas).tobytes()
 
 
 def _fit_bytes(result):

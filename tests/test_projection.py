@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
+from hmgn import projection
 from hmgn.errors import (
     GammaBreakdownError,
     RankDeficiencyError,
@@ -41,6 +43,7 @@ from _oracles import (
     vp_jacobian_dense_oracle,
     vp_jacobian_two_solve_oracle,
     weighted_projection_oracle,
+    whitened_lstsq_oracle,
 )
 
 
@@ -111,6 +114,110 @@ def test_pinv_rank_deficiency_detected():
     z = np.column_stack([col, 2.0 * col])
     with pytest.raises(RankDeficiencyError):
         weighted_pinv_apply(z, Identity(20), rng.standard_normal(20))
+
+
+def _lstsq_weight(name, n, rng):
+    if name == "identity":
+        return Identity(n)
+    if name == "banded_w":
+        return ar_inverse_covariance([0.6, -0.2], 1.5, n)
+    mask = np.ones(n, dtype=bool)
+    mask[5:12] = False
+    mask[rng.choice(n, 6, replace=False)] = False
+    return mask_missing(Identity(n), mask)
+
+
+def _lstsq_designs(rng, n):
+    """Whitened-design candidates: a nullspace basis, as every projection
+    has, and random blocks of 1 to 4 columns, as the deflated F̂ is."""
+    yield nullspace_basis(rotated_spectrum(stable_glrr(4, rng), n)).z
+    for k in range(1, 5):
+        yield rng.standard_normal((n, k)) * rng.uniform(0.1, 10.0, k)
+
+
+@pytest.mark.parametrize("weight", ["identity", "banded_w", "masked"])
+def test_lstsq_factor_is_bitwise_the_scipy_kernel(weight):
+    rng = np.random.default_rng(14)
+    kind = {"identity": Identity, "banded_w": BandedW, "masked": Masked}[weight]
+    for n in (50, 51, 200):
+        w = _lstsq_weight(weight, n, rng)
+        assert isinstance(w, kind)
+        for z in _lstsq_designs(rng, n):
+            zw = whiten(w, z)
+            factor = projection._LstsqFactor(zw)
+            for x in (rng.standard_normal(n), rng.standard_normal((n, 3)), z):
+                xw = whiten(w, x)
+                want = whitened_lstsq_oracle(zw, xw)
+                assert np.array_equal(factor.solve(xw), want)
+                assert np.array_equal(weighted_pinv_apply(z, w, x).coefficients, want)
+
+
+@pytest.mark.parametrize("rhs", ["vector", "batch"])
+def test_lstsq_factor_svd_branch_is_bitwise_the_scipy_kernel(rhs, monkeypatch):
+    # no design reaches a returning SVD branch at the 1e12 limit (see the
+    # next test), so the branch's solve runs under a lowered limit
+    rng = np.random.default_rng(15)
+    u, _ = np.linalg.qr(rng.standard_normal((40, 3)))
+    v, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    zw = u @ np.diag([1.0, 1e-2, 1e-5]) @ v.T
+    xw = rng.standard_normal(40) if rhs == "vector" else rng.standard_normal((40, 2))
+    monkeypatch.setattr(projection, "_QR_COND_LIMIT", 1e3)
+    svd_calls = []
+    original_svd = np.linalg.svd
+
+    def counted_svd(*args, **kwargs):
+        svd_calls.append(1)
+        return original_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    got = projection._LstsqFactor(zw).solve(xw)
+    assert svd_calls == [1]
+    assert np.array_equal(got, whitened_lstsq_oracle(zw, xw, cond_limit=1e3))
+
+
+def test_lstsq_factor_full_rank_beyond_cond_limit_is_rank_deficient():
+    # σ_max/σ_min ≥ |r₁₁/r_kk| for every pivoted QR, so a design whose R
+    # estimate passes 1e12 has σ_min/σ_max below the 1e−12 rank cutoff: the
+    # SVD fallback runs and reports the lost rank, as the old kernel did
+    rng = np.random.default_rng(16)
+    u, _ = np.linalg.qr(rng.standard_normal((30, 2)))
+    v, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+    zw = u @ np.diag([1.0, 3e-13]) @ v.T
+    assert np.linalg.matrix_rank(zw, tol=0.0) == 2
+    r_diag = np.abs(np.diag(scipy.linalg.qr(zw, mode="r", pivoting=True)[0]))
+    assert r_diag[0] / r_diag[-1] > 1e12
+    xw = rng.standard_normal(30)
+    with pytest.raises(np.linalg.LinAlgError):
+        whitened_lstsq_oracle(zw, xw)
+    with pytest.raises(RankDeficiencyError):
+        projection._LstsqFactor(zw)
+
+
+def test_lstsq_factor_rank_and_finiteness_errors():
+    rng = np.random.default_rng(17)
+    col = rng.standard_normal(20)
+    with pytest.raises(RankDeficiencyError):
+        projection._LstsqFactor(np.column_stack([col, -3.0 * col]))
+    with pytest.raises(RankDeficiencyError):
+        projection._LstsqFactor(np.zeros((20, 2)))
+    with pytest.raises(ValueError):  # as solve_triangular on a wide R
+        weighted_pinv_apply(rng.standard_normal((3, 5)), Identity(3), np.ones(3))
+    z = rng.standard_normal((20, 3))
+    x = rng.standard_normal(20)
+    bad_z = z.copy()
+    bad_z[4, 1] = np.nan
+    bad_x = x.copy()
+    bad_x[7] = np.nan
+    with pytest.raises(ValueError):
+        whitened_lstsq_oracle(bad_z, x)
+    with pytest.raises(ValueError):
+        projection._LstsqFactor(bad_z)
+    with pytest.raises(ValueError):
+        whitened_lstsq_oracle(z, bad_x)
+    with pytest.raises(ValueError):
+        projection._LstsqFactor(z).solve(bad_x)
+    with pytest.raises(ValueError):
+        weighted_pinv_apply(bad_z, Identity(20), x)
 
 
 # ---------------------------------------------------------------------------

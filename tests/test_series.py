@@ -263,6 +263,19 @@ def test_h_tau_out_of_range():
         h_tau([1.0], 0)
 
 
+@given(glrr_arrays, st.data())
+@settings(max_examples=80)
+def test_pivot_forms_are_bitwise_insert_and_delete(a, data):
+    a = np.asarray(a, dtype=float)
+    norm = normalize_glrr(a)
+    pivot = norm.tau - 1
+    want = np.delete((-1.0 / a[pivot]) * a, pivot)
+    assert norm.adot.tobytes() == want.tobytes()
+    adot = a[1:]
+    tau = data.draw(st.integers(min_value=1, max_value=a.size))
+    assert h_tau(adot, tau).tobytes() == np.insert(adot, tau - 1, -1.0).tobytes()
+
+
 @given(glrr_arrays)
 @settings(max_examples=80)
 def test_normalize_round_trip_collinear(a):

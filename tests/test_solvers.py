@@ -19,6 +19,7 @@ from hmgn.projection import (
 from hmgn.series import (
     GlrrVector,
     TimeSeries,
+    as_time_series,
     glrr_residual,
     h_tau,
     normalize_glrr,
@@ -34,6 +35,7 @@ from hmgn.solvers import (
 )
 from hmgn.weights import (
     Identity,
+    ar_inverse_covariance,
     banded_winv_from_winv_bands,
     mask_missing,
     weighted_norm,
@@ -242,6 +244,64 @@ def test_vpgn_step_one_batched_solve_and_vector_whitening(r, monkeypatch):
     vpgn_step(adot, tau, x, w, at=at)
     assert sum(columns) == r + 1
     assert whitened == [1]
+
+
+def _basis_iteration_case(weight):
+    """(ȧ, τ, x, W) at a data-driven start whose first full step is taken."""
+    if weight == "masked":
+        x, _ = gapped_preset(0)
+        w = mask_missing(Identity(x.n), x.mask)
+        r = 4
+    else:
+        rng = np.random.default_rng(41)
+        x = rank2_signal(80) + 0.05 * rng.standard_normal(80)
+        if weight == "identity":
+            w = Identity(80)
+        else:
+            w = ar_inverse_covariance([0.5], 1.0, 80)
+        r = 2
+    norm = normalize_glrr(initial_glrr(x, r).coeffs)
+    return norm.adot, norm.tau, x, w
+
+
+@pytest.mark.parametrize("weight", ["identity", "banded_w", "masked"])
+def test_basis_iteration_factors_two_designs_and_whitens_three_blocks(
+    weight, monkeypatch
+):
+    # an mgn step at a handed-over projection plus one accepted trial: the
+    # step factors the deflated F̂ and deflates with the kept factor of the
+    # whitened basis, the trial factors its own basis
+    adot, tau, x, w = _basis_iteration_case(weight)
+    values = as_time_series(x).values
+    at = solvers._project(h_tau(adot, tau), values, w, "mgn", "plain")
+    factorizations = []
+    original_geqp3 = projection._GEQP3
+
+    def counted_geqp3(*args, lwork=None, **kwargs):
+        if lwork != -1:  # not a workspace query
+            factorizations.append(1)
+        return original_geqp3(*args, lwork=lwork, **kwargs)
+
+    blocks = []
+    original_whiten = weights.whiten
+
+    def counted_whiten(w_, v):
+        if np.ndim(v) == 2:
+            blocks.append(np.shape(v))
+        return original_whiten(w_, v)
+
+    monkeypatch.setattr(projection, "_GEQP3", counted_geqp3)
+    for module in (weights, projection, solvers):
+        if getattr(module, "whiten", None) is original_whiten:
+            monkeypatch.setattr(module, "whiten", counted_whiten)
+    delta, s_k = mgn_step(adot, tau, x, w, at=at)
+    gamma, _, small, trial = line_search(
+        adot, delta, tau, x, w, None, SolverConfig(method="mgn"), s_k,
+        weighted_norm(w, values - s_k),
+    )
+    assert (gamma, small) == (1.0, False) and trial is not None
+    assert len(factorizations) == 2
+    assert len(blocks) == 3
 
 
 def test_vpgn_step_rejects_masked_weights():
