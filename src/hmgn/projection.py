@@ -13,9 +13,8 @@ Gram route is cheaper per solve but its conditioning degrades like
 robust default.
 
 Every least-squares solve on a whitened design goes through one factor of
-that design (``_LstsqFactor``): a column-pivoted QR, or an SVD past the
-1e12 condition estimate, made once and reused for every right-hand side
-solved against it.  The factor calls LAPACK (geqp3, orgqr, trtrs) directly,
+that design (``_LstsqFactor``): a column-pivoted QR, made once and reused
+for every right-hand side solved against it.  The factor calls LAPACK (geqp3, orgqr, trtrs) directly,
 with the workspace sizes and the triangular-solve layout that
 ``scipy.linalg.qr`` and ``solve_triangular`` use, so its solves are bitwise
 those of the scipy wrappers.
@@ -66,11 +65,9 @@ __all__ = [
     "vp_jacobian",
 ]
 
-#: condition estimate of the pivoted R factor beyond which the least-squares
-#: solve falls back to an SVD
-_QR_COND_LIMIT = 1e12
-
-#: relative singular-value cutoff declaring the weighted design rank-deficient
+#: |r_kk/r₁₁| of the pivoted R factor below which the whitened design counts
+#: as rank-deficient; σ_min/σ_max ≤ |r_kk/r₁₁|, so the singular values are
+#: at least as far apart
 _RANK_TOL = 1e-12
 
 _GEQP3, _ORGQR, _TRTRS = scipy.linalg.lapack.get_lapack_funcs(
@@ -121,16 +118,15 @@ class _LstsqFactor:
     """Factor of a whitened design zw for q minimizing ‖xw − zw·q‖₂, with
     ``solve(xw)`` for a vector or columnwise batch xw.
 
-    Column-pivoted QR; if the R factor's condition estimate exceeds 1e12 the
-    factor is an SVD instead, and a smallest singular value below 1e−12 of
-    the largest raises ``RankDeficiencyError``.  LAPACK runs as
+    Column-pivoted QR; an R factor whose last diagonal entry is below 1e−12
+    of its first raises ``RankDeficiencyError``.  LAPACK runs as
     ``scipy.linalg.qr`` and ``solve_triangular`` run it, so each solve is
     bitwise theirs: geqp3 and orgqr with the same workspace, and trtrs on Rᵀ
     in Fortran order as the lower triangle with ``trans``, which is how
     ``solve_triangular`` passes the C-ordered R that ``qr`` returns.
     """
 
-    __slots__ = ("_q", "_rt", "_piv", "_svd")
+    __slots__ = ("_q", "_rt", "_piv")
 
     def __init__(self, zw: np.ndarray):
         if not np.isfinite(zw).all():
@@ -145,16 +141,11 @@ class _LstsqFactor:
         if info != 0:
             raise ValueError(f"LAPACK geqp3 failed (info={info})")
         diag = np.abs(qr.diagonal())
-        self._svd = None
-        if diag[-1] == 0.0 or diag[0] / diag[-1] > _QR_COND_LIMIT:
-            u, s, vt = np.linalg.svd(zw, full_matrices=False)
-            if s[0] == 0.0 or s[-1] < _RANK_TOL * s[0]:
-                raise RankDeficiencyError(
-                    "weighted design lost column rank "
-                    f"(σ_min/σ_max = {0.0 if s[0] == 0.0 else s[-1] / s[0]:.3e})"
-                )
-            self._svd = (u, s, vt)
-            return
+        if diag[-1] == 0.0 or diag[-1] < _RANK_TOL * diag[0]:
+            raise RankDeficiencyError(
+                "weighted design lost column rank "
+                f"(|r_kk/r_11| = {diag[-1] / diag[0] if diag[0] else 0.0:.3e})"
+            )
         # R's upper triangle, transposed; trtrs reads no other entry
         self._rt = np.array(qr[:k].T, order="F")
         self._q, _, info = _ORGQR(qr, tau, lwork=lwork_gqr, overwrite_a=1)
@@ -166,9 +157,6 @@ class _LstsqFactor:
     def solve(self, xw: np.ndarray) -> np.ndarray:
         if not np.isfinite(xw).all():
             raise ValueError("weighted right-hand side must not contain infs or NaNs")
-        if self._svd is not None:
-            u, s, vt = self._svd
-            return vt.T @ ((u.T @ xw) / (s if xw.ndim == 1 else s[:, None]))
         y, info = _TRTRS(self._rt, self._q.T @ xw, lower=1, trans=1)
         if info != 0:
             raise np.linalg.LinAlgError(f"triangular solve failed (info={info})")
@@ -183,9 +171,8 @@ def weighted_pinv_apply(
     """Apply the weighted pseudoinverse: q = Z^{†W}x and Π_{Z,W}x = Z·q.
 
     The design is whitened (C·Z against C·x, or the banded-inverse analogue),
-    factored and solved by column-pivoted QR; if the R factor's condition
-    estimate exceeds 1e12 the solve restarts as an SVD.  A smallest
-    singular value below 1e−12 of the largest means W^{1/2}Z lost column
+    factored and solved by column-pivoted QR.  An R factor whose last
+    diagonal entry is below 1e−12 of its first means W^{1/2}Z lost column
     rank and raises ``RankDeficiencyError`` — for masked weights this
     typically means a basis vector is unobserved on the mask's support.
     """

@@ -335,22 +335,18 @@ def recurrence_kernel_oracle(coeffs, n, squared=False, dps=60):
         return np.array([[float(v) for v in col] for col in cols]).T
 
 
-def whitened_lstsq_oracle(zw, xw, cond_limit=1e12, rank_tol=1e-12):
-    """q minimizing ‖xw − zw·q‖₂ through the scipy and numpy wrappers.
+def whitened_lstsq_oracle(zw, xw):
+    """q minimizing ‖xw − zw·q‖₂ through the scipy wrappers.
 
-    Pivoted ``scipy.linalg.qr`` and ``solve_triangular``; an SVD once the R
-    factor's condition estimate exceeds ``cond_limit``, raising
-    ``np.linalg.LinAlgError`` when σ_min < ``rank_tol``·σ_max.  The wrappers
-    raise ``ValueError`` on a non-finite design or right-hand side on the QR
-    branch.
+    Pivoted ``scipy.linalg.qr`` and ``solve_triangular``, raising
+    ``np.linalg.LinAlgError`` once the R factor's condition estimate exceeds
+    1e12.  The wrappers raise ``ValueError`` on a non-finite design or
+    right-hand side.
     """
     q_mat, r_mat, piv = scipy.linalg.qr(zw, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r_mat))
-    if diag[-1] == 0.0 or diag[0] / diag[-1] > cond_limit:
-        u, s, vt = np.linalg.svd(zw, full_matrices=False)
-        if s[0] == 0.0 or s[-1] < rank_tol * s[0]:
-            raise np.linalg.LinAlgError("weighted design lost column rank")
-        return vt.T @ ((u.T @ xw) / (s if xw.ndim == 1 else s[:, None]))
+    if diag[-1] == 0.0 or diag[0] / diag[-1] > 1e12:
+        raise np.linalg.LinAlgError("weighted design lost column rank")
     y = scipy.linalg.solve_triangular(r_mat, q_mat.T @ xw)
     coeffs = np.empty_like(y)
     coeffs[piv] = y

@@ -152,33 +152,10 @@ def test_lstsq_factor_is_bitwise_the_scipy_kernel(weight):
                 assert np.array_equal(weighted_pinv_apply(z, w, x).coefficients, want)
 
 
-@pytest.mark.parametrize("rhs", ["vector", "batch"])
-def test_lstsq_factor_svd_branch_is_bitwise_the_scipy_kernel(rhs, monkeypatch):
-    # no design reaches a returning SVD branch at the 1e12 limit (see the
-    # next test), so the branch's solve runs under a lowered limit
-    rng = np.random.default_rng(15)
-    u, _ = np.linalg.qr(rng.standard_normal((40, 3)))
-    v, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-    zw = u @ np.diag([1.0, 1e-2, 1e-5]) @ v.T
-    xw = rng.standard_normal(40) if rhs == "vector" else rng.standard_normal((40, 2))
-    monkeypatch.setattr(projection, "_QR_COND_LIMIT", 1e3)
-    svd_calls = []
-    original_svd = np.linalg.svd
-
-    def counted_svd(*args, **kwargs):
-        svd_calls.append(1)
-        return original_svd(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counted_svd)
-    got = projection._LstsqFactor(zw).solve(xw)
-    assert svd_calls == [1]
-    assert np.array_equal(got, whitened_lstsq_oracle(zw, xw, cond_limit=1e3))
-
-
 def test_lstsq_factor_full_rank_beyond_cond_limit_is_rank_deficient():
     # σ_max/σ_min ≥ |r₁₁/r_kk| for every pivoted QR, so a design whose R
-    # estimate passes 1e12 has σ_min/σ_max below the 1e−12 rank cutoff: the
-    # SVD fallback runs and reports the lost rank, as the old kernel did
+    # estimate passes 1e12 has σ_min/σ_max below 1e−12 as well: the factor
+    # reports the lost rank straight from R's diagonal
     rng = np.random.default_rng(16)
     u, _ = np.linalg.qr(rng.standard_normal((30, 2)))
     v, _ = np.linalg.qr(rng.standard_normal((2, 2)))
@@ -186,6 +163,8 @@ def test_lstsq_factor_full_rank_beyond_cond_limit_is_rank_deficient():
     assert np.linalg.matrix_rank(zw, tol=0.0) == 2
     r_diag = np.abs(np.diag(scipy.linalg.qr(zw, mode="r", pivoting=True)[0]))
     assert r_diag[0] / r_diag[-1] > 1e12
+    s = np.linalg.svd(zw, compute_uv=False)
+    assert s[-1] < 1e-12 * s[0]
     xw = rng.standard_normal(30)
     with pytest.raises(np.linalg.LinAlgError):
         whitened_lstsq_oracle(zw, xw)
