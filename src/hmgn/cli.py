@@ -156,6 +156,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         "glrr_coefficients": [float(c) for c in result.glrr.coeffs],
         "glrr_rel_residual": result.glrr_rel_residual,
         "termination": result.trace.termination,
+        "line_search_trials": sum(row.trials for row in result.trace.rows),
     }
     out_json.write_text(json.dumps(metadata, indent=2) + "\n")
     print(f"wrote {out_csv} and {out_json}")

@@ -20,8 +20,17 @@ non-increase of the weighted objective.  Once the full step changes the
 signal by less than ζ in relative norm, objective comparisons are dominated
 by evaluation noise, so the iteration switches to comparing parameter-step
 norms: a shrinking step is taken outright, a non-shrinking one stops the
-run ("SmallStepStop").  Exhausting the backtracking grid stops with
-"StepZero"; the iteration cap reports "MaxIter".
+run ("SmallStepStop").  For the same reason backtracking ends at the noise
+floor: with ρ the relative signal change of the full step, no trial is
+built once γ·ρ < ζ (the minimum step length of Dennis & Schnabel,
+*Numerical Methods for Unconstrained Optimization and Nonlinear Equations*,
+1983, Alg. A6.3.1).  Reaching that floor, or exhausting the grid, stops
+with "StepZero"; the iteration cap reports "MaxIter".
+
+The pivot τ is sticky: the iterate is re-normalized only once some free
+coefficient exceeds the pivot's by more than a factor 2, that is
+max|ȧᵢ| > 2, so ȧ lies in [−2, 2] rather than [−1, 1] and τ does not flip
+between coefficients that are equal up to rounding.
 
 All projections onto Z(a) share one projector: the Gram route for plain
 "vpgn", the basis route in their mode for the other methods.  The accepted
@@ -78,8 +87,11 @@ METHODS = ("mgn", "s-mgn", "vpgn", "s-vpgn")
 _GAMMA_MIN_EXPONENT = 16
 
 #: relative signal change below which objective comparisons give way to
-#: comparing parameter-step norms
+#: comparing parameter-step norms, and below which no trial is built
 _ZETA = 5e-8
+
+#: largest max|ȧᵢ| that keeps the pivot; a power of two, so the test is exact
+_PIVOT_SLACK = 2.0
 
 
 @dataclass(frozen=True)
@@ -113,7 +125,8 @@ class IterationRecord:
 
     ``adot`` is the base point the step was computed at; ``objective`` is
     ‖X − S_k‖_W there; ``glrr_rel_residual`` is ‖Qᵀ(a)S_k‖/‖a‖ for the full
-    coefficient vector a = H_τ(ȧ).
+    coefficient vector a = H_τ(ȧ); ``trials`` counts the projections the
+    row's line search made.
 
     Compared and hashed by identity (``eq=False``): a field-wise ``==``
     would compare arrays and raise instead of returning a bool.
@@ -125,6 +138,7 @@ class IterationRecord:
     gamma: float
     glrr_rel_residual: float
     small_step: bool
+    trials: int
 
 
 @dataclass(frozen=True)
@@ -151,6 +165,10 @@ class FitResult:
     ``signal`` is the projection at the last base point of the iteration;
     ``glrr`` the full coefficient vector after the final accepted update.
     They coincide except when the iteration cap cut the run mid-step.
+    ``glrr`` is H_τ(ȧ) for the final (``tau``, ``adot``).  The pivot is
+    sticky, so every base point in the trace has ȧ in [−2, 2] rather than
+    [−1, 1]; the final ȧ is the last base point's, or one accepted update
+    past it when the cap cut the run.
 
     Compared and hashed by identity (``eq=False``): a field-wise ``==``
     would compare arrays and raise instead of returning a bool.
@@ -311,16 +329,16 @@ def line_search(
     config: SolverConfig,
     s_current: np.ndarray,
     objective: float,
-) -> Tuple[float, np.ndarray, bool, Optional[_Projection]]:
+) -> Tuple[float, np.ndarray, bool, Optional[_Projection], int]:
     """Step-size choice along Δ; returns (γ, next ȧ, small-step flag,
-    projection at the next ȧ for the next step to reuse).
+    projection at the next ȧ for the next step to reuse, trials made).
 
     ``s_current`` is the projected signal at the base point and ``objective``
     its ‖x − s_current‖_W, which trials must not exceed.  ``prev_step_norm``
     is the norm of the previous accepted step, ``None`` on the first
-    iteration.  γ = 0 with a False flag means the backtracking grid is
-    exhausted; with a True flag it is the small-step stop verdict.  Either
-    way no projection is returned.
+    iteration.  γ = 0 with a False flag means backtracking reached the noise
+    floor γ·ρ < ζ or exhausted the grid; with a True flag it is the
+    small-step stop verdict.  Either way no projection is returned.
     """
     values = as_time_series(x).values
     if not np.all(np.isfinite(delta)):
@@ -339,24 +357,26 @@ def line_search(
 
     if relative < _ZETA:
         if prev_step_norm is None:  # first iteration
-            return 1.0, adot + delta, True, trial
+            return 1.0, adot + delta, True, trial, 1
         step = np.linalg.norm(delta)
         # an epsilon-scale step cannot shrink further in double precision
         negligible = step <= np.finfo(float).eps * (1.0 + np.linalg.norm(adot))
         shrinking = step < prev_step_norm
         if shrinking and not negligible:
-            return 1.0, adot + delta, True, trial
-        return 0.0, adot.copy(), True, None
+            return 1.0, adot + delta, True, trial, 1
+        return 0.0, adot.copy(), True, None, 1
 
     gamma = 1.0
     for m in range(_GAMMA_MIN_EXPONENT + 1):
         if m > 0:
             trial = None  # release the rejected trial before building the next
+            if gamma * relative < _ZETA:  # a change this small is evaluation noise
+                return 0.0, adot.copy(), False, None, m
             trial = _project(h_tau(adot + gamma * delta, tau), values, w, family, mode)
         if weighted_norm(w, values - trial.signal) <= objective:
-            return gamma, adot + gamma * delta, False, trial
+            return gamma, adot + gamma * delta, False, trial, m + 1
         gamma *= 0.5
-    return 0.0, adot.copy(), False, None
+    return 0.0, adot.copy(), False, None, _GAMMA_MIN_EXPONENT + 1
 
 
 def fit(
@@ -373,6 +393,12 @@ def fit(
     objective ignores the gaps; a weight already masked by the caller keeps
     only the positions observed under both masks.  The kernel-space family
     needs W⁻¹ in banded form and therefore rejects masked weights.
+
+    The fit ends "StepZero" when backtracking reaches the noise floor
+    γ·ρ < ζ or γ = 2⁻¹⁶ without a non-increase, "SmallStepStop" when a step
+    whose signal change is below ζ no longer shrinks, and "MaxIter" at the
+    cap.  The pivot τ moves only when max|ȧᵢ| > 2, so the iterates ȧ lie
+    in [−2, 2].
     """
     ts = as_time_series(x)
     n = ts.n
@@ -406,11 +432,11 @@ def fit(
     at: Optional[_Projection] = None
 
     for k in range(config.max_iter):
-        if k > 0:
+        # some |ȧᵢ| > 2 exceeds the pivot's 1, so re-normalizing moves τ
+        if k > 0 and np.max(np.abs(adot)) > _PIVOT_SLACK:
             renorm = normalize_glrr(h_tau(adot, tau))
-            if renorm.tau != tau:  # else re-τ rescaled by exactly 1
-                at = None
             tau, adot = renorm.tau, renorm.adot
+            at = None
 
         delta, s_k = step(adot, tau, ts, w, mode=config.mode, at=at)
         at = None  # consumed: keep its basis or factor out of the line search
@@ -421,7 +447,7 @@ def fit(
             np.linalg.norm(glrr_residual(s_k, a_full)) / np.linalg.norm(a_full)
         )
 
-        gamma, adot_next, small, at = line_search(
+        gamma, adot_next, small, at, trials = line_search(
             adot, delta, tau, ts, w, prev_step_norm, config, s_k, objective
         )
         rows.append(
@@ -432,6 +458,7 @@ def fit(
                 gamma=gamma,
                 glrr_rel_residual=rel_residual,
                 small_step=small,
+                trials=trials,
             )
         )
         if gamma == 0.0:

@@ -76,7 +76,7 @@ def _projection_result():
 
 
 def _iteration_record():
-    return solvers.IterationRecord(1, np.ones(2), 1.0, 1.0, 0.0, False)
+    return solvers.IterationRecord(1, np.ones(2), 1.0, 1.0, 0.0, False, 1)
 
 
 def _fit_result():

@@ -133,6 +133,8 @@ def test_fit_noiseless_rank2(tmp_path, capsys):
     assert meta["glrr_rel_residual"] <= 1e-8
     assert meta["termination"] in ("StepZero", "SmallStepStop")
     assert len(meta["glrr_coefficients"]) == 3
+    # every iteration's line search projects at least once
+    assert meta["line_search_trials"] >= meta["iterations"] >= 1
 
     rows = read_rows(out)
     assert len(rows) == 40

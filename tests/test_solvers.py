@@ -295,11 +295,11 @@ def test_basis_iteration_factors_two_designs_and_whitens_three_blocks(
         if getattr(module, "whiten", None) is original_whiten:
             monkeypatch.setattr(module, "whiten", counted_whiten)
     delta, s_k = mgn_step(adot, tau, x, w, at=at)
-    gamma, _, small, trial = line_search(
+    gamma, _, small, trial, trials = line_search(
         adot, delta, tau, x, w, None, SolverConfig(method="mgn"), s_k,
         weighted_norm(w, values - s_k),
     )
-    assert (gamma, small) == (1.0, False) and trial is not None
+    assert (gamma, small, trials) == (1.0, False, 1) and trial is not None
     assert len(factorizations) == 2
     assert len(blocks) == 3
 
@@ -325,7 +325,7 @@ def test_line_search_zero_direction_first_iteration():
     x = rank2_signal(30)
     w = Identity(30)
     norm = normalize_glrr(initial_glrr(x, 2).coeffs)
-    gamma, nxt, small, _ = line_search(
+    gamma, nxt, small, _, trials = line_search(
         norm.adot,
         np.zeros(2),
         norm.tau,
@@ -337,6 +337,7 @@ def test_line_search_zero_direction_first_iteration():
     )
     assert gamma == 1.0
     assert small
+    assert trials == 1
     assert_allclose(nxt, norm.adot)
 
 
@@ -349,7 +350,7 @@ def test_line_search_accepts_improving_full_step():
     # nudge away from the optimum so the Gauss-Newton step genuinely improves
     adot = norm.adot + 0.05
     delta, _ = mgn_step(adot, norm.tau, x, w)
-    gamma, nxt, small, _ = line_search(
+    gamma, nxt, small, _, trials = line_search(
         adot,
         delta,
         norm.tau,
@@ -361,6 +362,7 @@ def test_line_search_accepts_improving_full_step():
     )
     assert not small
     assert gamma == 1.0
+    assert trials == 1
     assert_allclose(nxt, adot + delta)
 
 
@@ -373,7 +375,7 @@ def test_line_search_exhausts_on_adversarial_direction():
     w = Identity(n)
     norm = normalize_glrr(initial_glrr(x, 2).coeffs)
     delta = 50.0 * rng.standard_normal(2)
-    gamma, nxt, small, _ = line_search(
+    gamma, nxt, small, _, _ = line_search(
         norm.adot,
         delta,
         norm.tau,
@@ -386,6 +388,36 @@ def test_line_search_exhausts_on_adversarial_direction():
     assert gamma == 0.0
     assert not small
     assert_allclose(nxt, norm.adot)
+
+
+@pytest.mark.parametrize("rho", [1e-6, 1e-3, 1.0])
+def test_line_search_stops_backtracking_at_the_noise_floor(rho, monkeypatch):
+    # every trial moves the signal by ρ relative to the base point and raises
+    # the objective; no trial is built once its change γ·ρ falls below ζ
+    n = 20
+    w = Identity(n)
+    x = np.zeros(n)
+    s_current = np.ones(n)
+    calls = []
+
+    def fake_project(*args, **kwargs):
+        calls.append(1)
+        return solvers._Projection((1.0 + rho) * s_current)
+
+    monkeypatch.setattr(solvers, "_project", fake_project)
+    adot = np.array([0.5])
+    gamma, nxt, small, trial, trials = line_search(
+        adot, np.array([0.1]), 1, x, w, 1.0, SolverConfig(method="mgn"),
+        s_current, weighted_norm(w, x - s_current),
+    )
+    expected = sum(
+        1 for m in range(solvers._GAMMA_MIN_EXPONENT + 1)
+        if 2.0**-m * rho >= solvers._ZETA
+    )
+    assert expected == {1e-6: 5, 1e-3: 15, 1.0: 17}[rho]
+    assert (gamma, small, trial) == (0.0, False, None)
+    assert len(calls) == trials == expected
+    assert np.array_equal(nxt, adot)
 
 
 # ---------------------------------------------------------------------------
@@ -517,15 +549,38 @@ def test_fit_projects_once_per_base_point(method, monkeypatch):
     res = fit(x, r=2, config=config)
 
     assert {row.tau for row in res.trace.rows} == {res.tau}  # pivot never moves
-    expected = 1
     for row in res.trace.rows:
         if row.small_step:
-            expected += 1
-        elif row.gamma == 0.0:
-            expected += solvers._GAMMA_MIN_EXPONENT + 1
+            assert row.trials == 1
+        elif row.gamma > 0.0:
+            assert row.trials == round(-np.log2(row.gamma)) + 1
         else:
-            expected += round(-np.log2(row.gamma)) + 1
-    assert len(calls) == expected
+            assert 1 <= row.trials <= solvers._GAMMA_MIN_EXPONENT + 1
+    assert len(calls) == 1 + sum(row.trials for row in res.trace.rows)
+
+
+@pytest.mark.parametrize("method", ["mgn", "s-mgn"])
+def test_fit_keeps_the_pivot_at_a_triple_unit_root(method):
+    # a* = (1, −3, 3, −1) ties |a₂| and |a₃|: the rounding of each iterate
+    # would flip τ between 2 and 3 if every iterate were re-normalized
+    problem = build_known_minimum(1000)
+    a0 = problem.a_star.coeffs + 1e-6
+    res = fit(problem.x, a0=a0, config=SolverConfig(method=method))
+    assert {row.tau for row in res.trace.rows} == {normalize_glrr(a0).tau} == {res.tau}
+    assert np.linalg.norm(res.signal - problem.y_star.values) <= 1e-5
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_fit_moves_the_pivot_once_a_coefficient_doubles_it(method):
+    # the rank-1 series 0.3ⁿ has a = (0.3, −1); from (1, −0.9), τ = 1, the
+    # free coefficient must grow past 2 and hand the pivot to a₂
+    x = 0.3 ** np.arange(40)
+    res = fit(x, a0=(1.0, -0.9), config=SolverConfig(method=method))
+    taus = [row.tau for row in res.trace.rows]
+    assert taus[0] == 1 and res.tau == 2
+    assert all(np.max(np.abs(row.adot)) <= 2.0 for row in res.trace.rows)
+    assert_allclose(res.glrr.coeffs, [0.3, -1.0], rtol=1e-8)
+    assert np.linalg.norm(res.signal - x) <= 1e-12
 
 
 def test_fit_gapped_rejects_kernel_methods():
