@@ -255,6 +255,59 @@ def test_experiment_thread_pool_is_deterministic(tmp_path, monkeypatch, capsys):
         assert fs.read_bytes() == fp.read_bytes()
 
 
+def grid_csv(tmp_path, name, kind, *extra):
+    out_dir = tmp_path / name
+    assert run("experiment", "--kind", kind, "--out-dir", out_dir, *extra) == 0
+    path = out_dir / f"{kind}.csv"
+    with open(path, newline="") as fh:
+        header = next(csv.reader(fh))
+    return path, header, read_rows(path)
+
+
+def test_experiment_residual_vs_n_rows(tmp_path, capsys):
+    argv = ("--n-list", "20,30", "--methods", "mgn,vpgn", "--weights", "ar:0.5")
+    path_a, header, rows = grid_csv(tmp_path, "a", "residual_vs_N", *argv)
+    path_b, _, _ = grid_csv(tmp_path, "b", "residual_vs_N", *argv)
+    capsys.readouterr()
+    assert header == [
+        "n", "method", "rel_residual", "iterations", "termination", "status"
+    ]
+    assert [(r["n"], r["method"]) for r in rows] == [
+        ("20", "mgn"), ("20", "vpgn"), ("30", "mgn"), ("30", "vpgn"),
+    ]
+    for row in rows:
+        if row["method"] == "mgn":
+            assert row["status"] == "ok"
+            assert float(row["rel_residual"]) <= 1e-8
+            assert int(row["iterations"]) >= 1 and row["termination"]
+        else:
+            # an AR weight is a banded W, which the kernel methods reject
+            assert row["status"] == "WeightVariantError"
+            assert row["rel_residual"] == row["iterations"] == row["termination"] == ""
+    assert path_a.read_bytes() == path_b.read_bytes()
+
+
+def test_experiment_iteration_timing_rows(tmp_path, capsys):
+    _, header, rows = grid_csv(
+        tmp_path, "timing", "iteration_timing",
+        "--n-list", "20,100", "--methods", "mgn,s-mgn,vpgn", "--weights", "ar:0.5",
+    )
+    capsys.readouterr()
+    assert header == ["n", "method", "seconds_per_iteration", "normalized", "status"]
+    assert [(r["n"], r["method"]) for r in rows] == [
+        (n, m) for n in ("20", "100") for m in ("mgn", "s-mgn", "vpgn")
+    ]
+    for row in rows:
+        if row["method"] == "vpgn":
+            assert row["status"] == "WeightVariantError"
+            assert row["seconds_per_iteration"] == row["normalized"] == ""
+            continue
+        assert row["status"] == "ok"
+        assert float(row["seconds_per_iteration"]) > 0.0
+        if row["n"] == "100":  # the baseline length when the grid holds it
+            assert float(row["normalized"]) == 1.0
+
+
 def test_experiment_gapped_kind_records_solver_failures(tmp_path, capsys):
     out_dir = tmp_path / "gapped"
     code = run(
