@@ -37,7 +37,6 @@ from .projection import (
     GammaFactor,
     ProjectionResult,
     project_gamma,
-    project_onto_glrr_space,
     vp_jacobian,
     weighted_pinv_apply,
 )
@@ -109,7 +108,6 @@ __all__ = [
     # projections
     "ProjectionResult",
     "weighted_pinv_apply",
-    "project_onto_glrr_space",
     "GammaFactor",
     "project_gamma",
     "vp_jacobian",

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import HmgnError
 from .experiments import ExperimentSpec, KINDS, parse_weight_spec, run_experiment
-from .problems import PRESETS, apply_gaps, parse_gap_ranges
+from .problems import PRESETS, add_relative_noise, apply_gaps, parse_gap_ranges
 from .series import (
     GlrrVector,
     ModelComponent,
@@ -121,7 +121,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--methods", default="mgn,s-mgn", help="comma-separated method names"
     )
     p_exp.add_argument("--weights", default="identity")
-    p_exp.add_argument("--seed", type=int, default=0)
+    p_exp.add_argument(
+        "--seed", type=int, default=0, help="noise seed of gapped_fit (no other kind)"
+    )
     p_exp.add_argument("--max-iter", type=int, default=200)
     p_exp.add_argument(
         "--extend", action="store_true", help="lift the series-length ceiling"
@@ -178,13 +180,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     else:
         components = parse_components(args.components)
         values = generate_model_signal(components, args.n).values
-        noise_level = args.noise if args.noise is not None else 0.0
-        if noise_level:
-            rng = np.random.default_rng(args.seed)
-            noise = rng.standard_normal(values.size)
-            values = values + noise_level * (
-                noise / np.linalg.norm(noise)
-            ) * np.linalg.norm(values)
+        if args.noise:
+            values = add_relative_noise(values, args.noise, args.seed)
         if args.gaps and args.gaps != "none":
             values = apply_gaps(values, parse_gap_ranges(args.gaps))
         series = TimeSeries(values)

@@ -4,19 +4,17 @@ Each suite runs a grid of (series length, method) cells against the
 known-minimum family or the gapped preset, records per-cell outcomes
 (solver failures become a status value rather than aborting the run), and
 writes one CSV per suite plus a small matplotlib script that renders it.
-Cells may run in parallel (``HMGN_THREADS``); rows are always merged in
-deterministic (N, method) order.
+Cells run one after another, in (N, method) order.
 """
 
 from __future__ import annotations
 
 import csv
-import os
+import functools
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -105,14 +103,6 @@ class ExperimentSpec:
         object.__setattr__(self, "n_list", n_list)
 
 
-def _max_workers() -> int:
-    raw = os.environ.get("HMGN_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -128,112 +118,74 @@ def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> N
             )
 
 
-def _fit_cell(
-    n: int, method: str, spec: ExperimentSpec
-) -> Tuple[Optional[FitResult], Optional[dict], str]:
-    """One (N, method) cell on the known-minimum problem.
-
-    Returns (result, context, status); result is None when the solver
-    raised, with the error class name as status.
-    """
-    problem = build_known_minimum(n)
-    w = parse_weight_spec(spec.weights, n)
-    a0 = GlrrVector(problem.a_star.coeffs + _START_OFFSET)
-    config = SolverConfig(method=method, max_iter=spec.max_iter)
-    context = {"problem": problem, "w": w}
+def _fit_cell(x, config: SolverConfig, **kwargs) -> Tuple[Optional[FitResult], str]:
+    """Fit one cell; a solver error gives (None, the error class name)."""
     try:
-        result = fit(problem.x, w=w, config=config, a0=a0)
+        return fit(x, config=config, **kwargs), "ok"
     except HmgnError as exc:
-        return None, context, type(exc).__name__
-    return result, context, "ok"
+        return None, type(exc).__name__
 
 
-def _accuracy_rows(spec: ExperimentSpec) -> List[list]:
-    def cell(args):
-        n, method = args
-        result, ctx, status = _fit_cell(n, method, spec)
-        if result is None:
-            return [n, method, None, None, None, None, status]
-        problem, w = ctx["problem"], ctx["w"]
-        dist = float(np.linalg.norm(result.signal - problem.y_star.values))
-        obj_gap = float(
-            weighted_norm(w, problem.x.values - result.signal)
-            - weighted_norm(w, problem.x.values - problem.y_star.values)
-        )
-        return [
-            n,
-            method,
-            dist,
-            float(result.glrr_rel_residual),
-            obj_gap,
-            result.iterations,
-            status,
-        ]
+def _grid_rows(spec: ExperimentSpec, row: Callable) -> List[list]:
+    """One row per (N, method) cell of the known-minimum grid, in that order.
 
-    grid = [(n, m) for n in spec.n_list for m in spec.methods]
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        return list(pool.map(cell, grid))
+    The problem, the weight and the start are built once per N and shared
+    by its methods.  ``row(problem, w, cell)`` gives the fields that follow
+    n and method; ``cell()`` fits the cell and returns (result, status).
+    """
+    rows = []
+    for n in spec.n_list:
+        problem = build_known_minimum(n)
+        w = parse_weight_spec(spec.weights, n)
+        a0 = GlrrVector(problem.a_star.coeffs + _START_OFFSET)
+        for method in spec.methods:
+            config = SolverConfig(method=method, max_iter=spec.max_iter)
+            cell = functools.partial(_fit_cell, problem.x, config, w=w, a0=a0)
+            rows.append([n, method, *row(problem, w, cell)])
+    return rows
 
 
-def _residual_rows(spec: ExperimentSpec) -> List[list]:
-    def cell(args):
-        n, method = args
-        result, _, status = _fit_cell(n, method, spec)
-        if result is None:
-            return [n, method, None, None, None, status]
-        return [
-            n,
-            method,
-            float(result.glrr_rel_residual),
-            result.iterations,
-            result.trace.termination,
-            status,
-        ]
+def _accuracy_row(problem, w, cell) -> list:
+    result, status = cell()
+    if result is None:
+        return [None, None, None, None, status]
+    dist = float(np.linalg.norm(result.signal - problem.y_star.values))
+    obj_gap = float(
+        weighted_norm(w, problem.x.values - result.signal)
+        - weighted_norm(w, problem.x.values - problem.y_star.values)
+    )
+    return [dist, float(result.glrr_rel_residual), obj_gap, result.iterations, status]
 
-    grid = [(n, m) for n in spec.n_list for m in spec.methods]
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        return list(pool.map(cell, grid))
+
+def _residual_row(problem, w, cell) -> list:
+    result, status = cell()
+    if result is None:
+        return [None, None, None, status]
+    return [
+        float(result.glrr_rel_residual),
+        result.iterations,
+        result.trace.termination,
+        status,
+    ]
+
+
+def _timing_row(problem, w, cell) -> list:
+    # wall-clock per accepted iteration of the fit alone, after one warm-up
+    # fit (FFT plans, caches)
+    cell()
+    begin = time.perf_counter()
+    result, status = cell()
+    elapsed = time.perf_counter() - begin
+    return [elapsed / result.iterations if result is not None else None, status]
 
 
 def _timing_rows(spec: ExperimentSpec) -> List[list]:
-    # wall-clock per accepted iteration; run serially so cells do not
-    # contend for cores, with one warm-up fit per cell
-    timing_spec = ExperimentSpec(
-        kind=spec.kind,
-        n_list=spec.n_list,
-        methods=spec.methods,
-        weights=spec.weights,
-        seed=spec.seed,
-        max_iter=5,
-        extend=spec.extend,
-    )
-    raw: Dict[Tuple[int, str], Optional[float]] = {}
-    status: Dict[Tuple[int, str], str] = {}
-    for n in spec.n_list:
-        for method in spec.methods:
-            _fit_cell(n, method, timing_spec)  # warm-up (FFT plans, caches)
-            begin = time.perf_counter()
-            result, _, cell_status = _fit_cell(n, method, timing_spec)
-            elapsed = time.perf_counter() - begin
-            status[(n, method)] = cell_status
-            raw[(n, method)] = (
-                elapsed / result.iterations if result is not None else None
-            )
-
-    rows = []
-    for n in spec.n_list:
-        for method in spec.methods:
-            per_iter = raw[(n, method)]
-            baseline_n = 100 if 100 in spec.n_list else spec.n_list[0]
-            baseline = raw[(baseline_n, method)]
-            normalized = (
-                per_iter / baseline
-                if per_iter is not None and baseline
-                else None
-            )
-            rows.append(
-                [n, method, per_iter, normalized, status[(n, method)]]
-            )
+    rows = _grid_rows(replace(spec, max_iter=5), _timing_row)
+    baseline_n = 100 if 100 in spec.n_list else spec.n_list[0]
+    baseline = {method: t for n, method, t, _ in rows if n == baseline_n}
+    for row in rows:
+        per_iter, base = row[2], baseline[row[1]]
+        row.insert(3, per_iter / base if per_iter is not None and base else None)
     return rows
 
 
@@ -243,13 +195,11 @@ def _gapped_tables(spec: ExperimentSpec) -> Tuple[List[list], List[list]]:
     status_rows = []
     for method in spec.methods:
         config = SolverConfig(method=method, max_iter=spec.max_iter)
-        try:
-            result = fit(observed, r=4, config=config)
-        except HmgnError as exc:
-            fits[method] = None
-            status_rows.append([method, None, None, None, None, type(exc).__name__])
-            continue
+        result, status = _fit_cell(observed, config, r=4)
         fits[method] = result
+        if result is None:
+            status_rows.append([method, None, None, None, None, status])
+            continue
         rel_error = float(
             np.linalg.norm(result.signal - signal) / np.linalg.norm(signal)
         )
@@ -351,13 +301,13 @@ def run_experiment(spec: ExperimentSpec, out_dir) -> List[Path]:
         emit(
             "known_minimum_accuracy.csv",
             ["n", "method", "dist", "rel_residual", "obj_gap", "iterations", "status"],
-            _accuracy_rows(spec),
+            _grid_rows(spec, _accuracy_row),
         )
     elif spec.kind == "residual_vs_N":
         emit(
             "residual_vs_N.csv",
             ["n", "method", "rel_residual", "iterations", "termination", "status"],
-            _residual_rows(spec),
+            _grid_rows(spec, _residual_row),
         )
     elif spec.kind == "iteration_timing":
         emit(

@@ -42,8 +42,8 @@ exp(2πik/N) per N (16·N bytes) and the Fourier columns R_r per (N, r)
 entries (320 KB per (N, r) at N = 5000, r = 3).  The untwist T_N(−α₀) is
 computed once per ``RotatedSpectrum``; T_{N−r}(α₀) is its conjugate prefix,
 which equals the directly computed T_{N−r}(α₀) bit for bit.  Tabling
-changes no bit of any result.  The tables are read-only arrays, so threads,
-such as the ``HMGN_THREADS`` experiment pool, share them safely.
+changes no bit of any result.  The tables are read-only arrays, so threads
+share them safely.
 """
 
 from __future__ import annotations

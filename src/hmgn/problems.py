@@ -31,6 +31,7 @@ __all__ = [
     "gapped_preset",
     "parse_gap_ranges",
     "apply_gaps",
+    "add_relative_noise",
     "PRESETS",
 ]
 
@@ -162,6 +163,12 @@ def apply_gaps(
     return out
 
 
+def add_relative_noise(values: np.ndarray, level: float, seed: int) -> np.ndarray:
+    """Values plus seeded i.i.d. standard normal noise of norm ``level``·‖values‖."""
+    noise = np.random.default_rng(seed).standard_normal(values.size)
+    return values + level * (noise / np.linalg.norm(noise)) * np.linalg.norm(values)
+
+
 def gapped_preset(
     seed: int,
     noise_level: float = 0.2,
@@ -174,11 +181,7 @@ def gapped_preset(
     NaN gaps, clean signal).
     """
     signal = two_tone_signal()
-    rng = np.random.default_rng(seed)
-    noise = rng.standard_normal(signal.size)
-    observed = signal + noise_level * (noise / np.linalg.norm(noise)) * np.linalg.norm(
-        signal
-    )
+    observed = add_relative_noise(signal, noise_level, seed)
     if gaps:
         observed = apply_gaps(observed, gaps)
     return TimeSeries(observed), signal

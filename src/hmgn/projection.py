@@ -45,14 +45,12 @@ import numpy as np
 import scipy.linalg
 
 from .errors import GammaBreakdownError, RankDeficiencyError, WeightVariantError
-from .nullspace import nullspace_basis, rotated_spectrum
 from .series import (
     GlrrVector,
     TimeSeries,
     _glrr_coeffs,
     apply_q,
     apply_q_transpose,
-    as_time_series,
 )
 from .weights import BandedWinv, Identity, WeightSpec, _mul_upper, _mul_upper_t, whiten
 
@@ -60,7 +58,6 @@ __all__ = [
     "ProjectionResult",
     "GammaFactor",
     "weighted_pinv_apply",
-    "project_onto_glrr_space",
     "project_gamma",
     "vp_jacobian",
 ]
@@ -183,18 +180,6 @@ def weighted_pinv_apply(
     zw, xw = whiten(w, z), whiten(w, rhs)
     coeffs = _LstsqFactor(zw).solve(xw)
     return ProjectionResult(projected=z @ coeffs, coefficients=coeffs)
-
-
-def project_onto_glrr_space(
-    a: Union[GlrrVector, np.ndarray],
-    w: WeightSpec,
-    x: Union[TimeSeries, np.ndarray],
-    mode: str = "plain",
-) -> ProjectionResult:
-    """Π_{Z(a),W}x through an orthonormal basis of Z(a) built in ``mode``."""
-    rhs = _as_vector_or_batch(x)
-    basis = nullspace_basis(rotated_spectrum(a, rhs.shape[0], mode))
-    return weighted_pinv_apply(basis.z, w, rhs)
 
 
 # ---------------------------------------------------------------------------

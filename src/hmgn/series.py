@@ -11,8 +11,7 @@ set of series annihilated by GLRR(a) is the r-dimensional subspace
 with Q(a) the N×(N−r) banded matrix whose columns are shifted copies of a.
 
 This module provides the embedding, the GLRR residual Qᵀ(a)S, the products
-with Q(a) and Qᵀ(a), the (τ, ȧ) pivot normalization used by the solvers,
-the acyclic self-convolution a² whose GLRR defines tangent spaces, and
+with Q(a) and Qᵀ(a), the (τ, ȧ) pivot normalization used by the solvers, and
 generators for finite-rank model signals (damped/modulated sinusoids times
 polynomials).
 
@@ -40,11 +39,9 @@ __all__ = [
     "glrr_residual",
     "apply_q_transpose",
     "apply_q",
-    "acyclic_self_convolution",
     "normalize_glrr",
     "h_tau",
     "generate_model_signal",
-    "model_rank",
     "read_series_csv",
     "write_series_csv",
 ]
@@ -250,16 +247,6 @@ def glrr_residual(
     return apply_q_transpose(coeffs, x)
 
 
-def acyclic_self_convolution(a: Union[GlrrVector, ArrayLike]) -> np.ndarray:
-    """Coefficients a² of g_a(z)², a GLRR vector of order 2r.
-
-    The GLRR defined by a² annihilates the tangent space of the rank-r
-    variety at any point governed by GLRR(a).
-    """
-    coeffs = _glrr_coeffs(a)
-    return np.convolve(coeffs, coeffs)
-
-
 # ---------------------------------------------------------------------------
 # Pivot normalization
 # ---------------------------------------------------------------------------
@@ -338,20 +325,6 @@ def _check_components(components: Iterable[ModelComponent]) -> list:
                 f"degenerate phase phi={c.phi} for boundary frequency omega={c.omega}"
             )
     return comps
-
-
-def model_rank(components: Iterable[ModelComponent]) -> int:
-    """Rank of the generated signal: Σ_k (deg P_k + 1)·r_k.
-
-    r_k = 2 for interior frequencies 0 < ω < 0.5 and 1 at the boundary
-    values ω ∈ {0, 0.5}.
-    """
-    comps = _check_components(components)
-    total = 0
-    for c in comps:
-        r_k = 2 if 0.0 < c.omega < 0.5 else 1
-        total += len(c.poly) * r_k
-    return total
 
 
 def generate_model_signal(

@@ -2,13 +2,18 @@
 
 Everything here is written as plain double loops over the defining formulas
 and deliberately shares no code with the package.  Tests compare package
-output against these oracles (or against values frozen from them).
+output against these oracles (or against values frozen from them).  The one
+exception is ``basis_projection``, the package's basis route composed from
+its public building blocks, for tests that check that route itself.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
+
+from hmgn.nullspace import nullspace_basis, rotated_spectrum
+from hmgn.projection import weighted_pinv_apply
 
 
 def hankel_oracle(x, L):
@@ -47,14 +52,19 @@ def glrr_residual_oracle(x, a):
     return out
 
 
-def poly_square_oracle(a):
-    """Coefficients of g_a(z)^2 by explicit double loop."""
-    a = np.asarray(a, dtype=float)
-    out = np.zeros(2 * a.size - 1)
-    for i in range(a.size):
-        for j in range(a.size):
-            out[i + j] += a[i] * a[j]
-    return out
+def model_rank(components):
+    """Rank of a model signal: Σ_k (deg P_k + 1)·r_k.
+
+    r_k = 2 for interior frequencies 0 < ω < 0.5 and 1 at the boundary
+    values ω ∈ {0, 0.5}.
+    """
+    return sum(len(c.poly) * (2 if 0.0 < c.omega < 0.5 else 1) for c in components)
+
+
+def basis_projection(a, w, x, mode="plain"):
+    """Π_{Z(a),W}x through an orthonormal basis of Z(a) built in ``mode``."""
+    basis = nullspace_basis(rotated_spectrum(a, np.shape(x)[0], mode))
+    return weighted_pinv_apply(basis.z, w, x)
 
 
 def poly_eval_oracle(a, z):

@@ -5,11 +5,13 @@ from __future__ import annotations
 import ast
 import csv
 import json
+import time
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+from hmgn import experiments
 from hmgn.cli import main, parse_components
 from hmgn.problems import gapped_preset
 from hmgn.series import ModelComponent, generate_model_signal, read_series_csv
@@ -246,15 +248,6 @@ def test_experiment_outputs_and_determinism(tmp_path, capsys):
     ast.parse(scripts[0].read_text())  # emitted plot helper must be valid python
 
 
-def test_experiment_thread_pool_is_deterministic(tmp_path, monkeypatch, capsys):
-    serial = experiment_files(tmp_path, "serial")
-    monkeypatch.setenv("HMGN_THREADS", "3")
-    pooled = experiment_files(tmp_path, "pooled")
-    capsys.readouterr()
-    for fs, fp in zip(serial, pooled):
-        assert fs.read_bytes() == fp.read_bytes()
-
-
 def grid_csv(tmp_path, name, kind, *extra):
     out_dir = tmp_path / name
     assert run("experiment", "--kind", kind, "--out-dir", out_dir, *extra) == 0
@@ -306,6 +299,24 @@ def test_experiment_iteration_timing_rows(tmp_path, capsys):
         assert float(row["seconds_per_iteration"]) > 0.0
         if row["n"] == "100":  # the baseline length when the grid holds it
             assert float(row["normalized"]) == 1.0
+
+
+def test_iteration_timing_times_only_the_fit(tmp_path, monkeypatch, capsys):
+    # a problem that takes 0.2 s to build must not show in the time per
+    # iteration of a 5-iteration fit at N = 20
+    build = experiments.build_known_minimum
+
+    def slow_build(n):
+        time.sleep(0.2)
+        return build(n)
+
+    monkeypatch.setattr(experiments, "build_known_minimum", slow_build)
+    _, _, rows = grid_csv(
+        tmp_path, "timing", "iteration_timing", "--n-list", "20", "--methods", "mgn"
+    )
+    capsys.readouterr()
+    assert rows[0]["status"] == "ok"
+    assert float(rows[0]["seconds_per_iteration"]) < 0.02
 
 
 def test_experiment_gapped_kind_records_solver_failures(tmp_path, capsys):

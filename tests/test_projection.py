@@ -18,11 +18,10 @@ from hmgn.problems import build_known_minimum
 from hmgn.projection import (
     GammaFactor,
     project_gamma,
-    project_onto_glrr_space,
     vp_jacobian,
     weighted_pinv_apply,
 )
-from hmgn.series import acyclic_self_convolution, h_tau
+from hmgn.series import h_tau
 from hmgn.weights import (
     BandedW,
     BandedWinv,
@@ -36,6 +35,7 @@ from hmgn.weights import (
 )
 
 from _oracles import (
+    basis_projection,
     fd_jacobian,
     gamma_projection_oracle,
     gram_oracle,
@@ -200,7 +200,7 @@ def test_lstsq_factor_rank_and_finiteness_errors():
 
 
 # ---------------------------------------------------------------------------
-# project_onto_glrr_space (basis path)
+# basis path
 # ---------------------------------------------------------------------------
 
 
@@ -209,13 +209,13 @@ def test_project_member_is_fixed():
     a = (1.0, -1.4, 0.5)
     z = nullspace_basis(rotated_spectrum(a, 50)).z
     x = z @ rng.standard_normal(2)
-    res = project_onto_glrr_space(a, Identity(50), x)
+    res = basis_projection(a, Identity(50), x)
     assert np.linalg.norm(res.projected - x) <= 1e-10 * np.linalg.norm(x)
 
 
 def test_project_constant_space_is_mean():
     x = np.array([1.0, 2.0, 3.0, 4.0, 10.0])
-    res = project_onto_glrr_space((1.0, -1.0), Identity(5), x)
+    res = basis_projection((1.0, -1.0), Identity(5), x)
     assert_allclose(res.projected, np.full(5, x.mean()), atol=1e-12)
 
 
@@ -225,12 +225,12 @@ def test_projected_satisfies_glrr_and_idempotent():
     n = 120
     w = ar_inverse_covariance([0.4], 1.0, n)
     x = rng.standard_normal(n)
-    res = project_onto_glrr_space(a, w, x)
+    res = basis_projection(a, w, x)
     q = q_matrix_oracle(a, n)
     assert np.linalg.norm(q.T @ res.projected) <= 1e-8 * np.linalg.norm(
         res.projected
     )
-    again = project_onto_glrr_space(a, w, res.projected)
+    again = basis_projection(a, w, res.projected)
     assert np.linalg.norm(again.projected - res.projected) <= 1e-10 * np.linalg.norm(
         res.projected
     )
@@ -242,7 +242,7 @@ def test_residual_w_orthogonal_to_basis():
     n = 80
     w = ar_inverse_covariance([0.6], 0.5, n)
     x = rng.standard_normal(n)
-    res = project_onto_glrr_space(a, w, x)
+    res = basis_projection(a, w, x)
     z = nullspace_basis(rotated_spectrum(a, n)).z
     wd = w.to_dense()
     resid = x - res.projected
@@ -256,7 +256,7 @@ def test_identity_weight_projector_symmetric():
     a = (1.0, -1.1, 0.4)
     n = 40
     cols = [
-        project_onto_glrr_space(a, Identity(n), e).projected
+        basis_projection(a, Identity(n), e).projected
         for e in np.eye(n)
     ]
     p = np.column_stack(cols)
@@ -273,8 +273,8 @@ def test_masked_projection_ignores_unobserved():
     x = rng.standard_normal(n)
     x_tampered = x.copy()
     x_tampered[~mask] = rng.standard_normal((~mask).sum()) * 100.0
-    p1 = project_onto_glrr_space(a, w, x).projected
-    p2 = project_onto_glrr_space(a, w, x_tampered).projected
+    p1 = basis_projection(a, w, x).projected
+    p2 = basis_projection(a, w, x_tampered).projected
     assert_allclose(p1, p2, atol=1e-9)
 
 
@@ -283,11 +283,11 @@ def test_plain_projection_uses_the_plain_realization_bound():
     # 2.7e-4 from real, inside the plain mode's bound of 1e-2 that the
     # solvers apply too (the compensated bound 1e-9 would reject it)
     problem = build_known_minimum(1000)
-    a2 = acyclic_self_convolution(problem.a_star)
+    a2 = np.convolve(problem.a_star.coeffs, problem.a_star.coeffs)
     basis = nullspace_basis(rotated_spectrum(a2, 1000, "plain"))
     assert 1e-9 < basis.defect <= 1e-2
     x = problem.x.values
-    res = project_onto_glrr_space(a2, Identity(1000), x, mode="plain")
+    res = basis_projection(a2, Identity(1000), x, mode="plain")
     want = basis.z @ (basis.z.T @ x)
     assert np.linalg.norm(res.projected - want) <= 1e-10 * np.linalg.norm(x)
 
@@ -339,7 +339,7 @@ def test_gamma_factor_matches_dense_gram_all_lengths(r, p):
 def test_gamma_mean_projection_matches_basis():
     x = np.array([0.5, 1.5, -2.0, 4.0, 1.0, 0.0])
     got = project_gamma(GammaFactor((1.0, -1.0), Identity(6)), x)
-    want = project_onto_glrr_space((1.0, -1.0), Identity(6), x).projected
+    want = basis_projection((1.0, -1.0), Identity(6), x).projected
     assert_allclose(got, want, atol=1e-10)
 
 
@@ -364,7 +364,7 @@ def test_gamma_matches_basis_path_banded_winv(seed):
     w = random_tridiagonal_winv(n, rng)
     x = rng.standard_normal(n)
     got = project_gamma(GammaFactor(a, w), x)
-    want = project_onto_glrr_space(a, w, x).projected
+    want = basis_projection(a, w, x).projected
     assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(x)
 
 
@@ -406,7 +406,7 @@ def test_gamma_degrades_at_triple_unit_root():
     x = np.linspace(-1.0, 1.0, n) ** 2
     x = x / np.linalg.norm(x) + 1e-3 * np.sin(np.arange(n))
     q = q_matrix_oracle(a, n)
-    basis_out = project_onto_glrr_space(
+    basis_out = basis_projection(
         a, Identity(n), x, mode="compensated"
     ).projected
     basis_resid = np.linalg.norm(q.T @ basis_out)
@@ -507,6 +507,6 @@ def test_vp_jacobian_columns_in_tangent_space():
     w = random_tridiagonal_winv(n, rng)
     x = rng.standard_normal(n)
     jac = vp_jacobian(GammaFactor(a, w), tau, x)
-    a2 = acyclic_self_convolution(a)
+    a2 = np.convolve(a, a)
     q2 = q_matrix_oracle(a2, n)
     assert np.linalg.norm(q2.T @ jac) <= 1e-6 * np.linalg.norm(jac)

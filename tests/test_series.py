@@ -16,14 +16,12 @@ from hmgn.series import (
     ModelComponent,
     NormalizedGlrr,
     TimeSeries,
-    acyclic_self_convolution,
     apply_q,
     apply_q_transpose,
     embed,
     generate_model_signal,
     glrr_residual,
     h_tau,
-    model_rank,
     normalize_glrr,
     read_series_csv,
     write_series_csv,
@@ -32,7 +30,7 @@ from hmgn.series import (
 from _oracles import (
     glrr_residual_oracle,
     hankel_oracle,
-    poly_square_oracle,
+    model_rank,
     q_matrix_oracle,
 )
 
@@ -200,28 +198,6 @@ def test_residual_vanishes_on_nullspace():
 
 
 # ---------------------------------------------------------------------------
-# acyclic_self_convolution
-# ---------------------------------------------------------------------------
-
-
-def test_self_convolution_examples():
-    assert_array_equal(acyclic_self_convolution([1, -1]), [1, -2, 1])
-    assert_array_equal(
-        acyclic_self_convolution([1, -3, 3, -1]), [1, -6, 15, -20, 15, -6, 1]
-    )
-    assert_array_equal(acyclic_self_convolution([0, 1]), [0, 0, 1])
-
-
-@given(glrr_arrays)
-@settings(max_examples=80)
-def test_self_convolution_matches_oracle(a):
-    got = acyclic_self_convolution(a)
-    want = poly_square_oracle(a)
-    assert got.shape == want.shape == (2 * len(a) - 1,)
-    assert_allclose(got, want, rtol=1e-14, atol=1e-14 * np.max(np.abs(want)))
-
-
-# ---------------------------------------------------------------------------
 # normalize_glrr / h_tau
 # ---------------------------------------------------------------------------
 
@@ -374,16 +350,18 @@ def test_duplicate_alpha_omega_rejected():
         ModelComponent(poly=(2.0,), alpha=0.0, omega=0.1, phi=1.0),
     ]
     with pytest.raises(ValueError):
-        model_rank(comps)
-    with pytest.raises(ValueError):
         generate_model_signal(comps, 10)
 
 
 def test_degenerate_boundary_phase_rejected():
     with pytest.raises(ValueError):
-        model_rank([ModelComponent(poly=(1.0,), alpha=0.0, omega=0.0, phi=0.0)])
+        generate_model_signal(
+            [ModelComponent(poly=(1.0,), alpha=0.0, omega=0.0, phi=0.0)], 10
+        )
     with pytest.raises(ValueError):
-        model_rank([ModelComponent(poly=(1.0,), alpha=0.1, omega=0.5, phi=0.0)])
+        generate_model_signal(
+            [ModelComponent(poly=(1.0,), alpha=0.1, omega=0.5, phi=0.0)], 10
+        )
 
 
 def test_component_validation():

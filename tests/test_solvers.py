@@ -13,7 +13,6 @@ from hmgn.problems import build_known_minimum, gapped_preset
 from hmgn.projection import (
     GammaFactor,
     project_gamma,
-    project_onto_glrr_space,
     weighted_pinv_apply,
 )
 from hmgn.series import (
@@ -42,6 +41,7 @@ from hmgn.weights import (
 )
 
 from _oracles import (
+    basis_projection,
     boundary_rows,
     fd_jacobian,
     gram_oracle,
@@ -317,7 +317,7 @@ def test_vpgn_step_rejects_masked_weights():
 
 def _base_point(adot, tau, x, w):
     """(projected signal, objective) at ȧ, as ``fit`` hands them over."""
-    s = project_onto_glrr_space(h_tau(adot, tau), w, x).projected
+    s = basis_projection(h_tau(adot, tau), w, x).projected
     return s, weighted_norm(w, x - s)
 
 
