@@ -13,15 +13,18 @@ one rotation modulo 2π/N, and the midpoints of the gaps between forbidden
 rotations (plus the half-spacing offset) are the only candidates, so the
 placement costs an r×r eigenproblem and at most r + 1 grid evaluations.
 
-Two accuracy modes are provided.  The plain mode orthonormalizes
-L_r = A_g⁻¹·R_r directly; its subspace error grows with the eigenvalue
-spread λ_max/λ_min, which for coefficient polynomials with unit-circle
-roots of multiplicity t grows like N^t.  The compensated mode first
-computes the triangular orthonormalization O_r = R̂⁻¹ from a QR of L_r,
-then re-evaluates the product R_r·O_r as a polynomial in compensated
-(error-free-transformation) arithmetic before dividing by the eigenvalues;
-this keeps the elementwise error near machine precision regardless of the
-spread, because the orthonormalized product has condition number O(1).
+Both accuracy modes orthonormalize L_r = A_g⁻¹·R_r once, by classical
+Gram–Schmidt run twice (CGS2), into L_r = Q·R̂; they differ only in
+arithmetic.  The plain mode takes Q; its subspace error grows with the
+eigenvalue spread λ_max/λ_min, which for coefficient polynomials with
+unit-circle roots of multiplicity t grows like N^t.  The compensated mode
+takes the triangular orthonormalization O_r = R̂⁻¹, then re-evaluates the
+product R_r·O_r as a polynomial in compensated (error-free-transformation)
+arithmetic before dividing by the eigenvalues; this keeps the elementwise
+error near machine precision regardless of the spread, because the
+orthonormalized product has condition number O(1).  The Gram–Schmidt
+inner products are numpy reductions, not BLAS calls, so a basis is the
+same at any BLAS thread count.
 
 The same rotated spectrum also solves the banded system Qᵀ(a)·F̂ = M that
 the search-direction computation needs (``fhat_matrix``): extend M by r
@@ -57,6 +60,7 @@ import scipy.linalg
 
 from .errors import BasisRealizationError, SpectrumDegeneracyError
 from .series import GlrrVector, TimeSeries, apply_q_transpose, as_time_series
+from .weights import _norm2
 
 __all__ = [
     "RotatedSpectrum",
@@ -411,37 +415,62 @@ class SubspaceBasis:
 
 @functools.lru_cache(maxsize=_TABLE_SIZE)
 def _fourier_columns(n: int, r: int) -> np.ndarray:
-    """R_r ∈ C^{N×r}: the unitary DFT of the last r standard basis vectors.
+    """R_r ∈ C^{N×r}, the unitary DFT of the last r standard basis vectors,
+    stored one column per row (r×N).
 
     Column j (1-based) is the Fourier mode (1/√N)·exp(i2πk(r+1−j)/N); the
     columns are exactly orthonormal.  Read-only, tabled per (N, r).
     """
-    k = np.arange(n)[:, None]
-    j = np.arange(1, r + 1)[None, :]
+    j = np.arange(1, r + 1)[:, None]
+    k = np.arange(n)[None, :]
     return _read_only(np.exp(2j * np.pi * k * (r + 1 - j) / n) / np.sqrt(n))
 
 
-def _left_singular_block(m: np.ndarray, r: int) -> np.ndarray:
-    """Leading r left singular vectors, with a QR fallback if SVD stalls."""
-    try:
-        u, _, _ = np.linalg.svd(m, full_matrices=False)
-        return u[:, :r]
-    except np.linalg.LinAlgError:
-        q, _ = np.linalg.qr(m)
-        return q[:, :r]
+def _cgs2(l_rows: np.ndarray) -> tuple:
+    """Q and R̂ with L = Q·R̂ for the complex N×r matrix L held one column
+    per row (r×N); Q is returned the same way.
+
+    Classical Gram–Schmidt run twice: each column is orthogonalized against
+    the finished ones in two passes, with all k inner products of a pass
+    taken as one elementwise (k, N) product and reduction, and likewise the
+    update.  Two passes keep ‖QᴴQ − I‖ at rounding level while κ(L)·u ≪ 1
+    (Giraud, Langou & Rozložník, Comput. Math. Appl. 50, 2005).  R̂ is upper
+    triangular with a real, positive diagonal.  No BLAS call runs, so the
+    factor is the same at any BLAS thread count.
+    """
+    r = l_rows.shape[0]
+    q = np.empty_like(l_rows)
+    rhat = np.zeros((r, r), dtype=complex)
+    for k in range(r):
+        v = l_rows[k]
+        if k:
+            done = q[:k]
+            conj = done.conj()
+            h = 0.0
+            for _ in range(2):
+                # np.add.reduce is np.sum without its Python-level dispatch,
+                # which costs as much as the arithmetic at N = 50
+                pass_h = np.add.reduce(conj * v, axis=1, keepdims=True)
+                v = v - np.add.reduce(pass_h * done, axis=0)
+                h = h + pass_h
+            rhat[:k, k] = h[:, 0]
+        norm = _norm2(v.view(float))
+        rhat[k, k] = norm
+        q[k] = v / norm
+    return q, rhat
 
 
 def _realize_basis(z_c: np.ndarray, imag_tol: float) -> tuple:
-    """Real orthonormal basis from a complex one spanning a conjugation-closed
-    subspace.
+    """Real orthonormal basis from a complex one, held one column per row
+    (r×N), spanning a conjugation-closed subspace.
 
     Real and imaginary parts of the complex columns all lie in the underlying
     real subspace, so the r leading left singular vectors of [Re Z | Im Z]
     recover it; σ_{r+1}/σ₁ measures how far the complex span was from the
     complexification of any real r-dimensional subspace.
     """
-    r = z_c.shape[1]
-    stacked = np.concatenate([z_c.real, z_c.imag], axis=1)
+    r = z_c.shape[0]
+    stacked = np.concatenate([z_c.real, z_c.imag]).T
     u, s, _ = np.linalg.svd(stacked, full_matrices=False)
     defect = float(s[r] / s[0]) if s[0] > 0 else 0.0
     if defect > imag_tol:
@@ -453,8 +482,8 @@ def nullspace_basis(spectrum: RotatedSpectrum) -> SubspaceBasis:
     """Orthonormal basis of Z(a) = ker Qᵀ(a) in O(rN log N + Nr²), for the
     coefficients and mode the spectrum carries.
 
-    Plain mode orthonormalizes L_r = A_g⁻¹·R_r by an SVD.  Compensated mode
-    computes the triangular factor O_r = R̂⁻¹ from a QR of L_r, re-evaluates
+    Both modes factor L_r = A_g⁻¹·R_r = Q·R̂ once, by Gram–Schmidt run twice.
+    Plain mode uses U_r = Q.  Compensated mode takes O_r = R̂⁻¹, re-evaluates
     B = R_r·O_r columnwise as the polynomial Σ_j O_r[j,c]·z^{r+1−j} on the
     unrotated grid in compensated arithmetic, and uses U_r = A_g⁻¹·B; this
     removes the λ_max/λ_min error amplification of the plain route.
@@ -465,27 +494,26 @@ def nullspace_basis(spectrum: RotatedSpectrum) -> SubspaceBasis:
     """
     n, r = spectrum.n, spectrum.r
     eig = spectrum.eigenvalues
-    r_cols = _fourier_columns(n, r)
-    l_mat = r_cols / eig[:, None]
+    # matrices over the grid are held one column per row (r×N)
+    q, rhat = _cgs2(_fourier_columns(n, r) / eig)
 
     if spectrum.mode == "plain":
-        u_r = _left_singular_block(l_mat, r)
+        u_r = q
     else:
-        rhat = np.linalg.qr(l_mat, mode="r")  # the same R, without forming Q
         o_r = scipy.linalg.solve_triangular(rhat, np.eye(r, dtype=complex))
         # column c of R_r·O_r equals (1/√N)·p_c(z_k) on the unrotated grid,
         # with p_c(z) = Σ_j O_r[j,c]·z^{r+1−j}
         z_grid = _unit_grid(n)
-        b = np.empty((n, r), dtype=complex)
+        u_r = np.empty((r, n), dtype=complex)
         for c in range(r):
             poly = np.zeros(r + 1, dtype=complex)
             poly[1:] = o_r[::-1, c]  # power m carries O_r[r+1−m, c]
-            b[:, c] = _comp_horner(poly, z_grid) / np.sqrt(n)
-        u_r = b / eig[:, None]
+            u_r[c] = _comp_horner(poly, z_grid) / np.sqrt(n)
+        u_r /= eig
 
-    z_c = spectrum.untwist[:, None] * np.fft.ifft(u_r, axis=0, norm="ortho")
+    z_c = spectrum.untwist * np.fft.ifft(u_r, axis=1, norm="ortho")
     z, defect = _realize_basis(z_c, _IMAG_TOL[spectrum.mode])
-    residual = float(np.linalg.norm(apply_q_transpose(spectrum.coeffs.real, z)))
+    residual = _norm2(apply_q_transpose(spectrum.coeffs.real, z))
     return SubspaceBasis(z, defect, residual)
 
 

@@ -66,7 +66,7 @@ from .series import (
     h_tau,
     normalize_glrr,
 )
-from .weights import Identity, WeightSpec, mask_missing, weighted_norm, whiten
+from .weights import Identity, WeightSpec, _norm2, mask_missing, weighted_norm, whiten
 
 __all__ = [
     "SolverConfig",
@@ -183,9 +183,7 @@ class FitResult:
     @property
     def glrr_rel_residual(self) -> float:
         a = self.glrr.coeffs
-        return float(
-            np.linalg.norm(glrr_residual(self.signal, a)) / np.linalg.norm(a)
-        )
+        return _norm2(glrr_residual(self.signal, a)) / float(np.linalg.norm(a))
 
     @property
     def iterations(self) -> int:
@@ -346,8 +344,8 @@ def line_search(
     family, mode = config.family, config.mode
 
     trial = _project(h_tau(adot + delta, tau), values, w, family, mode)
-    change = np.linalg.norm(trial.signal - s_current)
-    scale = np.linalg.norm(s_current)
+    change = _norm2(trial.signal - s_current)
+    scale = _norm2(s_current)
     if change == 0.0:
         relative = 0.0
     elif scale == 0.0:
@@ -443,9 +441,7 @@ def fit(
         signal = s_k
         a_full = h_tau(adot, tau)
         objective = weighted_norm(w, ts.values - s_k)
-        rel_residual = float(
-            np.linalg.norm(glrr_residual(s_k, a_full)) / np.linalg.norm(a_full)
-        )
+        rel_residual = _norm2(glrr_residual(s_k, a_full)) / float(np.linalg.norm(a_full))
 
         gamma, adot_next, small, at, trials = line_search(
             adot, delta, tau, ts, w, prev_step_norm, config, s_k, objective

@@ -25,6 +25,7 @@ and every operation in O(n·p).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Sequence
 
@@ -371,7 +372,17 @@ def whiten(w: WeightSpec, x: np.ndarray) -> np.ndarray:
     raise WeightVariantError(f"unknown weight variant {type(w).__name__}")
 
 
+def _norm2(x: np.ndarray) -> float:
+    """Euclidean norm of all entries of x by a numpy reduction.
+
+    ``np.linalg.norm`` sums through BLAS, whose threaded reduction rounds
+    long vectors differently at different thread counts; this sum is the
+    same at any thread count.
+    """
+    x = np.ravel(x)
+    return math.sqrt(np.add.reduce(x * x))
+
+
 def weighted_norm(w: WeightSpec, x: np.ndarray) -> float:
     """√(xᵀWx), computed through the factor for conditioning."""
-    y = whiten(w, x)
-    return float(np.linalg.norm(y))
+    return _norm2(whiten(w, x))

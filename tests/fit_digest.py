@@ -15,8 +15,13 @@ Without options it hashes all three workloads at seeds 100 and 7919.
 ``--cells`` also prints one line per fit before each digest: the cell id,
 iterations, termination, line-search trials, the relative error against the
 cell's reference and whether it is within the cell's bound (or the class
-name of the ``HmgnError`` the fit raised).  As a script it pins BLAS and
-OpenMP to one thread, as the benchmark does.
+name of the ``HmgnError`` the fit raised).  As a script it runs BLAS and
+OpenMP at one thread, as the benchmark does, unless the caller sets
+``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS``; so
+
+    OPENBLAS_NUM_THREADS=2 OMP_NUM_THREADS=2 python3 tests/fit_digest.py
+
+prints the digests at two threads, to compare with those at one.
 """
 
 from __future__ import annotations
@@ -24,9 +29,9 @@ from __future__ import annotations
 import os
 
 if __name__ == "__main__":
-    # read once, when numpy loads
+    # read once, when numpy loads; a caller's setting is kept
     for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[_var] = "1"
+        os.environ.setdefault(_var, "1")
 
 import argparse
 import hashlib

@@ -1,12 +1,18 @@
-"""The fit digest tool on the self-test size of ``gapped-short``."""
+"""The fit digest tool on the self-test size of ``gapped-short``, and the
+same fits at one and two BLAS threads."""
 
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
 import fit_digest
+
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def test_fit_digest_is_deterministic_and_sees_every_fit():
@@ -50,3 +56,26 @@ def test_fit_digest_cells_table_has_one_line_per_fit(capsys):
         error = cell.error_of(result.signal)
         assert float(match[5]) == pytest.approx(error, rel=1e-3)
         assert match[6] == str(error <= cell.bound)
+
+
+def _digest_lines(threads):
+    env = dict(os.environ, **{var: str(threads) for var in _THREAD_VARS})
+    argv = ["--workload", "trend-long", "--workload", "kernel-banded", "--seed", "100"]
+    done = subprocess.run(
+        [sys.executable, fit_digest.__file__, *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return done.stdout.splitlines()
+
+
+def test_fits_are_bitwise_the_same_at_one_and_two_blas_threads():
+    # trend-long (N = 5000) builds bases of Z(a); kernel-banded (N = 20000)
+    # takes norms long enough for a threaded BLAS reduction to round
+    # differently.  The thread variables are read when numpy loads, so each
+    # count runs in its own process.
+    one = _digest_lines(1)
+    assert [line.split()[0] for line in one] == ["trend-long", "kernel-banded"]
+    assert _digest_lines(2) == one

@@ -314,6 +314,43 @@ def test_basis_cost_scaling():
     assert ratio <= 5.5
 
 
+def _l_rows(a, n):
+    """L_r = A_g⁻¹·R_r of ``nullspace_basis``, one column per row (r×N)."""
+    spectrum = rotated_spectrum(a, n)
+    return hmgn.nullspace._fourier_columns(n, spectrum.r) / spectrum.eigenvalues
+
+
+def _check_cgs2_factor(l_rows):
+    """Q, R̂ and L as N×r matrices, after the checks every input must pass."""
+    q_rows, rhat = hmgn.nullspace._cgs2(l_rows)
+    q, l_mat = q_rows.T, l_rows.T
+    r = l_mat.shape[1]
+    assert q_rows.shape == l_rows.shape and rhat.shape == (r, r)
+    assert np.linalg.norm(q.conj().T @ q - np.eye(r)) <= 1e-14
+    assert np.linalg.norm(q @ rhat - l_mat) <= 1e-15 * np.linalg.norm(l_mat)
+    assert np.array_equal(rhat, np.triu(rhat))
+    diag = np.diag(rhat)
+    assert np.all(diag.imag == 0.0) and np.all(diag.real > 0.0)
+    return diag.real, np.abs(np.diag(np.linalg.qr(l_mat, mode="r")))
+
+
+@pytest.mark.parametrize("n,r", [(50, 4), (5000, 3), (20000, 4)])
+def test_cgs2_factor_of_random_coefficients(n, r):
+    a = np.random.default_rng(n + r).standard_normal(r + 1)
+    diag, householder = _check_cgs2_factor(_l_rows(a, n))
+    assert_allclose(diag, householder, rtol=1e-12, atol=0.0)
+
+
+def test_cgs2_factor_of_triple_root_at_large_n():
+    # κ(L_r) = 3.8e8 here, so κ·u ≈ 4e-8 stays well inside the two-pass
+    # guarantee.  The smallest diagonal entry is itself conditioned like
+    # κ·u: Householder's is 1.9e-9 from a long-double Gram–Schmidt
+    # reference and this one 3.1e-10, so they are compared relative to the
+    # largest entry.
+    diag, householder = _check_cgs2_factor(_l_rows((1.0, -3.0, 3.0, -1.0), 20000))
+    assert np.max(np.abs(diag - householder)) <= 1e-12 * np.max(householder)
+
+
 # ---------------------------------------------------------------------------
 # fhat_matrix
 # ---------------------------------------------------------------------------

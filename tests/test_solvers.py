@@ -17,7 +17,6 @@ from hmgn.projection import (
 )
 from hmgn.series import (
     GlrrVector,
-    TimeSeries,
     as_time_series,
     glrr_residual,
     h_tau,
@@ -45,7 +44,6 @@ from _oracles import (
     boundary_rows,
     fd_jacobian,
     gram_oracle,
-    q_matrix_oracle,
     s_tau_oracle,
     vp_jacobian_two_solve_oracle,
 )
