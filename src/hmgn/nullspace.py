@@ -42,11 +42,15 @@ All FFTs use the unitary convention (1/√N in both directions).
 Grid constants that do not depend on a are computed once: the unit grid
 exp(2πik/N) per N (16·N bytes) and the Fourier columns R_r per (N, r)
 (16·N·r bytes), each in a least-recently-used table of ``_TABLE_SIZE`` = 16
-entries (320 KB per (N, r) at N = 5000, r = 3).  The untwist T_N(−α₀) is
-computed once per ``RotatedSpectrum``; T_{N−r}(α₀) is its conjugate prefix,
-which equals the directly computed T_{N−r}(α₀) bit for bit.  Tabling
-changes no bit of any result.  The tables are read-only arrays, so threads
-share them safely.
+entries (320 KB per (N, r) at N = 5000, r = 3).  The rotated grid
+exp(i(2πj/N − α₀)) and the untwist T_N(−α₀) depend on a only through α₀,
+which the closed-form placement puts at π/N or 0 for nearly every spectrum
+of a fit, so each is tabled per (N, α₀) too, in ``_ROTATION_TABLE_SIZE`` = 4
+entries (16·N bytes each).  T_{N−r}(α₀) is the untwist's conjugate prefix,
+which equals the directly computed T_{N−r}(α₀) bit for bit.  A table entry
+is computed by the same formula as the direct form, so tabling changes no
+bit of any result.  The tables are read-only arrays, so threads share them
+safely.
 """
 
 from __future__ import annotations
@@ -126,6 +130,23 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 def _unit_grid(n: int) -> np.ndarray:
     """The unrotated grid exp(2πik/N), k = 0..N−1 (read-only, tabled per N)."""
     return _read_only(np.exp(2j * np.pi * np.arange(n) / n))
+
+
+#: entries per rotation table; α₀ takes one or two values in most fits
+_ROTATION_TABLE_SIZE = 4
+
+
+@functools.lru_cache(maxsize=_ROTATION_TABLE_SIZE)
+def _rotated_grid(n: int, alpha: float) -> np.ndarray:
+    """The rotated grid exp(i(2πj/N − α)), j = 0..N−1 (read-only, tabled per
+    (N, α))."""
+    return _read_only(np.exp(1j * (2.0 * np.pi * np.arange(n) / n - alpha)))
+
+
+@functools.lru_cache(maxsize=_ROTATION_TABLE_SIZE)
+def _untwist(n: int, alpha0: float) -> np.ndarray:
+    """The diagonal of T_N(−α₀) (read-only, tabled per (N, α₀))."""
+    return _read_only(_twist(n, -alpha0))
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +256,7 @@ def eval_poly_grid(
     """g_a on the rotated grid: value j is g_a(exp(i(2πj/N − α))), j = 0..N−1."""
     _check_mode(mode)
     coeffs = _coeffs(a)
-    z = np.exp(1j * (2.0 * np.pi * np.arange(n) / n - alpha))
+    z = _rotated_grid(n, float(alpha))
     if mode == "compensated":
         return _comp_horner(coeffs, z)
     return _plain_horner(coeffs, z)
@@ -325,7 +346,7 @@ class RotatedSpectrum:
 
     ``eigenvalues[j] = g_a(exp(i(2πj/N − α₀)))``; all strictly nonzero.  N is
     the eigenvalue count and r the order of a, with 1 ≤ r < N/2.
-    ``untwist`` is the diagonal of T_N(−α₀), computed on first use.
+    ``untwist`` is the diagonal of T_N(−α₀), from a table per (N, α₀).
 
     Compared and hashed by identity (``eq=False``): a field-wise ``==``
     would compare arrays and raise instead of returning a bool.
@@ -363,9 +384,9 @@ class RotatedSpectrum:
     def min_abs_eigenvalue(self) -> float:
         return float(np.min(np.abs(self.eigenvalues)))
 
-    @functools.cached_property
+    @property
     def untwist(self) -> np.ndarray:
-        return _read_only(_twist(self.n, -self.alpha0))
+        return _untwist(self.n, float(self.alpha0))
 
 
 def rotated_spectrum(a: CoeffLike, n: int, mode: str = "plain") -> RotatedSpectrum:

@@ -25,9 +25,20 @@ With g = Γ⁻¹Qᵀ(a)x and E_j = Q(e_j), the Jacobian column
     K_j = −E_j·g − QΓ⁻¹(E_jᵀΠx − QᵀW⁻¹E_j·g),
 
 which follows from Π = I − W⁻¹QΓ⁻¹Qᵀ.  All r columns take one batched
-solve, the g solve aside, and a caller holding Πx passes it in.  Since
-whiten(W, W⁻¹v) = Ĉv, the whitened design of the Gauss-Newton least squares
-is ĈK, so the solvers never form J.
+solve, and a caller holding Πx passes it in.  The projection of a vector
+solves for the same g, so the factor keeps the last one (a one-slot memo,
+``GammaFactor._take_g``) and the Jacobian does not solve for it again.
+Since whiten(W, W⁻¹v) = Ĉv, the whitened design of the Gauss-Newton least
+squares is ĈK, so the solvers never form J.
+
+A batched Γ⁻¹ solve costs about r vector solves: LAPACK ``dpbtrs`` runs
+its two banded triangular solves column by column (at N = 20000, r = 4,
+kd = 5: 1.94 ms against 0.58 ms for one vector, best of 60, 1 BLAS thread
+on a 2-core x86 box).  So the g solve saved is worth a Jacobian column.
+``GammaFactor`` calls ``dpbtrf``/``dpbtrs`` through ``get_lapack_funcs``
+handles, as ``cholesky_banded`` and ``cho_solve_banded`` do, but checks the
+banded Γ for finiteness once, when it factors it, and each right-hand side
+when it solves; its factor is not checked again on every solve.
 
 The ``GammaFactor`` is the only carrier of (a, W) on the Gram route:
 ``project_gamma`` and ``vp_jacobian`` take the factor alone, as the basis
@@ -39,7 +50,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 import scipy.linalg
@@ -67,8 +78,8 @@ __all__ = [
 #: at least as far apart
 _RANK_TOL = 1e-12
 
-_GEQP3, _ORGQR, _TRTRS = scipy.linalg.lapack.get_lapack_funcs(
-    ("geqp3", "orgqr", "trtrs"), dtype=np.float64
+_GEQP3, _ORGQR, _TRTRS, _PBTRF, _PBTRS = scipy.linalg.lapack.get_lapack_funcs(
+    ("geqp3", "orgqr", "trtrs", "pbtrf", "pbtrs"), dtype=np.float64
 )
 
 
@@ -224,7 +235,8 @@ class GammaFactor:
     W⁻¹ = ĈᵀĈ, in O(N(r+p)²) with no sparse matrices.  The factor is
     immutable and reusable for every Γ⁻¹ solve at the same (a, W) — a
     projection plus all Jacobian columns.  It also owns the products with
-    W⁻¹, through the Ĉ admitted here (none for W = I).
+    W⁻¹, through the Ĉ admitted here (none for W = I).  Its one mutable
+    slot holds g = Γ⁻¹Qᵀx of the last vector it projected, for ``_take_g``.
     """
 
     def __init__(self, a: Union[GlrrVector, np.ndarray], w: WeightSpec):
@@ -243,15 +255,20 @@ class GammaFactor:
         if n - r < 1:
             raise ValueError("series too short for this GLRR order")
         ab = _gram_upper(coeffs, (np.ones(n),) if chat_bands is None else chat_bands, n)
-        try:
-            chol = scipy.linalg.cholesky_banded(ab, overwrite_ab=True, lower=False)
-        except np.linalg.LinAlgError as exc:
+        if not np.isfinite(ab).all():
+            raise ValueError("Γ(a) must not contain infs or NaNs")
+        chol, info = _PBTRF(ab, lower=0, overwrite_ab=1)
+        if info > 0:
             raise GammaBreakdownError(
-                f"Γ(a) is numerically indefinite at N={n}: {exc}"
-            ) from exc
+                f"Γ(a) is numerically indefinite at N={n}: "
+                f"{info}-th leading minor not positive definite"
+            )
+        if info < 0:
+            raise ValueError(f"illegal value in {-info}-th argument of internal pbtrf")
         self._chol = chol
         self._coeffs = coeffs
         self._chat_bands = chat_bands
+        self._memo = None
         self.n = n
         self.r = r
 
@@ -260,8 +277,19 @@ class GammaFactor:
         return self._coeffs
 
     def solve(self, v: np.ndarray) -> np.ndarray:
-        """Γ⁻¹·v through the two triangular banded solves."""
-        return scipy.linalg.cho_solve_banded((self._chol, False), v)
+        """Γ⁻¹·v through the two triangular banded solves, for a vector or
+        columnwise matrix v; non-finite v raises ``ValueError``."""
+        v = np.asarray(v)
+        if not np.isfinite(v).all():
+            raise ValueError("right-hand side must not contain infs or NaNs")
+        if v.shape[0] != self._chol.shape[-1]:
+            raise ValueError(
+                f"right-hand side has {v.shape[0]} rows, Γ(a) {self._chol.shape[-1]}"
+            )
+        x, info = _PBTRS(self._chol, v, lower=0)
+        if info != 0:
+            raise ValueError(f"illegal value in {-info}th argument of internal pbtrs")
+        return x
 
     def apply_chat(self, v: np.ndarray) -> np.ndarray:
         """Ĉ·v for a vector or columnwise matrix (a copy for W = I).
@@ -270,19 +298,32 @@ class GammaFactor:
         W⁻¹'s Ĉᵀ.
         """
         if self._chat_bands is None:
-            return v.copy()
+            return v.copy(order="K")
         return _mul_upper(self._chat_bands, v)
 
     def apply_winv(self, x: np.ndarray) -> np.ndarray:
         """W⁻¹·x = ĈᵀĈ·x for a vector or columnwise matrix (a copy for W = I)."""
         if self._chat_bands is None:
-            return x.copy()
+            return x.copy(order="K")
         return _mul_upper_t(self._chat_bands, self.apply_chat(x))
 
     def kernel_projection(self, x: np.ndarray) -> np.ndarray:
-        """(I − W⁻¹Q Γ⁻¹ Qᵀ)·x for a vector or columnwise matrix."""
-        qtx = apply_q_transpose(self._coeffs, x)
-        return x - self.apply_winv(apply_q(self._coeffs, self.solve(qtx)))
+        """(I − W⁻¹Q Γ⁻¹ Qᵀ)·x for a vector or columnwise matrix.
+
+        For a vector x, g = Γ⁻¹Qᵀx replaces the memo, for ``_take_g``.
+        """
+        g = self.solve(apply_q_transpose(self._coeffs, x))
+        if x.ndim == 1:
+            self._memo = (x, g)
+        return x - self.apply_winv(apply_q(self._coeffs, g))
+
+    def _take_g(self, x: np.ndarray) -> Optional[np.ndarray]:
+        """g = Γ⁻¹Qᵀx from the memo if the last vector projected was this
+        very array x, else None; either way the memo is emptied."""
+        memo, self._memo = self._memo, None
+        if memo is not None and memo[0] is x:
+            return memo[1]
+        return None
 
 
 def project_gamma(factor: GammaFactor, x: Union[TimeSeries, np.ndarray]) -> np.ndarray:
@@ -292,17 +333,22 @@ def project_gamma(factor: GammaFactor, x: Union[TimeSeries, np.ndarray]) -> np.n
 
 
 def _vp_columns(
-    factor: GammaFactor, tau: int, x: np.ndarray, pix: np.ndarray
+    factor: GammaFactor,
+    tau: int,
+    x: np.ndarray,
+    pix: np.ndarray,
+    g: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """K with W⁻¹K the VP Jacobian at the (a, W) of ``factor``, given
     ``pix`` = Πx: column K_j = −E_j·g − QΓ⁻¹(E_jᵀΠx − QᵀW⁻¹E_j·g) for the
-    positions j ∈ K(τ), with g = Γ⁻¹Qᵀx.  One solve for g, one batched solve
-    for the r columns.
+    positions j ∈ K(τ), with g = Γ⁻¹Qᵀx.  One batched solve for the r
+    columns, and one for g unless the projection of x handed it over.
     """
     coeffs = factor.coeffs
     n, r = x.shape[0], factor.r
     m = n - r
-    g = factor.solve(apply_q_transpose(coeffs, x))
+    if g is None:
+        g = factor.solve(apply_q_transpose(coeffs, x))
     # column-major, so the banded products with Ĉ run down whole columns
     padded = np.zeros((n, r), order="F")  # E_j·g: g zero-padded to offset j
     windows = np.empty((m, r), order="F")  # E_jᵀΠx: Πx windowed at offset j
@@ -325,12 +371,13 @@ def vp_jacobian(
 
     where Qᵀ(e_j)v windows v at offset j−1 and Q(e_j)u zero-pads u to that
     window.  It is computed in the merged form W⁻¹K_j of the module
-    docstring: one batched solve for all r columns, besides the solves of
-    Πx and g, all on one factorization.
+    docstring: one batched solve for all r columns, besides the solve of
+    Πx, whose g the columns reuse, all on one factorization.
     """
     rhs = _as_vector_or_batch(x)
     if rhs.ndim != 1:
         raise ValueError("the Jacobian is defined for a single series")
     if not 1 <= tau <= factor.r + 1:
         raise ValueError(f"pivot index {tau} outside 1..{factor.r + 1}")
-    return factor.apply_winv(_vp_columns(factor, tau, rhs, factor.kernel_projection(rhs)))
+    pix = factor.kernel_projection(rhs)
+    return factor.apply_winv(_vp_columns(factor, tau, rhs, pix, factor._take_g(rhs)))

@@ -205,30 +205,34 @@ def apply_q_transpose(b: ArrayLike, x: np.ndarray) -> np.ndarray:
     """Compute Qᵀ(b)·x without materializing Q (sliding correlation).
 
     ``x`` may be a vector of length M or a matrix M×m (columnwise).  The
-    result has length M−d where d+1 = len(b).
+    result has length M−d where d+1 = len(b); a matrix result is column-major,
+    so banded products and LAPACK take it without a copy.
     """
     b = np.asarray(b, dtype=float).reshape(-1)
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         return np.correlate(x, b, mode="valid")
-    return np.stack(
-        [np.correlate(x[:, j], b, mode="valid") for j in range(x.shape[1])], axis=1
-    )
+    # the length np.correlate gives in "valid" mode
+    out = np.empty((abs(x.shape[0] - b.size) + 1, x.shape[1]), order="F")
+    for j in range(x.shape[1]):
+        out[:, j] = np.correlate(x[:, j], b, mode="valid")
+    return out
 
 
 def apply_q(b: ArrayLike, v: np.ndarray) -> np.ndarray:
     """Compute Q(b)·v without materializing Q (full convolution).
 
     ``v`` may be a vector of length M−d or a matrix (columnwise); the result
-    has length M = len(v) + d.
+    has length M = len(v) + d, column-major for a matrix.
     """
     b = np.asarray(b, dtype=float).reshape(-1)
     v = np.asarray(v, dtype=float)
     if v.ndim == 1:
         return np.convolve(v, b, mode="full")
-    return np.stack(
-        [np.convolve(v[:, j], b, mode="full") for j in range(v.shape[1])], axis=1
-    )
+    out = np.empty((v.shape[0] + b.size - 1, v.shape[1]), order="F")
+    for j in range(v.shape[1]):
+        out[:, j] = np.convolve(v[:, j], b, mode="full")
+    return out
 
 
 def glrr_residual(

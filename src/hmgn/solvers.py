@@ -35,16 +35,28 @@ between coefficients that are equal up to rounding.
 All projections onto Z(a) share one projector: the Gram route for plain
 "vpgn", the basis route in their mode for the other methods.  The accepted
 trial's projection is handed to the next step, so a base point is projected
-once unless re-normalization moves the pivot τ.  On the basis route the
-projection keeps the factor of its whitened basis, so that basis is also
-factored once: the step deflates F̂ with the same factor, and one iteration
-factors two whitened designs, the trial's basis and the deflated F̂.
+once unless re-normalization moves the pivot τ.  A handed-over projection
+carries, besides the signal Πx:
+
+* on the basis route, the rotated spectrum, the basis and the factor of the
+  whitened basis, so that basis is factored once: the step deflates F̂ with
+  the same factor, and one iteration factors two whitened designs, the
+  trial's basis and the deflated F̂;
+* on the Gram route, the factor of Γ(a) and g = Γ⁻¹Qᵀ(a)x, so the step's
+  Jacobian solves Γ⁻¹ for its r columns only;
+* the whitened residual whiten(W, x − Πx) and its norm, the objective
+  ‖x − Πx‖_W: the line search takes both to compare a trial, the fit
+  records the objective and the step solves against the residual, so the
+  residual is whitened once per base point.  A trial accepted as a small
+  step was compared with nothing, so the fit whitens its residual before
+  the step; only a base point projected afresh (the first, or one after the
+  pivot moved) is whitened twice, in the step and for the objective.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -217,7 +229,8 @@ def initial_glrr(x: Union[TimeSeries, np.ndarray], r: int) -> GlrrVector:
 class _Projection:
     """Π_{Z(a),W}x with the work that produced it: ``spectrum``, ``basis``
     and the least-squares factor ``lstsq`` of the whitened basis on the basis
-    route, ``factor`` on the Gram route.
+    route, ``factor`` and g = Γ⁻¹Qᵀ(a)x on the Gram route.  ``residual_w``
+    is whiten(W, x − Πx) and ``objective`` its norm ‖x − Πx‖_W, once taken.
 
     Compared and hashed by identity (``eq=False``): a field-wise ``==``
     would compare arrays and raise instead of returning a bool.
@@ -228,6 +241,9 @@ class _Projection:
     basis: Optional[SubspaceBasis] = None
     lstsq: Optional[_LstsqFactor] = None
     factor: Optional[GammaFactor] = None
+    g: Optional[np.ndarray] = None
+    residual_w: Optional[np.ndarray] = None
+    objective: Optional[float] = None
 
 
 def _project(
@@ -240,19 +256,31 @@ def _project(
 ) -> _Projection:
     """The one projection onto Z(a) of the solvers.
 
-    Plain ``vpgn`` projects through the Gram factor (``factor`` if given);
-    every other (family, mode) builds the basis of Z(a) in ``mode`` and
-    factors it whitened once, for this projection and the step's F̂ solve.
+    Plain ``vpgn`` projects through the Gram factor (``factor`` if given)
+    and keeps the g it solved for; every other (family, mode) builds the
+    basis of Z(a) in ``mode`` and factors it whitened once, for this
+    projection and the step's F̂ solve.
     """
     if family == "vpgn" and mode == "plain":
         if factor is None:
             factor = GammaFactor(a_full, w)
-        return _Projection(project_gamma(factor, values), factor=factor)
+        signal = project_gamma(factor, values)
+        return _Projection(signal, factor=factor, g=factor._take_g(values))
     spectrum = rotated_spectrum(a_full, values.shape[0], mode)
     basis = nullspace_basis(spectrum)
     lstsq = _LstsqFactor(whiten(w, basis.z))
     signal = basis.z @ lstsq.solve(whiten(w, values))
     return _Projection(signal, spectrum, basis, lstsq)
+
+
+def _whitened_residual(
+    at: _Projection, values: np.ndarray, w: WeightSpec
+) -> np.ndarray:
+    """whiten(W, x − Πx) at the projection ``at``: the one it carries, else
+    taken afresh."""
+    if at.residual_w is not None:
+        return at.residual_w
+    return whiten(w, values - at.signal)
 
 
 def mgn_step(
@@ -280,7 +308,8 @@ def mgn_step(
     s_k = at.signal
     fhat = fhat_matrix(at.spectrum, s_k, tau)
     deflated = fhat - at.basis.z @ at.lstsq.solve(whiten(w, fhat))
-    delta = _LstsqFactor(whiten(w, deflated)).solve(whiten(w, values - s_k))
+    residual_w = _whitened_residual(at, values, w)
+    delta = _LstsqFactor(whiten(w, deflated)).solve(residual_w)
     return delta, s_k
 
 
@@ -299,8 +328,9 @@ def vpgn_step(
     compensated basis in compensated mode; either way the Jacobian reads Πx
     from it.  Δ solves the least squares on the design whitened by Ĉ, ĈK
     with J = W⁻¹K, against the whitened residual, from one batched Γ⁻¹
-    solve of the r columns besides the solve of Γ⁻¹Qᵀ(a)x.  ``at`` is the
-    projection at this base point that ``line_search`` returned; a
+    solve of the r columns; g = Γ⁻¹Qᵀ(a)x comes from a Gram-route
+    projection and is solved for only on the compensated route.  ``at`` is
+    the projection at this base point that ``line_search`` returned; a
     handed-over Gram factor also serves the Jacobian.
     """
     values = as_time_series(x).values
@@ -312,8 +342,8 @@ def vpgn_step(
     if at is None:
         at = _project(a_full, values, w, "vpgn", mode, factor=factor)
     s_k = at.signal
-    design = factor.apply_chat(_vp_columns(factor, tau, values, s_k))
-    delta = _LstsqFactor(design).solve(whiten(w, values - s_k))
+    design = factor.apply_chat(_vp_columns(factor, tau, values, s_k, at.g))
+    delta = _LstsqFactor(design).solve(_whitened_residual(at, values, w))
     return delta, s_k
 
 
@@ -336,7 +366,9 @@ def line_search(
     is the norm of the previous accepted step, ``None`` on the first
     iteration.  γ = 0 with a False flag means backtracking reached the noise
     floor γ·ρ < ζ or exhausted the grid; with a True flag it is the
-    small-step stop verdict.  Either way no projection is returned.
+    small-step stop verdict.  Either way no projection is returned.  A
+    projection accepted by the objective comparison carries its whitened
+    residual and the objective it was compared with.
     """
     values = as_time_series(x).values
     if not np.all(np.isfinite(delta)):
@@ -371,8 +403,12 @@ def line_search(
             if gamma * relative < _ZETA:  # a change this small is evaluation noise
                 return 0.0, adot.copy(), False, None, m
             trial = _project(h_tau(adot + gamma * delta, tau), values, w, family, mode)
-        if weighted_norm(w, values - trial.signal) <= objective:
-            return gamma, adot + gamma * delta, False, trial, m + 1
+        # weighted_norm's two steps, to keep the whitened residual
+        residual_w = whiten(w, values - trial.signal)
+        trial_objective = _norm2(residual_w)
+        if trial_objective <= objective:
+            accepted = replace(trial, residual_w=residual_w, objective=trial_objective)
+            return gamma, adot + gamma * delta, False, accepted, m + 1
         gamma *= 0.5
     return 0.0, adot.copy(), False, None, _GAMMA_MIN_EXPONENT + 1
 
@@ -436,11 +472,15 @@ def fit(
             tau, adot = renorm.tau, renorm.adot
             at = None
 
+        if at is not None and at.residual_w is None:
+            # a small step: the line search compared nothing at this signal
+            residual_w = whiten(w, ts.values - at.signal)
+            at = replace(at, residual_w=residual_w, objective=_norm2(residual_w))
         delta, s_k = step(adot, tau, ts, w, mode=config.mode, at=at)
+        objective = weighted_norm(w, ts.values - s_k) if at is None else at.objective
         at = None  # consumed: keep its basis or factor out of the line search
         signal = s_k
         a_full = h_tau(adot, tau)
-        objective = weighted_norm(w, ts.values - s_k)
         rel_residual = _norm2(glrr_residual(s_k, a_full)) / float(np.linalg.norm(a_full))
 
         gamma, adot_next, small, at, trials = line_search(

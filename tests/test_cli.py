@@ -6,6 +6,7 @@ import ast
 import csv
 import json
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,8 +14,9 @@ from numpy.testing import assert_array_equal
 
 from hmgn import experiments
 from hmgn.cli import main, parse_components
-from hmgn.problems import gapped_preset
+from hmgn.problems import build_known_minimum, gapped_preset
 from hmgn.series import ModelComponent, generate_model_signal, read_series_csv
+from hmgn.weights import Identity
 
 RANK2 = "1:0.98:0.12:0.3"
 
@@ -255,6 +257,29 @@ def grid_csv(tmp_path, name, kind, *extra):
     with open(path, newline="") as fh:
         header = next(csv.reader(fh))
     return path, header, read_rows(path)
+
+
+def test_accuracy_row_marks_an_objective_below_the_known_minimum():
+    # Y* minimizes the objective over the rank-r set, so a signal that beats
+    # it by more than the tolerance has left the set
+    problem = build_known_minimum(40)
+    w = Identity(40)
+
+    def status_of(signal):
+        result = SimpleNamespace(signal=signal, glrr_rel_residual=0.0, iterations=1)
+        return experiments._accuracy_row(problem, w, lambda: (result, "ok"))[-1]
+
+    assert status_of(problem.y_star.values) == "ok"
+    assert status_of(problem.x.values) == "below_minimum"
+    toward_x = problem.x.values - problem.y_star.values
+    for scale, status in ((0.1, "ok"), (10.0, "below_minimum")):
+        # the objective falls by about scale·RTOL·minimum
+        step = scale * experiments._BELOW_MINIMUM_RTOL * toward_x
+        assert status_of(problem.y_star.values + step) == status
+    failed = experiments._accuracy_row(
+        problem, w, lambda: (None, "GammaBreakdownError")
+    )
+    assert failed == [None, None, None, None, "GammaBreakdownError"]
 
 
 def test_experiment_residual_vs_n_rows(tmp_path, capsys):

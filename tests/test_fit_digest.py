@@ -24,6 +24,22 @@ def test_fit_digest_is_deterministic_and_sees_every_fit():
     assert fit_digest.workload_digest("gapped-short", 101, smoke=True)[0] != digest
 
 
+#: digests of the self-test sizes at seed 100; a change that moves any bit
+#: of a fit changes them, and says so where it records its changes
+SMOKE_DIGESTS = {
+    "trend-long": "5a9a96069cdbdef1691e060ad98e9cfd3b3cb78c2285ff16ec198db67562c26e",
+    "gapped-short": "6f0f69fb6a9846decc9070b8771c59108c9d38692bf332186b2148add4066d96",
+    "kernel-banded": "929a9b3bcc66632abdbb7dd801479e0fa09d0833198af51727765e2796b8ca0c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMOKE_DIGESTS))
+def test_smoke_fits_are_bitwise_pinned(name):
+    digest, _, raised = fit_digest.workload_digest(name, 100, smoke=True)
+    assert raised == 0
+    assert digest == SMOKE_DIGESTS[name]
+
+
 def test_fit_digest_prints_one_line_per_workload_and_seed(capsys):
     argv = ["--workload", "gapped-short", "--seed", "100", "--seed", "7919", "--smoke"]
     assert fit_digest.main(argv) == 0

@@ -420,6 +420,8 @@ def test_fhat_rejects_bad_shapes():
 def _clear_grid_tables():
     hmgn.nullspace._unit_grid.cache_clear()
     hmgn.nullspace._fourier_columns.cache_clear()
+    hmgn.nullspace._rotated_grid.cache_clear()
+    hmgn.nullspace._untwist.cache_clear()
 
 
 @pytest.mark.parametrize("n", [50, 997, 5000])
@@ -547,7 +549,7 @@ def test_grid_tables_shared_across_threads():
     serial = [task(job, shared[job[1:]]) for job in jobs]
 
     _clear_grid_tables()
-    shared = spectra()  # fresh spectra: their untwists are built in the pool
+    shared = spectra()  # empty tables: the untwists are built in the pool
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -557,3 +559,44 @@ def test_grid_tables_shared_across_threads():
     finally:
         sys.setswitchinterval(interval)
     assert threaded == serial
+
+
+def test_rotation_tables_are_bitwise_the_direct_forms():
+    # the rotated grid and the untwist T_N(−α₀) come from tables per (N, α);
+    # each entry is the direct np.exp form byte for byte, so signed zeros
+    # count too
+    ns = hmgn.nullspace
+    rng = np.random.default_rng(17)
+    _clear_grid_tables()
+    for n in (8, 50, 51, 1000, 5000):
+        alphas = [0.0, -0.0, np.pi / n, -np.pi / n, np.float64(np.pi / n)]
+        alphas += list(rng.uniform(-np.pi / n, np.pi / n, 3))
+        for alpha in alphas * 2:  # the second pass reads the tables
+            grid = _rotated_grid(n, alpha)
+            assert ns._rotated_grid(n, float(alpha)).tobytes() == grid.tobytes()
+            untwist = ns._twist(n, -float(alpha))
+            assert ns._untwist(n, float(alpha)).tobytes() == untwist.tobytes()
+            spectrum = RotatedSpectrum((1.0, -1.0), "plain", alpha, np.ones(n))
+            assert spectrum.untwist.tobytes() == untwist.tobytes()
+            coeffs = np.array([1.0, -2.0, 1.0]) + 1e-6
+            assert np.array_equal(
+                eval_poly_grid(coeffs, alpha, n), ns._plain_horner(coeffs, grid)
+            )
+            assert np.array_equal(
+                eval_poly_grid(coeffs, alpha, n, "compensated"),
+                ns._comp_horner(coeffs, grid),
+            )
+    assert ns._rotated_grid(50, np.pi / 50) is ns._rotated_grid(50, np.pi / 50)
+
+
+def test_rotation_tables_read_only_and_bounded():
+    ns = hmgn.nullspace
+    _clear_grid_tables()
+    for k in range(3 * ns._ROTATION_TABLE_SIZE):
+        alpha = k * 1e-3
+        for table in (ns._rotated_grid(100, alpha), ns._untwist(100, alpha)):
+            with pytest.raises(ValueError):
+                table.flat[0] = 0.0
+    for cached in (ns._rotated_grid, ns._untwist):
+        info = cached.cache_info()
+        assert info.currsize == info.maxsize == ns._ROTATION_TABLE_SIZE

@@ -21,7 +21,7 @@ from hmgn.projection import (
     vp_jacobian,
     weighted_pinv_apply,
 )
-from hmgn.series import h_tau
+from hmgn.series import apply_q_transpose, h_tau
 from hmgn.weights import (
     BandedW,
     BandedWinv,
@@ -510,3 +510,91 @@ def test_vp_jacobian_columns_in_tangent_space():
     a2 = np.convolve(a, a)
     q2 = q_matrix_oracle(a2, n)
     assert np.linalg.norm(q2.T @ jac) <= 1e-6 * np.linalg.norm(jac)
+
+
+# ---------------------------------------------------------------------------
+# reuse on the Gram route: carried g and direct banded LAPACK
+# ---------------------------------------------------------------------------
+
+
+def _gram_banded_case(weight, n=60):
+    """(a, W, Γ in upper band storage) at a stable order-3 GLRR."""
+    rng = np.random.default_rng(61 + (weight == "banded_winv"))
+    a = stable_glrr(3, rng)
+    if weight == "identity":
+        w, bands = Identity(n), (np.ones(n),)
+    else:
+        w = random_tridiagonal_winv(n, rng)
+        bands = w.chat_bands
+    return a, w, projection._gram_upper(a, bands, n)
+
+
+@pytest.mark.parametrize("weight", ["identity", "banded_winv"])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_vp_columns_from_the_carried_g_are_bitwise_the_recomputed(r, weight):
+    factor, tau, x, _ = _jacobian_case(r, weight)
+    pix = project_gamma(factor, x)
+    g = factor._take_g(x)
+    fresh = factor.solve(apply_q_transpose(factor.coeffs, x))
+    assert np.array_equal(g, fresh)
+    recomputed = projection._vp_columns(factor, tau, x, pix)
+    assert np.array_equal(projection._vp_columns(factor, tau, x, pix, g), recomputed)
+    assert np.array_equal(vp_jacobian(factor, tau, x), factor.apply_winv(recomputed))
+
+
+def test_gamma_factor_keeps_g_of_the_last_vector_projected_only():
+    factor, _, x, _ = _jacobian_case(2, "banded_winv")
+    project_gamma(factor, x)
+    assert factor._take_g(x.copy()) is None  # equal values, another array
+    project_gamma(factor, x)
+    assert factor._take_g(x) is not None
+    assert factor._take_g(x) is None  # taken once
+    project_gamma(factor, x)
+    project_gamma(factor, np.stack([x, x], axis=1))  # a batch keeps no g
+    assert factor._take_g(x) is not None
+
+
+@pytest.mark.parametrize("weight", ["identity", "banded_winv"])
+def test_gamma_factor_is_bitwise_the_scipy_banded_cholesky(weight):
+    a, w, ab = _gram_banded_case(weight)
+    factor = GammaFactor(a, w)
+    chol = scipy.linalg.cholesky_banded(ab, lower=False)
+    assert np.array_equal(factor._chol, chol)
+    rng = np.random.default_rng(62)
+    block = rng.standard_normal((ab.shape[1], 4))
+    for v in (block[:, 0], block, np.asfortranarray(block)):
+        want = scipy.linalg.cho_solve_banded((chol, False), v)
+        assert np.array_equal(factor.solve(v), want)
+
+
+def test_gamma_factor_error_contract():
+    # a five-fold unit root breaks the factorization at N = 1000, as it
+    # breaks scipy's
+    a = (1.0, -5.0, 10.0, -10.0, 5.0, -1.0)
+    ab = projection._gram_upper(np.asarray(a), (np.ones(1000),), 1000)
+    with pytest.raises(np.linalg.LinAlgError):
+        scipy.linalg.cholesky_banded(ab, lower=False)
+    with pytest.raises(GammaBreakdownError, match="leading minor"):
+        GammaFactor(a, Identity(1000))
+
+    factor, _, x, _ = _jacobian_case(2, "banded_winv")
+    bad = apply_q_transpose(factor.coeffs, x)
+    bad[3] = np.nan
+    with pytest.raises(ValueError):
+        factor.solve(bad)
+    with pytest.raises(ValueError):
+        factor.solve(np.stack([bad, bad], axis=1))
+    with pytest.raises(ValueError):
+        factor.solve(bad[:-1])
+    x_bad = x.copy()
+    x_bad[0] = np.inf
+    with pytest.raises(ValueError):
+        project_gamma(factor, x_bad)
+
+
+def test_gamma_factor_rejects_a_non_finite_gram(monkeypatch):
+    a, w, ab = _gram_banded_case("identity")
+    ab[0, -1] = np.inf
+    monkeypatch.setattr(projection, "_gram_upper", lambda *args: ab.copy())
+    with pytest.raises(ValueError):
+        GammaFactor(a, w)

@@ -182,6 +182,27 @@ def test_apply_q_adjoint_pair():
     assert_allclose(apply_q_transpose(a, xs), q.T @ xs, rtol=1e-12)
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("shape", [(12, 1), (12, 3), (200, 5)])
+def test_apply_q_blocks_are_column_major_and_bitwise_the_stacked(shape, order):
+    # each column of a block result is the vector result for that column,
+    # written into a Fortran-ordered block in place of np.stack's C order
+    rng = np.random.default_rng(8)
+    a = rng.standard_normal(4)
+    x = np.asarray(rng.standard_normal(shape), order=order)
+    for apply, kernel, mode in (
+        (apply_q_transpose, np.correlate, "valid"),
+        (apply_q, np.convolve, "full"),
+    ):
+        got = apply(a, x)
+        columns = [kernel(x[:, j], a, mode=mode) for j in range(shape[1])]
+        stacked = np.stack(columns, axis=1)
+        assert got.flags.f_contiguous
+        assert np.array_equal(got, stacked)
+        for j in range(shape[1]):
+            assert np.array_equal(got[:, j], apply(a, x[:, j]))
+
+
 def test_residual_vanishes_on_nullspace():
     # For S in the kernel of Q^T(a), the residual is zero to rounding.
     rng = np.random.default_rng(42)

@@ -17,6 +17,7 @@ from hmgn.projection import (
 )
 from hmgn.series import (
     GlrrVector,
+    apply_q_transpose,
     as_time_series,
     glrr_residual,
     h_tau,
@@ -37,6 +38,7 @@ from hmgn.weights import (
     banded_winv_from_winv_bands,
     mask_missing,
     weighted_norm,
+    whiten,
 )
 
 from _oracles import (
@@ -217,8 +219,8 @@ def test_vpgn_step_matches_two_solve_direction(r, weight):
 
 @pytest.mark.parametrize("r", [2, 4])
 def test_vpgn_step_one_batched_solve_and_vector_whitening(r, monkeypatch):
-    # a step at a handed-over Gram projection solves Γ⁻¹ for g and for one
-    # r-column batch (r + 1 columns), and whitens only the residual vector
+    # a step at a handed-over Gram projection takes g from it, solves Γ⁻¹
+    # for one r-column batch only, and whitens only the residual vector
     adot, tau, x, w, _ = _banded_step_case(r, "banded_winv", n=200)
     at = solvers._project(h_tau(adot, tau), x, w, "vpgn", "plain")
     columns = []
@@ -240,7 +242,7 @@ def test_vpgn_step_one_batched_solve_and_vector_whitening(r, monkeypatch):
         if getattr(module, "whiten", None) is original_whiten:
             monkeypatch.setattr(module, "whiten", counted_whiten)
     vpgn_step(adot, tau, x, w, at=at)
-    assert sum(columns) == r + 1
+    assert columns == [r]
     assert whitened == [1]
 
 
@@ -362,6 +364,44 @@ def test_line_search_accepts_improving_full_step():
     assert gamma == 1.0
     assert trials == 1
     assert_allclose(nxt, adot + delta)
+
+
+@pytest.mark.parametrize("method", ["mgn", "vpgn"])
+def test_line_search_carries_what_the_accepted_trial_computed(method):
+    # the whitened residual and the objective it compared, and on the Gram
+    # route g = Γ⁻¹Qᵀx, each bitwise what the next base point would compute
+    rng = np.random.default_rng(2)
+    n = 60
+    x = rank2_signal(n) + 0.02 * rng.standard_normal(n)
+    w = Identity(n)
+    norm = normalize_glrr(initial_glrr(x, 2).coeffs)
+    adot = norm.adot + 0.05
+    step = mgn_step if method == "mgn" else vpgn_step
+    delta, _ = step(adot, norm.tau, x, w)
+    gamma, _, small, trial, _ = line_search(
+        adot, delta, norm.tau, x, w, None, SolverConfig(method=method),
+        *_base_point(adot, norm.tau, x, w),
+    )
+    assert (gamma, small) == (1.0, False)
+    assert np.array_equal(trial.residual_w, whiten(w, x - trial.signal))
+    assert trial.objective == weighted_norm(w, x - trial.signal)
+    if method == "vpgn":
+        factor = trial.factor
+        fresh = factor.solve(apply_q_transpose(factor.coeffs, x))
+        assert np.array_equal(trial.g, fresh)
+    else:
+        assert trial.g is None
+
+
+def test_line_search_small_step_carries_no_objective():
+    x = rank2_signal(30)
+    w = Identity(30)
+    norm = normalize_glrr(initial_glrr(x, 2).coeffs)
+    _, _, small, trial, _ = line_search(
+        norm.adot, np.zeros(2), norm.tau, x, w, None, SolverConfig(method="mgn"),
+        *_base_point(norm.adot, norm.tau, x, w),
+    )
+    assert small and trial.residual_w is None and trial.objective is None
 
 
 def test_line_search_exhausts_on_adversarial_direction():
@@ -555,6 +595,40 @@ def test_fit_projects_once_per_base_point(method, monkeypatch):
         else:
             assert 1 <= row.trials <= solvers._GAMMA_MIN_EXPONENT + 1
     assert len(calls) == 1 + sum(row.trials for row in res.trace.rows)
+
+
+@pytest.mark.parametrize("max_iter", [200, 6, 24])
+@pytest.mark.parametrize("method", METHODS)
+def test_fit_whitens_each_residual_once(method, max_iter, monkeypatch):
+    # whiten(W, x − s) once per distinct signal s: every trial the objective
+    # comparison saw, and every small step taken, whose trial was compared
+    # with nothing; the first base point twice, in the step and for its
+    # objective.  Each serves both the objective and the step's right-hand
+    # side.  The fits take small steps from row 18 on, so the cap of 24
+    # cuts one short.  The basis route's whitenings of x itself, one per
+    # projection, are not residuals and not counted.
+    rng = np.random.default_rng(1)
+    x = rank2_signal(80) + 0.5 * rng.standard_normal(80)
+    residuals = []
+    original = weights.whiten
+
+    def counted(w_, v):
+        if np.ndim(v) == 1 and not np.array_equal(v, x):
+            residuals.append(1)
+        return original(w_, v)
+
+    for module in (weights, projection, solvers):
+        if getattr(module, "whiten", None) is original:
+            monkeypatch.setattr(module, "whiten", counted)
+    res = fit(x, r=2, config=SolverConfig(method=method, max_iter=max_iter))
+
+    rows = res.trace.rows
+    assert {row.tau for row in rows} == {res.tau}  # pivot never moves
+    compared = sum(row.trials for row in rows if not row.small_step)
+    small_taken = sum(1 for row in rows[:-1] if row.small_step and row.gamma > 0.0)
+    assert len(residuals) == 2 + compared + small_taken
+    if max_iter == 24:
+        assert rows[-1].small_step and rows[-1].gamma == 1.0
 
 
 @pytest.mark.parametrize("method", ["mgn", "s-mgn"])
