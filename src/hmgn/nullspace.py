@@ -12,6 +12,10 @@ closed form from the r roots of g_a: each root near the unit circle forbids
 one rotation modulo 2π/N, and the midpoints of the gaps between forbidden
 rotations (plus the half-spacing offset) are the only candidates, so the
 placement costs an r×r eigenproblem and at most r + 1 grid evaluations.
+The roots are the eigenvalues of the companion matrix of g_a, formed as
+``np.roots`` forms it but without its checks, and the few forbidden
+rotations and candidates are handled as Python floats: at N = 50 the
+numpy calls on arrays of one to five entries cost more than the arithmetic.
 
 Both accuracy modes orthonormalize L_r = A_g⁻¹·R_r once, by classical
 Gram–Schmidt run twice (CGS2), into L_r = Q·R̂; they differ only in
@@ -28,7 +32,8 @@ same at any BLAS thread count.
 
 The same rotated spectrum also solves the banded system Qᵀ(a)·F̂ = M that
 the search-direction computation needs (``fhat_matrix``): extend M by r
-zero rows, twist, and apply C(ã)⁻¹ through the FFT.
+zero rows, twist, and apply C(ã)⁻¹ through the FFT, with M held one column
+per row so that each transform runs over a contiguous line.
 
 The ``RotatedSpectrum`` is the only carrier of (a, N, mode): it holds the
 coefficients and the arithmetic mode its eigenvalues were evaluated in, N
@@ -56,6 +61,7 @@ safely.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -63,7 +69,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import BasisRealizationError, SpectrumDegeneracyError
-from .series import GlrrVector, TimeSeries, apply_q_transpose, as_time_series
+from .series import GlrrVector, TimeSeries, _series_values, apply_q_transpose
 from .weights import _norm2
 
 __all__ = [
@@ -284,52 +290,76 @@ def _grid_min_abs(
     """
     shifts = np.exp(-1j * alphas)[:, None]
     width = max(1, _GRID_BLOCK // alphas.size)
+    if base.size <= width:
+        return np.abs(_plain_horner(coeffs, base[None, :] * shifts)).min(axis=1)
     block_mins = []
     for lo in range(0, base.size, width):
         z = base[None, lo : lo + width] * shifts
-        block_mins.append(np.min(np.abs(_plain_horner(coeffs, z)), axis=1))
+        block_mins.append(np.abs(_plain_horner(coeffs, z)).min(axis=1))
     return np.min(block_mins, axis=0)
+
+
+#: relative size below which a top coefficient counts as zero in the roots
+_EPS = 2.0**-52
+
+
+def _companion_roots(p: np.ndarray) -> np.ndarray:
+    """Roots of Σ p[k]·z^{m−k} (highest power first, p[0] ≠ 0) less those
+    at 0: the eigenvalues of the companion matrix, formed as ``np.roots``
+    forms it after its checks.  Trailing zero coefficients, whose roots are
+    0, are stripped first, as ``np.roots`` strips them."""
+    nonzero = p.nonzero()[0]
+    p = p[: nonzero[-1] + 1]
+    m = p.size - 1
+    if m < 1:
+        return p[:0]
+    companion = np.diag(np.ones(m - 1, p.dtype), -1)
+    companion[0, :] = -p[1:] / p[0]
+    return np.linalg.eigvals(companion)
 
 
 def find_rotation(a: CoeffLike, n: int) -> float:
     """Rotation α₀ ∈ (−π/N, π/N] keeping the grid away from the roots of g_a.
 
     A grid point lands on a root ρ when α ≡ −arg ρ (mod 2π/N), and only
-    roots with |log|ρ|| < 2π/N come close to the grid.  The candidates are
-    the midpoint of every circular gap between those forbidden rotations
+    roots with |log|ρ|| < 2π/N come close to the grid.  The roots are the
+    eigenvalues of the companion matrix of g_a, formed directly as
+    ``np.roots`` forms it, so they are bitwise its roots.  The candidates
+    are the midpoint of every circular gap between the forbidden rotations
     plus the half-spacing offset π/N; the one with the largest plain
-    min_j |g_a| wins.  Every gap is tried, not only the widest, because
-    ``np.roots`` splits a t-fold root into a ring of radius about u^{1/t}
-    whose gaps say little about where the true root is.  Cost: one r×r
-    eigenproblem and at most r + 1 grid evaluations, taken in one pass.
+    min_j |g_a| wins.  Every gap is tried, not only the widest, because the
+    eigenvalue solver splits a t-fold root into a ring of radius about
+    u^{1/t} whose gaps say little about where the true root is.  The at
+    most r forbidden rotations and r + 1 candidates are sorted, spaced and
+    wrapped in Python floats (whose ``%`` rounds as ``np.mod``).  Cost: one
+    r×r eigenproblem and at most r + 1 grid evaluations, taken in one pass.
     """
     coeffs = _coeffs(a)
     if n < coeffs.size:
         raise SpectrumDegeneracyError(
             f"grid size {n} smaller than coefficient count {coeffs.size}"
         )
-    spacing = 2.0 * np.pi / n
+    spacing = 2.0 * math.pi / n
     half = 0.5 * spacing
     cand = [half]
     mag = np.abs(coeffs)
-    if np.all(np.isfinite(mag)) and mag.max() > 0.0:
+    big = mag.max()
+    if np.isfinite(mag).all() and big > 0.0:
         # top coefficients at rounding level put roots near infinity, and a
         # subnormal one overflows the companion matrix
-        top = np.flatnonzero(mag > np.finfo(float).eps * mag.max())[-1]
-        roots = np.roots(coeffs[top::-1])
+        top = (mag > _EPS * big).nonzero()[0][-1]
+        roots = _companion_roots(coeffs[top::-1])
         roots = roots[np.isfinite(roots) & (roots != 0)]
         near = roots[np.abs(np.log(np.abs(roots))) < spacing]
-        forbidden = np.unique(np.mod(-np.angle(near), spacing))
-        if forbidden.size:
-            gaps = np.diff(np.append(forbidden, forbidden[0] + spacing))
-            cand.extend(forbidden + 0.5 * gaps)
+        forbidden = sorted({angle % spacing for angle in (-np.angle(near)).tolist()})
+        if forbidden:
+            ends = forbidden[1:] + [forbidden[0] + spacing]
+            cand.extend(f + 0.5 * (e - f) for f, e in zip(forbidden, ends))
     # wrap into (−π/N, π/N] (the grid is 2π/N-periodic in the rotation)
-    wrapped = np.mod(np.asarray(cand) + half, spacing)
-    wrapped[wrapped == 0.0] = spacing
-    cand = wrapped - half
-    base = _unit_grid(n)
-    vals = _grid_min_abs(coeffs, base, cand)
-    best = int(np.argmax(vals))
+    wrapped = [(c + half) % spacing for c in cand]
+    cand = [(w if w != 0.0 else spacing) - half for w in wrapped]
+    vals = _grid_min_abs(coeffs, _unit_grid(n), np.array(cand))
+    best = int(vals.argmax())
     if not vals[best] > 0.0:
         raise SpectrumDegeneracyError(
             "every candidate rotation hits a root of the coefficient "
@@ -362,9 +392,9 @@ class RotatedSpectrum:
         coeffs = _read_only(_coeffs(self.coeffs).copy())
         eig = np.asarray(self.eigenvalues, dtype=complex).reshape(-1)
         _check_order(coeffs.size - 1, eig.size)
-        if not np.all(np.isfinite(eig.view(float))):
+        if not np.isfinite(eig).all():
             raise SpectrumDegeneracyError("non-finite circulant eigenvalues")
-        if np.min(np.abs(eig)) == 0.0:
+        if np.abs(eig).min() == 0.0:
             raise SpectrumDegeneracyError(
                 "zero circulant eigenvalue: rotated grid hits a polynomial root"
             )
@@ -461,23 +491,25 @@ def _cgs2(l_rows: np.ndarray) -> tuple:
     """
     r = l_rows.shape[0]
     q = np.empty_like(l_rows)
+    # the conjugates of the finished columns, each taken once
+    conj = np.empty_like(l_rows)
     rhat = np.zeros((r, r), dtype=complex)
     for k in range(r):
         v = l_rows[k]
         if k:
-            done = q[:k]
-            conj = done.conj()
+            done, done_conj = q[:k], conj[:k]
             h = 0.0
             for _ in range(2):
                 # np.add.reduce is np.sum without its Python-level dispatch,
                 # which costs as much as the arithmetic at N = 50
-                pass_h = np.add.reduce(conj * v, axis=1, keepdims=True)
+                pass_h = np.add.reduce(done_conj * v, axis=1, keepdims=True)
                 v = v - np.add.reduce(pass_h * done, axis=0)
                 h = h + pass_h
             rhat[:k, k] = h[:, 0]
         norm = _norm2(v.view(float))
         rhat[k, k] = norm
-        q[k] = v / norm
+        np.divide(v, norm, out=q[k])
+        np.conjugate(q[k], out=conj[k])
     return q, rhat
 
 
@@ -555,22 +587,26 @@ def fhat_matrix(
     inverse rotated circulant through the FFT, and untwists; the real part
     is exact because M and Q(a) are real.  T_{N−r}(α₀) is the conjugate of
     the leading N − r entries of the spectrum's untwist T_N(−α₀), bitwise.
+    M and the transforms are held one column per row (r×N), so each FFT
+    runs over a contiguous line; F̂ is returned N×r in C order.
     """
-    x = as_time_series(s)
+    values = _series_values(s)
     n, r = spectrum.n, spectrum.r
-    if x.n != n:
-        raise ValueError(f"series length {x.n} does not match grid size {n}")
+    if values.size != n:
+        raise ValueError(f"series length {values.size} does not match grid size {n}")
     if not 1 <= tau <= r + 1:
         raise ValueError(f"tau={tau} out of range 1..{r + 1}")
 
-    # column c of M is −(window of S at offset j), j the c-th index of K(τ)
-    values = x.values
-    m = np.empty((n - r, r), order="F")
-    for col, j in enumerate(j for j in range(r + 1) if j != tau - 1):
-        np.negative(values[j : j + n - r], out=m[:, col])
-    m_ext = np.zeros((n, r), dtype=complex)
+    # row c holds column c of M: −(window of S at offset j), j the c-th
+    # index of K(τ)
+    m = np.empty((r, n - r))
+    for row, j in enumerate(j for j in range(r + 1) if j != tau - 1):
+        np.negative(values[j : j + n - r], out=m[row])
+    m_ext = np.zeros((r, n), dtype=complex)
     untwist = spectrum.untwist
-    m_ext[: n - r, :] = np.conj(untwist[: n - r])[:, None] * m
-    y = np.fft.fft(m_ext, axis=0, norm="ortho") / spectrum.eigenvalues[:, None]
-    fhat = untwist[:, None] * np.fft.ifft(y, axis=0, norm="ortho")
-    return np.ascontiguousarray(fhat.real)
+    np.multiply(np.conj(untwist[: n - r]), m, out=m_ext[:, : n - r])
+    y = np.fft.fft(m_ext, axis=1, norm="ortho")
+    y /= spectrum.eigenvalues
+    fhat = np.fft.ifft(y, axis=1, norm="ortho")
+    np.multiply(untwist, fhat, out=fhat)
+    return np.ascontiguousarray(fhat.real.T)

@@ -111,6 +111,24 @@ def as_time_series(x: Union[TimeSeries, ArrayLike]) -> TimeSeries:
     return TimeSeries(np.asarray(x, dtype=float))
 
 
+def _series_values(x: Union[TimeSeries, ArrayLike]) -> np.ndarray:
+    """``as_time_series(x).values`` bit for bit, without building a
+    TimeSeries when x is already a non-empty, all-finite, one-dimensional
+    float64 ndarray; that array itself is returned, so callers only read
+    it."""
+    if isinstance(x, TimeSeries):
+        return x.values
+    if (
+        type(x) is np.ndarray
+        and x.dtype == np.float64
+        and x.ndim == 1
+        and x.size
+        and np.isfinite(x).all()
+    ):
+        return x
+    return TimeSeries(np.asarray(x, dtype=float)).values
+
+
 @dataclass(frozen=True, eq=False)
 class GlrrVector:
     """Coefficient vector a ∈ R^{r+1} of a generalized LRR of order r.
@@ -243,7 +261,7 @@ def glrr_residual(
     Zero exactly when the series lies in Z(a).
     """
     coeffs = _glrr_coeffs(a)
-    x = as_time_series(series).values
+    x = _series_values(series)
     if coeffs.size > x.size:
         raise ValueError(
             f"GLRR order {coeffs.size - 1} too large for series of length {x.size}"

@@ -371,7 +371,8 @@ def line_search(
     residual and the objective it was compared with.
     """
     values = as_time_series(x).values
-    if not np.all(np.isfinite(delta)):
+    delta = np.asarray(delta, dtype=float)
+    if not np.isfinite(delta).all():
         raise ValueError("non-finite search direction")
     family, mode = config.family, config.mode
 
@@ -388,9 +389,10 @@ def line_search(
     if relative < _ZETA:
         if prev_step_norm is None:  # first iteration
             return 1.0, adot + delta, True, trial, 1
-        step = np.linalg.norm(delta)
+        # √(v·v) is how np.linalg.norm takes the norm of a real vector
+        step = math.sqrt(delta.dot(delta))
         # an epsilon-scale step cannot shrink further in double precision
-        negligible = step <= np.finfo(float).eps * (1.0 + np.linalg.norm(adot))
+        negligible = step <= np.finfo(float).eps * (1.0 + math.sqrt(adot.dot(adot)))
         shrinking = step < prev_step_norm
         if shrinking and not negligible:
             return 1.0, adot + delta, True, trial, 1
@@ -407,7 +409,10 @@ def line_search(
         residual_w = whiten(w, values - trial.signal)
         trial_objective = _norm2(residual_w)
         if trial_objective <= objective:
-            accepted = replace(trial, residual_w=residual_w, objective=trial_objective)
+            accepted = _Projection(
+                trial.signal, trial.spectrum, trial.basis, trial.lstsq,
+                trial.factor, trial.g, residual_w, trial_objective,
+            )
             return gamma, adot + gamma * delta, False, accepted, m + 1
         gamma *= 0.5
     return 0.0, adot.copy(), False, None, _GAMMA_MIN_EXPONENT + 1
@@ -481,7 +486,7 @@ def fit(
         at = None  # consumed: keep its basis or factor out of the line search
         signal = s_k
         a_full = h_tau(adot, tau)
-        rel_residual = _norm2(glrr_residual(s_k, a_full)) / float(np.linalg.norm(a_full))
+        rel_residual = _norm2(glrr_residual(s_k, a_full)) / math.sqrt(a_full.dot(a_full))
 
         gamma, adot_next, small, at, trials = line_search(
             adot, delta, tau, ts, w, prev_step_norm, config, s_k, objective
@@ -500,7 +505,8 @@ def fit(
         if gamma == 0.0:
             termination = "SmallStepStop" if small else "StepZero"
             break
-        prev_step_norm = float(np.linalg.norm(adot_next - adot))
+        step_taken = adot_next - adot
+        prev_step_norm = math.sqrt(step_taken.dot(step_taken))
         adot = adot_next
 
     final_full = h_tau(adot, tau)

@@ -92,12 +92,19 @@ def _bands_to_dense(bands: Bands, n: int) -> np.ndarray:
 
 
 def _mul_upper(bands: Bands, x: np.ndarray) -> np.ndarray:
-    """M·x for upper-triangular banded M (vector or columnwise matrix x)."""
+    """M·x for upper-triangular banded M (vector or columnwise matrix x).
+
+    A matrix is taken one whole column at a time: a band broadcast over the
+    rows of a C-ordered block would run numpy's inner loop over its few
+    columns only.  Each entry takes the same products and sums in the same
+    order either way, and the result keeps the layout of x.
+    """
     n = x.shape[0]
     out = np.zeros_like(x, dtype=float)
-    for d, band in enumerate(bands):
-        b = band if x.ndim == 1 else band[:, None]
-        out[: n - d] += b * x[d:]
+    cols = zip(x.T, out.T) if x.ndim == 2 else ((x, out),)
+    for x_col, out_col in cols:
+        for d, band in enumerate(bands):
+            out_col[: n - d] += band * x_col[d:]
     return out
 
 
@@ -354,12 +361,15 @@ def whiten(w: WeightSpec, x: np.ndarray) -> np.ndarray:
     x = _check_dim(w, x)
     # unwrapped in a loop, not by recursion: the benchmark's tracer wraps the
     # module-level name, so a recursive call would count as a second call
+    masked = False
     while isinstance(w, Masked):
         m = w.mask if x.ndim == 1 else w.mask[:, None]
         x = np.where(m, x, 0.0)
+        masked = True
         w = w.inner
     if isinstance(w, Identity):
-        return x.copy()
+        # np.where made a fresh array; copy only to give the layout of a copy
+        return x if masked and x.flags.c_contiguous else x.copy()
     if isinstance(w, BandedW):
         return _mul_upper(w.c_bands, x)
     if isinstance(w, BandedWinv):
@@ -379,7 +389,7 @@ def _norm2(x: np.ndarray) -> float:
     long vectors differently at different thread counts; this sum is the
     same at any thread count.
     """
-    x = np.ravel(x)
+    x = x.reshape(-1)
     return math.sqrt(np.add.reduce(x * x))
 
 

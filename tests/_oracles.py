@@ -374,3 +374,88 @@ def grid_min_abs_loop_oracle(coeffs, base, alphas):
             acc = acc * z + complex(coeffs[k])
         out.append(float(np.min(np.abs(acc))))
     return np.array(out)
+
+
+# ---------------------------------------------------------------------------
+# earlier forms of the basis route, kept to check later forms bit for bit
+# ---------------------------------------------------------------------------
+
+
+def find_rotation_oracle(coeffs, n):
+    """The rotation α₀ of ``find_rotation`` as ``np.roots`` and numpy set
+    operations on the candidate arrays give it; ``None`` where every
+    candidate hits a root (the package raises there)."""
+    coeffs = np.asarray(coeffs)
+    if coeffs.dtype.kind not in "fc":
+        coeffs = coeffs.astype(float)
+    spacing = 2.0 * np.pi / n
+    half = 0.5 * spacing
+    cand = [half]
+    mag = np.abs(coeffs)
+    if np.all(np.isfinite(mag)) and mag.max() > 0.0:
+        top = np.flatnonzero(mag > np.finfo(float).eps * mag.max())[-1]
+        roots = np.roots(coeffs[top::-1])
+        roots = roots[np.isfinite(roots) & (roots != 0)]
+        near = roots[np.abs(np.log(np.abs(roots))) < spacing]
+        forbidden = np.unique(np.mod(-np.angle(near), spacing))
+        if forbidden.size:
+            gaps = np.diff(np.append(forbidden, forbidden[0] + spacing))
+            cand.extend(forbidden + 0.5 * gaps)
+    wrapped = np.mod(np.asarray(cand) + half, spacing)
+    wrapped[wrapped == 0.0] = spacing
+    cand = wrapped - half
+    base = np.exp(2j * np.pi * np.arange(n) / n)
+    vals = grid_min_abs_loop_oracle(coeffs, base, cand)
+    best = int(np.argmax(vals))
+    if not vals[best] > 0.0:
+        return None
+    return float(cand[best])
+
+
+def fhat_columns_oracle(values, untwist, eigenvalues, r, tau):
+    """F̂ of ``fhat_matrix`` with M and the transforms held N×r, from the
+    series values and the spectrum's untwist T_N(−α₀) and eigenvalues."""
+    n = values.size
+    m = np.empty((n - r, r), order="F")
+    for col, j in enumerate(j for j in range(r + 1) if j != tau - 1):
+        np.negative(values[j : j + n - r], out=m[:, col])
+    m_ext = np.zeros((n, r), dtype=complex)
+    m_ext[: n - r, :] = np.conj(untwist[: n - r])[:, None] * m
+    y = np.fft.fft(m_ext, axis=0, norm="ortho") / eigenvalues[:, None]
+    fhat = untwist[:, None] * np.fft.ifft(y, axis=0, norm="ortho")
+    return np.ascontiguousarray(fhat.real)
+
+
+def cgs2_oracle(l_rows):
+    """Q and R̂ of ``nullspace._cgs2``, conjugating the finished columns
+    afresh at every column."""
+    r = l_rows.shape[0]
+    q = np.empty_like(l_rows)
+    rhat = np.zeros((r, r), dtype=complex)
+    for k in range(r):
+        v = l_rows[k]
+        if k:
+            done = q[:k]
+            conj = done.conj()
+            h = 0.0
+            for _ in range(2):
+                pass_h = np.add.reduce(conj * v, axis=1, keepdims=True)
+                v = v - np.add.reduce(pass_h * done, axis=0)
+                h = h + pass_h
+            rhat[:k, k] = h[:, 0]
+        parts = np.ravel(v.view(float))
+        norm = float(np.sqrt(np.add.reduce(parts * parts)))
+        rhat[k, k] = norm
+        q[k] = v / norm
+    return q, rhat
+
+
+def mul_upper_broadcast_oracle(bands, x):
+    """M·x for upper-triangular banded M, each band broadcast over the
+    columns of a matrix x."""
+    n = x.shape[0]
+    out = np.zeros_like(x, dtype=float)
+    for d, band in enumerate(bands):
+        b = band if x.ndim == 1 else band[:, None]
+        out[: n - d] += b * x[d:]
+    return out

@@ -334,24 +334,27 @@ def test_08_compensated_long_series_gain(long_series_fits):
 
 
 def test_09_step_cost_scaling():
-    def step_time(n):
+    def step_at(n):
         problem = build_known_minimum(n)
         w = ar_inverse_covariance([0.5], 1.0, n)
         norm = normalize_glrr(np.array(problem.a_star.coeffs) + 1e-6)
-        times = []
-        for k in range(11):
-            t0 = time.perf_counter()
-            mgn_step(norm.adot, norm.tau, problem.x, w, mode="compensated")
-            if k >= 2:  # discard warm-up
-                times.append(time.perf_counter() - t0)
-        return float(np.median(times))
+        return lambda: mgn_step(norm.adot, norm.tau, problem.x, w, mode="compensated")
 
-    t_small, t_large = step_time(1000), step_time(8000)
+    steps = {n: step_at(n) for n in (1000, 8000)}
+    # the sizes alternate, so a spell of load on the box slows both
+    best = dict.fromkeys(steps, np.inf)
+    for k in range(14):
+        for n, step in steps.items():
+            t0 = time.perf_counter()
+            step()
+            if k >= 2:  # discard warm-up
+                best[n] = min(best[n], time.perf_counter() - t0)
+    t_small, t_large = best[1000], best[8000]
     ratio = t_large / t_small
     report(
         9,
         ratio <= 12.0,
-        f"median step time: {t_small * 1e3:.1f}ms @1000 → {t_large * 1e3:.1f}ms "
+        f"best step time: {t_small * 1e3:.1f}ms @1000 → {t_large * 1e3:.1f}ms "
         f"@8000, ratio={ratio:.2f} (≤12)",
     )
 

@@ -16,8 +16,10 @@ from hmgn.series import (
     ModelComponent,
     NormalizedGlrr,
     TimeSeries,
+    _series_values,
     apply_q,
     apply_q_transpose,
+    as_time_series,
     embed,
     generate_model_signal,
     glrr_residual,
@@ -446,3 +448,43 @@ def test_csv_empty_file(tmp_path):
     path.write_text("")
     with pytest.raises(ValueError):
         read_series_csv(path)
+
+
+# ---------------------------------------------------------------------------
+# _series_values: the stored values of as_time_series, bit for bit
+# ---------------------------------------------------------------------------
+
+_finite = np.array([0.5, -0.0, 3.0, -1e300, 5e-324])
+_SERIES_INPUTS = {
+    "finite": _finite,
+    "strided": np.arange(10.0)[::3],
+    "nan": np.array([1.0, np.nan, 2.0]),
+    "inf": np.array([np.inf, 1.0, -np.inf]),
+    "list": [1.0, 2.0, -0.0],
+    "list with nan": [1.0, float("nan")],
+    "ints": np.arange(4),
+    "float32": np.array([0.1, 0.2], dtype=np.float32),
+    "big-endian": np.array([0.25, -1.5], dtype=">f8"),
+    "column": np.ones((3, 1)),
+    "scalar": np.array(2.5),
+    "series": TimeSeries(np.array([1.0, np.nan, 4.0])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SERIES_INPUTS))
+def test_series_values_are_the_time_series_values(name):
+    x = _SERIES_INPUTS[name]
+    got, want = _series_values(x), as_time_series(x).values
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    # a TimeSeries is never built for a finite float64 vector
+    assert (got is x) == (name in ("finite", "strided"))
+
+
+@pytest.mark.parametrize("bad", [np.array([]), [], ["a", "b"], np.zeros((0, 2))])
+def test_series_values_raise_as_time_series_does(bad):
+    with pytest.raises(ValueError) as want:
+        as_time_series(bad)
+    with pytest.raises(ValueError) as got:
+        _series_values(bad)
+    assert str(got.value) == str(want.value)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -678,3 +680,13 @@ def test_solver_config_validates_method():
     assert cfg.method == "s-vpgn"
     assert cfg.mode == "compensated"
     assert cfg.family == "vpgn"
+
+
+def test_vector_norms_of_the_solver_are_linalg_norm():
+    # fit and line_search take the norm of a real vector as √(v·v), which
+    # is how np.linalg.norm computes it
+    rng = np.random.default_rng(11)
+    for size in range(1, 9):
+        for scale in (1e-300, 1e-8, 1.0, 1e150):
+            v = rng.standard_normal(size) * scale
+            assert math.sqrt(v.dot(v)) == np.linalg.norm(v)
