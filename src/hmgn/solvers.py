@@ -32,31 +32,32 @@ coefficient exceeds the pivot's by more than a factor 2, that is
 max|ȧᵢ| > 2, so ȧ lies in [−2, 2] rather than [−1, 1] and τ does not flip
 between coefficients that are equal up to rounding.
 
-All projections onto Z(a) share one projector: the Gram route for plain
-"vpgn", the basis route in their mode for the other methods.  The accepted
-trial's projection is handed to the next step, so a base point is projected
-once unless re-normalization moves the pivot τ.  A handed-over projection
-carries, besides the signal Πx:
+What stays fixed within a fit is held once, in a per-fit problem: the
+values x, the weight W, the arithmetic mode, the projection route (the Gram
+route for plain "vpgn", the basis route in that mode for the other methods)
+and, on the basis route, whiten(W, x).  All projections onto Z(a) share one
+projector over that problem, and every projection it returns carries,
+besides the signal Πx, the whitened residual whiten(W, x − Πx) and its
+norm, the objective ‖x − Πx‖_W.  The line search compares a trial by that
+objective, the fit records it and the step solves against the residual, so
+each residual is whitened exactly once and x once per fit.
+
+The accepted trial's projection is handed to the next step, so a base
+point is projected once unless re-normalization moves the pivot τ.  Beyond
+the residual and the objective, a handed-over projection carries:
 
 * on the basis route, the rotated spectrum, the basis and the factor of the
   whitened basis, so that basis is factored once: the step deflates F̂ with
   the same factor, and one iteration factors two whitened designs, the
   trial's basis and the deflated F̂;
 * on the Gram route, the factor of Γ(a) and g = Γ⁻¹Qᵀ(a)x, so the step's
-  Jacobian solves Γ⁻¹ for its r columns only;
-* the whitened residual whiten(W, x − Πx) and its norm, the objective
-  ‖x − Πx‖_W: the line search takes both to compare a trial, the fit
-  records the objective and the step solves against the residual, so the
-  residual is whitened once per base point.  A trial accepted as a small
-  step was compared with nothing, so the fit whitens its residual before
-  the step; only a base point projected afresh (the first, or one after the
-  pivot moved) is whitened twice, in the step and for the objective.
+  Jacobian solves Γ⁻¹ for its r columns only.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -78,7 +79,7 @@ from .series import (
     h_tau,
     normalize_glrr,
 )
-from .weights import Identity, WeightSpec, _norm2, mask_missing, weighted_norm, whiten
+from .weights import Identity, WeightSpec, _norm2, mask_missing, whiten
 
 __all__ = [
     "SolverConfig",
@@ -226,137 +227,131 @@ def initial_glrr(x: Union[TimeSeries, np.ndarray], r: int) -> GlrrVector:
 
 
 @dataclass(frozen=True, eq=False)
+class _Problem:
+    """What stays fixed within one fit: the ``values`` x, the weight ``w``,
+    the arithmetic ``mode``, the projection route (``gram`` for plain
+    ``vpgn``, else the basis of Z(a)) and, on the basis route only,
+    ``xw`` = whiten(W, x).
+
+    Compared and hashed by identity (``eq=False``): a field-wise ``==``
+    would compare arrays and raise instead of returning a bool.
+    """
+
+    values: np.ndarray
+    w: WeightSpec
+    mode: str
+    gram: bool
+    xw: Optional[np.ndarray]
+
+    @classmethod
+    def of(
+        cls, x: Union[TimeSeries, np.ndarray], w: WeightSpec, config: SolverConfig
+    ) -> _Problem:
+        """The problem of fitting x under W with ``config``'s method."""
+        values = as_time_series(x).values
+        gram = config.method == "vpgn"
+        return cls(values, w, config.mode, gram, None if gram else whiten(w, values))
+
+
+@dataclass(frozen=True, eq=False)
 class _Projection:
-    """Π_{Z(a),W}x with the work that produced it: ``spectrum``, ``basis``
-    and the least-squares factor ``lstsq`` of the whitened basis on the basis
-    route, ``factor`` and g = Γ⁻¹Qᵀ(a)x on the Gram route.  ``residual_w``
-    is whiten(W, x − Πx) and ``objective`` its norm ‖x − Πx‖_W, once taken.
+    """Π_{Z(a),W}x with the work that produced it.  Every projection
+    carries ``residual_w`` = whiten(W, x − Πx) and its norm ``objective`` =
+    ‖x − Πx‖_W; the basis route adds ``spectrum``, ``basis`` and the
+    least-squares factor ``lstsq`` of the whitened basis, the Gram route
+    ``factor`` and g = Γ⁻¹Qᵀ(a)x.
 
     Compared and hashed by identity (``eq=False``): a field-wise ``==``
     would compare arrays and raise instead of returning a bool.
     """
 
     signal: np.ndarray
+    residual_w: np.ndarray
+    objective: float
     spectrum: Optional[RotatedSpectrum] = None
     basis: Optional[SubspaceBasis] = None
     lstsq: Optional[_LstsqFactor] = None
     factor: Optional[GammaFactor] = None
     g: Optional[np.ndarray] = None
-    residual_w: Optional[np.ndarray] = None
-    objective: Optional[float] = None
 
 
-def _project(
-    a_full: np.ndarray,
-    values: np.ndarray,
-    w: WeightSpec,
-    family: str,
-    mode: str,
-    factor: Optional[GammaFactor] = None,
-) -> _Projection:
+def _project(problem: _Problem, a_full: np.ndarray) -> _Projection:
     """The one projection onto Z(a) of the solvers.
 
-    Plain ``vpgn`` projects through the Gram factor (``factor`` if given)
-    and keeps the g it solved for; every other (family, mode) builds the
-    basis of Z(a) in ``mode`` and factors it whitened once, for this
-    projection and the step's F̂ solve.
+    The Gram route projects through a new factor of Γ(a) and keeps the g it
+    solved for; the basis route builds the basis of Z(a) in the problem's
+    mode and factors it whitened once, for this projection and the step's
+    F̂ solve.  Either way the residual is whitened here, once.
     """
-    if family == "vpgn" and mode == "plain":
-        if factor is None:
-            factor = GammaFactor(a_full, w)
+    values, w = problem.values, problem.w
+    if problem.gram:
+        factor = GammaFactor(a_full, w)
         signal = project_gamma(factor, values)
-        return _Projection(signal, factor=factor, g=factor._take_g(values))
-    spectrum = rotated_spectrum(a_full, values.shape[0], mode)
-    basis = nullspace_basis(spectrum)
-    lstsq = _LstsqFactor(whiten(w, basis.z))
-    signal = basis.z @ lstsq.solve(whiten(w, values))
-    return _Projection(signal, spectrum, basis, lstsq)
-
-
-def _whitened_residual(
-    at: _Projection, values: np.ndarray, w: WeightSpec
-) -> np.ndarray:
-    """whiten(W, x − Πx) at the projection ``at``: the one it carries, else
-    taken afresh."""
-    if at.residual_w is not None:
-        return at.residual_w
-    return whiten(w, values - at.signal)
+        route = dict(factor=factor, g=factor._take_g(values))
+    else:
+        spectrum = rotated_spectrum(a_full, values.shape[0], problem.mode)
+        basis = nullspace_basis(spectrum)
+        lstsq = _LstsqFactor(whiten(w, basis.z))
+        signal = basis.z @ lstsq.solve(problem.xw)
+        route = dict(spectrum=spectrum, basis=basis, lstsq=lstsq)
+    residual_w = whiten(w, values - signal)
+    return _Projection(signal, residual_w, _norm2(residual_w), **route)
 
 
 def mgn_step(
-    adot: np.ndarray,
-    tau: int,
-    x: Union[TimeSeries, np.ndarray],
-    w: WeightSpec,
-    mode: str = "plain",
-    at: Optional[_Projection] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
+    problem: _Problem, adot: np.ndarray, tau: int, at: Optional[_Projection] = None
+) -> Tuple[np.ndarray, _Projection]:
     """One image-space Gauss-Newton direction at the base point (τ, ȧ).
 
-    Returns (Δ, S_k) where S_k = Π_{Z(H_τ(ȧ)),W}x and Δ solves the weighted
-    least-squares problem for the residual against (I − Π)F̂ with F̂ from
-    the fast right-hand-side solve.  The rotated spectrum is shared between
-    the basis and F̂, and the factor of the whitened basis serves both the
-    projection and the deflation of F̂.  ``at`` is the projection at this
-    base point that ``line_search`` returned; without it the step projects
-    afresh.
+    Returns (Δ, the projection at the base point), whose signal is
+    S_k = Π_{Z(H_τ(ȧ)),W}x.  Δ solves the weighted least-squares problem
+    for the residual against (I − Π)F̂ with F̂ from the fast right-hand-side
+    solve.  The rotated spectrum is shared between the basis and F̂, and the
+    factor of the whitened basis serves both the projection and the
+    deflation of F̂.  ``at`` is the projection at this base point that
+    ``line_search`` returned; without it the step projects afresh.
     """
-    values = as_time_series(x).values
-    a_full = h_tau(adot, tau)
     if at is None:
-        at = _project(a_full, values, w, "mgn", mode)
-    s_k = at.signal
-    fhat = fhat_matrix(at.spectrum, s_k, tau)
+        at = _project(problem, h_tau(adot, tau))
+    w = problem.w
+    fhat = fhat_matrix(at.spectrum, at.signal, tau)
     deflated = fhat - at.basis.z @ at.lstsq.solve(whiten(w, fhat))
-    residual_w = _whitened_residual(at, values, w)
-    delta = _LstsqFactor(whiten(w, deflated)).solve(residual_w)
-    return delta, s_k
+    return _LstsqFactor(whiten(w, deflated)).solve(at.residual_w), at
 
 
 def vpgn_step(
-    adot: np.ndarray,
-    tau: int,
-    x: Union[TimeSeries, np.ndarray],
-    w: WeightSpec,
-    mode: str = "plain",
-    at: Optional[_Projection] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
+    problem: _Problem, adot: np.ndarray, tau: int, at: Optional[_Projection] = None
+) -> Tuple[np.ndarray, _Projection]:
     """One variable-projection Gauss-Newton direction at (τ, ȧ).
 
-    The Jacobian always runs through the banded Gram factorization.  The
-    signal projection shares that factorization in plain mode and uses the
-    compensated basis in compensated mode; either way the Jacobian reads Πx
-    from it.  Δ solves the least squares on the design whitened by Ĉ, ĈK
-    with J = W⁻¹K, against the whitened residual, from one batched Γ⁻¹
-    solve of the r columns; g = Γ⁻¹Qᵀ(a)x comes from a Gram-route
-    projection and is solved for only on the compensated route.  ``at`` is
-    the projection at this base point that ``line_search`` returned; a
-    handed-over Gram factor also serves the Jacobian.
+    Returns (Δ, the projection at the base point).  The Jacobian always
+    runs through the banded Gram factorization.  The signal projection
+    shares that factorization in plain mode and uses the compensated basis
+    in compensated mode; either way the Jacobian reads Πx from it.  Δ solves
+    the least squares on the design whitened by Ĉ, ĈK with J = W⁻¹K,
+    against the whitened residual, from one batched Γ⁻¹ solve of the r
+    columns; g = Γ⁻¹Qᵀ(a)x comes from a Gram-route projection and is solved
+    for only on the compensated route.  ``at`` is the projection at this
+    base point that ``line_search`` returned; without it the step projects
+    afresh.
     """
-    values = as_time_series(x).values
     a_full = h_tau(adot, tau)
-    # factor first: weights without a banded W⁻¹ fail before any projection
-    factor = None if at is None else at.factor
-    if factor is None:
-        factor = GammaFactor(a_full, w)
     if at is None:
-        at = _project(a_full, values, w, "vpgn", mode, factor=factor)
-    s_k = at.signal
-    design = factor.apply_chat(_vp_columns(factor, tau, values, s_k, at.g))
-    delta = _LstsqFactor(design).solve(_whitened_residual(at, values, w))
-    return delta, s_k
+        at = _project(problem, a_full)
+    factor = GammaFactor(a_full, problem.w) if at.factor is None else at.factor
+    # one expression, so the unwhitened columns are freed before the factoring
+    design = factor.apply_chat(_vp_columns(factor, tau, problem.values, at.signal, at.g))
+    return _LstsqFactor(design).solve(at.residual_w), at
 
 
 def line_search(
+    problem: _Problem,
     adot: np.ndarray,
     delta: np.ndarray,
     tau: int,
-    x: Union[TimeSeries, np.ndarray],
-    w: WeightSpec,
-    prev_step_norm: Optional[float],
-    config: SolverConfig,
     s_current: np.ndarray,
     objective: float,
+    prev_step_norm: Optional[float],
 ) -> Tuple[float, np.ndarray, bool, Optional[_Projection], int]:
     """Step-size choice along Δ; returns (γ, next ȧ, small-step flag,
     projection at the next ȧ for the next step to reuse, trials made).
@@ -366,17 +361,13 @@ def line_search(
     is the norm of the previous accepted step, ``None`` on the first
     iteration.  γ = 0 with a False flag means backtracking reached the noise
     floor γ·ρ < ζ or exhausted the grid; with a True flag it is the
-    small-step stop verdict.  Either way no projection is returned.  A
-    projection accepted by the objective comparison carries its whitened
-    residual and the objective it was compared with.
+    small-step stop verdict.  Either way no projection is returned.
     """
-    values = as_time_series(x).values
     delta = np.asarray(delta, dtype=float)
     if not np.isfinite(delta).all():
         raise ValueError("non-finite search direction")
-    family, mode = config.family, config.mode
 
-    trial = _project(h_tau(adot + delta, tau), values, w, family, mode)
+    trial = _project(problem, h_tau(adot + delta, tau))
     change = _norm2(trial.signal - s_current)
     scale = _norm2(s_current)
     if change == 0.0:
@@ -404,16 +395,9 @@ def line_search(
             trial = None  # release the rejected trial before building the next
             if gamma * relative < _ZETA:  # a change this small is evaluation noise
                 return 0.0, adot.copy(), False, None, m
-            trial = _project(h_tau(adot + gamma * delta, tau), values, w, family, mode)
-        # weighted_norm's two steps, to keep the whitened residual
-        residual_w = whiten(w, values - trial.signal)
-        trial_objective = _norm2(residual_w)
-        if trial_objective <= objective:
-            accepted = _Projection(
-                trial.signal, trial.spectrum, trial.basis, trial.lstsq,
-                trial.factor, trial.g, residual_w, trial_objective,
-            )
-            return gamma, adot + gamma * delta, False, accepted, m + 1
+            trial = _project(problem, h_tau(adot + gamma * delta, tau))
+        if trial.objective <= objective:
+            return gamma, adot + gamma * delta, False, trial, m + 1
         gamma *= 0.5
     return 0.0, adot.copy(), False, None, _GAMMA_MIN_EXPONENT + 1
 
@@ -463,6 +447,7 @@ def fit(
     step = mgn_step if config.family == "mgn" else vpgn_step
     norm0 = normalize_glrr(start.coeffs)
     tau, adot = norm0.tau, norm0.adot
+    problem = _Problem.of(ts, w, config)
 
     rows: List[IterationRecord] = []
     termination = "MaxIter"
@@ -477,19 +462,14 @@ def fit(
             tau, adot = renorm.tau, renorm.adot
             at = None
 
-        if at is not None and at.residual_w is None:
-            # a small step: the line search compared nothing at this signal
-            residual_w = whiten(w, ts.values - at.signal)
-            at = replace(at, residual_w=residual_w, objective=_norm2(residual_w))
-        delta, s_k = step(adot, tau, ts, w, mode=config.mode, at=at)
-        objective = weighted_norm(w, ts.values - s_k) if at is None else at.objective
+        delta, at = step(problem, adot, tau, at)
+        signal, objective = at.signal, at.objective
         at = None  # consumed: keep its basis or factor out of the line search
-        signal = s_k
         a_full = h_tau(adot, tau)
-        rel_residual = _norm2(glrr_residual(s_k, a_full)) / math.sqrt(a_full.dot(a_full))
+        rel_residual = _norm2(glrr_residual(signal, a_full)) / math.sqrt(a_full.dot(a_full))
 
         gamma, adot_next, small, at, trials = line_search(
-            adot, delta, tau, ts, w, prev_step_norm, config, s_k, objective
+            problem, adot, delta, tau, signal, objective, prev_step_norm
         )
         rows.append(
             IterationRecord(

@@ -22,7 +22,7 @@ from hmgn.series import (
     h_tau,
     normalize_glrr,
 )
-from hmgn.solvers import SolverConfig, fit, mgn_step
+from hmgn.solvers import SolverConfig, _Problem, fit, mgn_step
 from hmgn.weights import Identity, ar_inverse_covariance, banded_winv_from_winv_bands
 
 from _oracles import (
@@ -178,7 +178,9 @@ def test_03_step_matches_full_jacobian_direction():
         tau, adot = norm.tau, norm.adot.copy()
         z = nullspace_basis(rotated_spectrum(h_tau(adot, tau), n)).z
         x = z @ rng.standard_normal(r) + 0.05 * rng.standard_normal(n)
-        delta, s_k = mgn_step(adot, tau, x, Identity(n))
+        problem = _Problem.of(x, Identity(n), SolverConfig(method="mgn"))
+        delta, at = mgn_step(problem, adot, tau)
+        s_k = at.signal
 
         z0 = z.copy()
 
@@ -335,10 +337,12 @@ def test_08_compensated_long_series_gain(long_series_fits):
 
 def test_09_step_cost_scaling():
     def step_at(n):
-        problem = build_known_minimum(n)
+        known = build_known_minimum(n)
         w = ar_inverse_covariance([0.5], 1.0, n)
-        norm = normalize_glrr(np.array(problem.a_star.coeffs) + 1e-6)
-        return lambda: mgn_step(norm.adot, norm.tau, problem.x, w, mode="compensated")
+        norm = normalize_glrr(np.array(known.a_star.coeffs) + 1e-6)
+        # built once, outside the timed step, as fit builds it
+        problem = _Problem.of(known.x, w, SolverConfig(method="s-mgn"))
+        return lambda: mgn_step(problem, norm.adot, norm.tau)
 
     steps = {n: step_at(n) for n in (1000, 8000)}
     # the sizes alternate, so a spell of load on the box slows both

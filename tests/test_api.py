@@ -84,8 +84,13 @@ def _fit_result():
     return solvers.FitResult(np.ones(5), series.GlrrVector((1.0, -1.0)), 1, np.ones(1), trace)
 
 
-def _gram_projection():
-    return solvers._Projection(np.ones(5))
+def _projection():
+    return solvers._Projection(np.ones(5), np.ones(5), 1.0)
+
+
+def _problem():
+    config = solvers.SolverConfig()
+    return solvers._Problem.of(np.ones(5), weights.Identity(5), config)
 
 
 #: one factory per frozen dataclass of ``hmgn`` whose fields hold arrays;
@@ -100,7 +105,8 @@ ARRAY_DATACLASSES = {
     "KnownMinimumProblem": lambda: problems.build_known_minimum(20),
     "IterationRecord": _iteration_record,
     "FitResult": _fit_result,
-    "_Projection": _gram_projection,
+    "_Problem": _problem,
+    "_Projection": _projection,
     "BandedW": lambda: weights.BandedW(5, (np.ones(5),)),
     "BandedWinv": lambda: weights.BandedWinv(5, (np.ones(5),)),
     "Masked": lambda: weights.Masked(weights.Identity(5), np.ones(5, dtype=bool)),

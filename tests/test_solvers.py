@@ -20,7 +20,6 @@ from hmgn.projection import (
 from hmgn.series import (
     GlrrVector,
     apply_q_transpose,
-    as_time_series,
     glrr_residual,
     h_tau,
     normalize_glrr,
@@ -56,6 +55,11 @@ from _oracles import (
 def rank2_signal(n, damp=0.98, omega=0.12, phi=0.3):
     grid = np.arange(1, n + 1, dtype=float)
     return damp**grid * np.sin(2 * np.pi * omega * grid + phi)
+
+
+def _problem(x, w, method="mgn"):
+    """The per-fit problem ``fit`` builds for x under W with ``method``."""
+    return solvers._Problem.of(x, w, SolverConfig(method=method))
 
 
 # ---------------------------------------------------------------------------
@@ -101,8 +105,8 @@ def test_mgn_step_zero_at_member():
     n = 50
     z = nullspace_basis(rotated_spectrum(a, n)).z
     x = z @ rng.standard_normal(2)
-    delta, s_k = mgn_step(adot, tau, x, Identity(n))
-    assert np.linalg.norm(s_k - x) <= 1e-9 * np.linalg.norm(x)
+    delta, at = mgn_step(_problem(x, Identity(n)), adot, tau)
+    assert np.linalg.norm(at.signal - x) <= 1e-9 * np.linalg.norm(x)
     assert np.linalg.norm(delta) <= 1e-9 * np.linalg.norm(adot)
 
 
@@ -123,7 +127,8 @@ def test_mgn_step_matches_full_jacobian_direction(seed):
     z = nullspace_basis(rotated_spectrum(a_full, n)).z
     x = z @ rng.standard_normal(r) + 0.05 * rng.standard_normal(n)
 
-    delta, s_k = mgn_step(adot, tau, x, w)
+    delta, at = mgn_step(_problem(x, w), adot, tau)
+    s_k = at.signal
 
     sdot = s_k[boundary_rows(tau, r, n)]
     z0 = z.copy()
@@ -143,9 +148,7 @@ def test_mgn_step_matches_full_jacobian_direction(seed):
 def test_mgn_step_stationary_at_known_minimum():
     problem = build_known_minimum(50)
     norm = normalize_glrr(problem.a_star.coeffs)
-    delta, _ = mgn_step(
-        norm.adot, norm.tau, problem.x, Identity(50), mode="compensated"
-    )
+    delta, _ = mgn_step(_problem(problem.x, Identity(50), "s-mgn"), norm.adot, norm.tau)
     assert np.linalg.norm(delta) <= 1e-6
 
 
@@ -161,8 +164,8 @@ def test_vpgn_step_zero_at_fixed_point():
     n = 40
     z = nullspace_basis(rotated_spectrum(a, n)).z
     x = z @ rng.standard_normal(2)
-    delta, s_k = vpgn_step(norm.adot, norm.tau, x, Identity(n))
-    assert np.linalg.norm(s_k - x) <= 1e-9 * np.linalg.norm(x)
+    delta, at = vpgn_step(_problem(x, Identity(n), "vpgn"), norm.adot, norm.tau)
+    assert np.linalg.norm(at.signal - x) <= 1e-9 * np.linalg.norm(x)
     assert np.linalg.norm(delta) <= 1e-8 * np.linalg.norm(norm.adot)
 
 
@@ -181,8 +184,8 @@ def test_vpgn_step_descends_on_noisy_instances():
         a0 = initial_glrr(x, 2)
         norm = normalize_glrr(a0.coeffs)
         w = Identity(n)
-        delta, s_k = vpgn_step(norm.adot, norm.tau, x, w)
-        before = weighted_norm(w, x - s_k)
+        delta, at = vpgn_step(_problem(x, w, "vpgn"), norm.adot, norm.tau)
+        before = weighted_norm(w, x - at.signal)
         trial = project_gamma(GammaFactor(h_tau(norm.adot + 1e-3 * delta, norm.tau), w), x)
         after = weighted_norm(w, x - trial)
         if after < before:
@@ -212,7 +215,8 @@ def test_vpgn_step_matches_two_solve_direction(r, weight):
     # the earlier two-solve Jacobian W⁻¹K
     adot, tau, x, w, winv = _banded_step_case(r, weight)
     factor = GammaFactor(h_tau(adot, tau), w)
-    delta, s_k = vpgn_step(adot, tau, x, w)
+    delta, at = vpgn_step(_problem(x, w, "vpgn"), adot, tau)
+    s_k = at.signal
     assert s_k.tobytes() == project_gamma(factor, x).tobytes()
     jac = vp_jacobian_two_solve_oracle(factor, tau, x, winv)
     want = weighted_pinv_apply(jac, w, x - s_k).coefficients
@@ -221,10 +225,12 @@ def test_vpgn_step_matches_two_solve_direction(r, weight):
 
 @pytest.mark.parametrize("r", [2, 4])
 def test_vpgn_step_one_batched_solve_and_vector_whitening(r, monkeypatch):
-    # a step at a handed-over Gram projection takes g from it, solves Γ⁻¹
-    # for one r-column batch only, and whitens only the residual vector
+    # a step at a handed-over Gram projection takes g and the whitened
+    # residual from it: it solves Γ⁻¹ for one r-column batch and whitens
+    # nothing
     adot, tau, x, w, _ = _banded_step_case(r, "banded_winv", n=200)
-    at = solvers._project(h_tau(adot, tau), x, w, "vpgn", "plain")
+    problem = _problem(x, w, "vpgn")
+    at = solvers._project(problem, h_tau(adot, tau))
     columns = []
     original_solve = GammaFactor.solve
 
@@ -243,9 +249,9 @@ def test_vpgn_step_one_batched_solve_and_vector_whitening(r, monkeypatch):
     for module in (weights, projection, solvers):
         if getattr(module, "whiten", None) is original_whiten:
             monkeypatch.setattr(module, "whiten", counted_whiten)
-    vpgn_step(adot, tau, x, w, at=at)
+    vpgn_step(problem, adot, tau, at)
     assert columns == [r]
-    assert whitened == [1]
+    assert whitened == []
 
 
 def _basis_iteration_case(weight):
@@ -274,8 +280,8 @@ def test_basis_iteration_factors_two_designs_and_whitens_three_blocks(
     # step factors the deflated F̂ and deflates with the kept factor of the
     # whitened basis, the trial factors its own basis
     adot, tau, x, w = _basis_iteration_case(weight)
-    values = as_time_series(x).values
-    at = solvers._project(h_tau(adot, tau), values, w, "mgn", "plain")
+    problem = _problem(x, w)
+    at = solvers._project(problem, h_tau(adot, tau))
     factorizations = []
     original_geqp3 = projection._GEQP3
 
@@ -296,10 +302,9 @@ def test_basis_iteration_factors_two_designs_and_whitens_three_blocks(
     for module in (weights, projection, solvers):
         if getattr(module, "whiten", None) is original_whiten:
             monkeypatch.setattr(module, "whiten", counted_whiten)
-    delta, s_k = mgn_step(adot, tau, x, w, at=at)
+    delta, at = mgn_step(problem, adot, tau, at)
     gamma, _, small, trial, trials = line_search(
-        adot, delta, tau, x, w, None, SolverConfig(method="mgn"), s_k,
-        weighted_norm(w, values - s_k),
+        problem, adot, delta, tau, at.signal, at.objective, None
     )
     assert (gamma, small, trials) == (1.0, False, 1) and trial is not None
     assert len(factorizations) == 2
@@ -309,7 +314,7 @@ def test_basis_iteration_factors_two_designs_and_whitens_three_blocks(
 def test_vpgn_step_rejects_masked_weights():
     w = mask_missing(Identity(30), np.ones(30, dtype=bool))
     with pytest.raises(WeightVariantError):
-        vpgn_step(np.array([0.5]), 2, np.ones(30), w)
+        vpgn_step(_problem(np.ones(30), w, "vpgn"), np.array([0.5]), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -328,14 +333,12 @@ def test_line_search_zero_direction_first_iteration():
     w = Identity(30)
     norm = normalize_glrr(initial_glrr(x, 2).coeffs)
     gamma, nxt, small, _, trials = line_search(
+        _problem(x, w),
         norm.adot,
         np.zeros(2),
         norm.tau,
-        x,
-        w,
-        None,
-        SolverConfig(method="mgn"),
         *_base_point(norm.adot, norm.tau, x, w),
+        None,
     )
     assert gamma == 1.0
     assert small
@@ -351,16 +354,15 @@ def test_line_search_accepts_improving_full_step():
     norm = normalize_glrr(initial_glrr(x, 2).coeffs)
     # nudge away from the optimum so the Gauss-Newton step genuinely improves
     adot = norm.adot + 0.05
-    delta, _ = mgn_step(adot, norm.tau, x, w)
+    problem = _problem(x, w)
+    delta, _ = mgn_step(problem, adot, norm.tau)
     gamma, nxt, small, _, trials = line_search(
+        problem,
         adot,
         delta,
         norm.tau,
-        x,
-        w,
-        None,
-        SolverConfig(method="mgn"),
         *_base_point(adot, norm.tau, x, w),
+        None,
     )
     assert not small
     assert gamma == 1.0
@@ -369,22 +371,28 @@ def test_line_search_accepts_improving_full_step():
 
 
 @pytest.mark.parametrize("method", ["mgn", "vpgn"])
-def test_line_search_carries_what_the_accepted_trial_computed(method):
-    # the whitened residual and the objective it compared, and on the Gram
-    # route g = Γ⁻¹Qᵀx, each bitwise what the next base point would compute
+@pytest.mark.parametrize("case", ["compared", "small_step"])
+def test_line_search_carries_what_the_accepted_trial_computed(case, method):
+    # a trial accepted by the objective comparison and a small step taken
+    # uncompared both carry the whitened residual and the objective, and on
+    # the Gram route g = Γ⁻¹Qᵀx, each bitwise what the next base point would
+    # compute
     rng = np.random.default_rng(2)
     n = 60
     x = rank2_signal(n) + 0.02 * rng.standard_normal(n)
     w = Identity(n)
+    problem = _problem(x, w, method)
     norm = normalize_glrr(initial_glrr(x, 2).coeffs)
-    adot = norm.adot + 0.05
-    step = mgn_step if method == "mgn" else vpgn_step
-    delta, _ = step(adot, norm.tau, x, w)
+    if case == "compared":
+        adot = norm.adot + 0.05
+        step = mgn_step if method == "mgn" else vpgn_step
+        delta, _ = step(problem, adot, norm.tau)
+    else:
+        adot, delta = norm.adot, np.zeros(2)
     gamma, _, small, trial, _ = line_search(
-        adot, delta, norm.tau, x, w, None, SolverConfig(method=method),
-        *_base_point(adot, norm.tau, x, w),
+        problem, adot, delta, norm.tau, *_base_point(adot, norm.tau, x, w), None
     )
-    assert (gamma, small) == (1.0, False)
+    assert (gamma, small) == (1.0, case == "small_step")
     assert np.array_equal(trial.residual_w, whiten(w, x - trial.signal))
     assert trial.objective == weighted_norm(w, x - trial.signal)
     if method == "vpgn":
@@ -393,17 +401,6 @@ def test_line_search_carries_what_the_accepted_trial_computed(method):
         assert np.array_equal(trial.g, fresh)
     else:
         assert trial.g is None
-
-
-def test_line_search_small_step_carries_no_objective():
-    x = rank2_signal(30)
-    w = Identity(30)
-    norm = normalize_glrr(initial_glrr(x, 2).coeffs)
-    _, _, small, trial, _ = line_search(
-        norm.adot, np.zeros(2), norm.tau, x, w, None, SolverConfig(method="mgn"),
-        *_base_point(norm.adot, norm.tau, x, w),
-    )
-    assert small and trial.residual_w is None and trial.objective is None
 
 
 def test_line_search_exhausts_on_adversarial_direction():
@@ -416,14 +413,12 @@ def test_line_search_exhausts_on_adversarial_direction():
     norm = normalize_glrr(initial_glrr(x, 2).coeffs)
     delta = 50.0 * rng.standard_normal(2)
     gamma, nxt, small, _, _ = line_search(
+        _problem(x, w),
         norm.adot,
         delta,
         norm.tau,
-        x,
-        w,
-        1.0,
-        SolverConfig(method="mgn"),
         *_base_point(norm.adot, norm.tau, x, w),
+        1.0,
     )
     assert gamma == 0.0
     assert not small
@@ -442,13 +437,15 @@ def test_line_search_stops_backtracking_at_the_noise_floor(rho, monkeypatch):
 
     def fake_project(*args, **kwargs):
         calls.append(1)
-        return solvers._Projection((1.0 + rho) * s_current)
+        signal = (1.0 + rho) * s_current
+        residual_w = whiten(w, x - signal)
+        return solvers._Projection(signal, residual_w, weighted_norm(w, x - signal))
 
     monkeypatch.setattr(solvers, "_project", fake_project)
     adot = np.array([0.5])
     gamma, nxt, small, trial, trials = line_search(
-        adot, np.array([0.1]), 1, x, w, 1.0, SolverConfig(method="mgn"),
-        s_current, weighted_norm(w, x - s_current),
+        _problem(x, w), adot, np.array([0.1]), 1,
+        s_current, weighted_norm(w, x - s_current), 1.0,
     )
     expected = sum(
         1 for m in range(solvers._GAMMA_MIN_EXPONENT + 1)
@@ -602,21 +599,20 @@ def test_fit_projects_once_per_base_point(method, monkeypatch):
 @pytest.mark.parametrize("max_iter", [200, 6, 24])
 @pytest.mark.parametrize("method", METHODS)
 def test_fit_whitens_each_residual_once(method, max_iter, monkeypatch):
-    # whiten(W, x − s) once per distinct signal s: every trial the objective
-    # comparison saw, and every small step taken, whose trial was compared
-    # with nothing; the first base point twice, in the step and for its
-    # objective.  Each serves both the objective and the step's right-hand
-    # side.  The fits take small steps from row 18 on, so the cap of 24
-    # cuts one short.  The basis route's whitenings of x itself, one per
-    # projection, are not residuals and not counted.
+    # whiten(W, x − s) exactly once per projection, that is 1 + Σ trials at
+    # a fixed pivot, compared or taken as a small step: each serves the
+    # objective and the step's right-hand side.  whiten(W, x) once per fit
+    # on the basis route and never on the Gram route.  The fits take small
+    # steps from row 18 on, so the cap of 24 cuts one short; the cap of 6
+    # cuts the fit before its first small step.
     rng = np.random.default_rng(1)
     x = rank2_signal(80) + 0.5 * rng.standard_normal(80)
-    residuals = []
+    residuals, series = [], []
     original = weights.whiten
 
     def counted(w_, v):
-        if np.ndim(v) == 1 and not np.array_equal(v, x):
-            residuals.append(1)
+        if np.ndim(v) == 1:
+            (series if np.array_equal(v, x) else residuals).append(1)
         return original(w_, v)
 
     for module in (weights, projection, solvers):
@@ -626,9 +622,8 @@ def test_fit_whitens_each_residual_once(method, max_iter, monkeypatch):
 
     rows = res.trace.rows
     assert {row.tau for row in rows} == {res.tau}  # pivot never moves
-    compared = sum(row.trials for row in rows if not row.small_step)
-    small_taken = sum(1 for row in rows[:-1] if row.small_step and row.gamma > 0.0)
-    assert len(residuals) == 2 + compared + small_taken
+    assert len(residuals) == 1 + sum(row.trials for row in rows)
+    assert len(series) == (0 if method == "vpgn" else 1)
     if max_iter == 24:
         assert rows[-1].small_step and rows[-1].gamma == 1.0
 
@@ -657,10 +652,19 @@ def test_fit_moves_the_pivot_once_a_coefficient_doubles_it(method):
     assert np.linalg.norm(res.signal - x) <= 1e-12
 
 
-def test_fit_gapped_rejects_kernel_methods():
+@pytest.mark.parametrize("weight", ["gaps", "ar1"])
+@pytest.mark.parametrize("method", ["vpgn", "s-vpgn"])
+def test_fit_kernel_methods_reject_weights_without_banded_winv(method, weight):
+    # a gapped series masks its weight, and an AR(1) inverse covariance is a
+    # banded W: neither gives the Gram factor the banded W⁻¹ it needs
     observed, _ = gapped_preset(seed=3)
+    if weight == "gaps":
+        x, w = observed, None
+    else:
+        x = np.where(observed.mask, observed.values, 0.0)
+        w = ar_inverse_covariance([0.5], 1.0, observed.n)
     with pytest.raises(WeightVariantError):
-        fit(observed, r=4, config=SolverConfig(method="vpgn"))
+        fit(x, r=4, w=w, config=SolverConfig(method=method))
 
 
 def test_fit_requires_rank_or_start():
