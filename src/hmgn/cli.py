@@ -37,7 +37,6 @@ from .series import (
     write_series_csv,
 )
 from .solvers import METHODS, SolverConfig, fit
-from .weights import mask_missing, weighted_norm
 
 __all__ = ["main"]
 
@@ -101,7 +100,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--components",
         help="POLY:BASE:OMEGA:PHI[+...] model components (see docs)",
     )
-    p_gen.add_argument("--n", type=int, default=50, help="series length")
+    p_gen.add_argument(
+        "--n", type=int, help="series length of --components (default 50)"
+    )
     p_gen.add_argument(
         "--gaps",
         help="1-based inclusive ranges to blank, e.g. 10-19,35-39; 'none' disables",
@@ -150,11 +151,10 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         for i in range(series.n):
             observed = repr(float(series.values[i])) if series.mask[i] else ""
             fh.write(f"{i + 1},{observed},{repr(float(result.signal[i]))}\n")
-    w_objective = mask_missing(w, series.mask) if series.has_missing else w
     metadata = {
         "method": config.method,
         "iterations": result.iterations,
-        "weighted_residual": weighted_norm(w_objective, series.values - result.signal),
+        "weighted_residual": result.trace.rows[-1].objective,
         "glrr_coefficients": [float(c) for c in result.glrr.coeffs],
         "glrr_rel_residual": result.glrr_rel_residual,
         "termination": result.trace.termination,
@@ -166,44 +166,31 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    gaps = None
+    if args.gaps is not None:
+        gaps = () if args.gaps == "none" else parse_gap_ranges(args.gaps)
     if args.preset is not None:
-        builder, _rank = PRESETS[args.preset]
-        gaps = None if args.gaps == "none" else (
-            parse_gap_ranges(args.gaps) if args.gaps else None
+        if args.n is not None:
+            raise ValueError("--n applies to --components only")
+        overrides = {"noise_level": args.noise, "gaps": gaps}
+        series, _signal = PRESETS[args.preset](
+            args.seed, **{k: v for k, v in overrides.items() if v is not None}
         )
-        kwargs = {}
-        if args.noise is not None:
-            kwargs["noise_level"] = args.noise
-        if gaps is not None or args.gaps == "none":
-            kwargs["gaps"] = gaps
-        series, _signal = builder(args.seed, **kwargs)
     else:
-        components = parse_components(args.components)
-        values = generate_model_signal(components, args.n).values
+        n = 50 if args.n is None else args.n
+        values = generate_model_signal(parse_components(args.components), n).values
         if args.noise:
             values = add_relative_noise(values, args.noise, args.seed)
-        if args.gaps and args.gaps != "none":
-            values = apply_gaps(values, parse_gap_ranges(args.gaps))
-        series = TimeSeries(values)
+        series = TimeSeries(apply_gaps(values, gaps or ()))
     write_series_csv(args.out, series)
     print(f"wrote {args.out} ({series.n} rows)")
     return 0
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    defaults = {
-        "known_minimum_accuracy": (20, 100, 1000),
-        "residual_vs_N": (20, 100, 1000),
-        "iteration_timing": (100, 200, 500, 1000, 2000, 4000, 8000),
-        "gapped_fit": (),
-    }
-    if args.n_list:
-        n_list = tuple(int(tok) for tok in args.n_list.split(","))
-    else:
-        n_list = defaults[args.kind]
     spec = ExperimentSpec(
         kind=args.kind,
-        n_list=n_list,
+        n_list=tuple(int(tok) for tok in args.n_list.split(",")) if args.n_list else (),
         methods=tuple(tok.strip() for tok in args.methods.split(",") if tok.strip()),
         weights=args.weights,
         seed=args.seed,

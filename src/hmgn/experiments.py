@@ -37,13 +37,6 @@ __all__ = [
     "run_experiment",
 ]
 
-KINDS = (
-    "known_minimum_accuracy",
-    "residual_vs_N",
-    "iteration_timing",
-    "gapped_fit",
-)
-
 #: default grid length ceiling; ``extend`` lifts it for large-scale runs
 _DEFAULT_MAX_N = 10_000
 _EXTENDED_MAX_N = 50_000
@@ -81,7 +74,11 @@ def parse_weight_spec(spec: str, n: int) -> WeightSpec:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A reproducible experiment grid."""
+    """A reproducible experiment grid.
+
+    A grid kind given no series lengths runs its defaults; ``gapped_fit``
+    fits the N = 50 preset and reads none.
+    """
 
     kind: str
     n_list: Tuple[int, ...] = ()
@@ -102,6 +99,8 @@ class ExperimentSpec:
             raise ValueError("at least one method is required")
         object.__setattr__(self, "methods", methods)
         n_list = tuple(int(n) for n in self.n_list)
+        if not n_list and self.kind in _GRID_KINDS:
+            n_list = _GRID_KINDS[self.kind].default_n_list
         if any(b <= a for a, b in zip(n_list, n_list[1:])):
             raise ValueError("series lengths must be strictly increasing")
         ceiling = _EXTENDED_MAX_N if self.extend else _DEFAULT_MAX_N
@@ -110,8 +109,6 @@ class ExperimentSpec:
                 f"series length {n_list[-1]} exceeds the ceiling {ceiling}; "
                 "pass extend=True (--extend) for large runs"
             )
-        if not n_list and self.kind != "gapped_fit":
-            raise ValueError(f"experiment kind {self.kind!r} needs series lengths")
         object.__setattr__(self, "n_list", n_list)
 
 
@@ -201,7 +198,51 @@ def _timing_rows(spec: ExperimentSpec) -> List[list]:
     return rows
 
 
-def _gapped_tables(spec: ExperimentSpec) -> Tuple[List[list], List[list]]:
+@dataclass(frozen=True)
+class _GridKind:
+    """What one known-minimum grid kind writes to ``<kind>.csv``: the
+    ``columns`` after n and method, the ``rows`` of a spec, the ``plotted``
+    column with its ``ylabel``, and the series lengths it runs when a spec
+    gives none."""
+
+    columns: Tuple[str, ...]
+    rows: Callable[[ExperimentSpec], List[list]]
+    plotted: str
+    ylabel: str
+    default_n_list: Tuple[int, ...]
+
+
+_GRID_KINDS: Dict[str, _GridKind] = {
+    "known_minimum_accuracy": _GridKind(
+        ("dist", "rel_residual", "obj_gap", "iterations", "status"),
+        functools.partial(_grid_rows, row=_accuracy_row),
+        "dist",
+        "distance to known solution",
+        (20, 100, 1000),
+    ),
+    "residual_vs_N": _GridKind(
+        ("rel_residual", "iterations", "termination", "status"),
+        functools.partial(_grid_rows, row=_residual_row),
+        "rel_residual",
+        "relative recurrence residual",
+        (20, 100, 1000),
+    ),
+    "iteration_timing": _GridKind(
+        ("seconds_per_iteration", "normalized", "status"),
+        _timing_rows,
+        "normalized",
+        "per-iteration time (normalized)",
+        (100, 200, 500, 1000, 2000, 4000, 8000),
+    ),
+}
+
+#: the grid kinds, then the gapped preset fit, which writes two tables
+KINDS = (*_GRID_KINDS, "gapped_fit")
+
+
+def _gapped_tables(spec: ExperimentSpec) -> List[tuple]:
+    """The fits beside the data, and one status row per method, each as
+    (file name, header, rows)."""
     observed, signal = gapped_preset(spec.seed)
     fits: Dict[str, Optional[FitResult]] = {}
     status_rows = []
@@ -237,7 +278,18 @@ def _gapped_tables(spec: ExperimentSpec) -> Tuple[List[list], List[list]]:
             result = fits[method]
             row.append(float(result.signal[i]) if result is not None else None)
         table_rows.append(row)
-    return table_rows, status_rows
+    return [
+        (
+            "gapped_fit.csv",
+            ["index", "observed", "signal"] + [f"fitted_{m}" for m in spec.methods],
+            table_rows,
+        ),
+        (
+            "gapped_fit_status.csv",
+            ["method", "iterations", "termination", "rel_residual", "rel_error", "status"],
+            status_rows,
+        ),
+    ]
 
 
 _PLOT_TEMPLATE = '''"""Render {csv_name} (auto-generated companion script)."""
@@ -280,69 +332,32 @@ for col in fitted_cols:
 """.rstrip()
 
 
-def _plot_script(kind: str, csv_name: str) -> str:
-    if kind == "gapped_fit":
-        body, xlabel, ylabel = _GAPPED_PLOT_BODY, "index", "value"
-    elif kind == "known_minimum_accuracy":
-        body = _GRID_PLOT_BODY.replace("{column!r}", repr("dist"))
-        xlabel, ylabel = "N", "distance to known solution"
-    elif kind == "residual_vs_N":
-        body = _GRID_PLOT_BODY.replace("{column!r}", repr("rel_residual"))
-        xlabel, ylabel = "N", "relative recurrence residual"
-    else:
-        body = _GRID_PLOT_BODY.replace("{column!r}", repr("normalized"))
-        xlabel, ylabel = "N", "per-iteration time (normalized)"
-    png_name = csv_name.rsplit(".", 1)[0] + ".png"
-    return _PLOT_TEMPLATE.format(
-        csv_name=csv_name, body=body, xlabel=xlabel, ylabel=ylabel, png_name=png_name
-    )
-
-
 def run_experiment(spec: ExperimentSpec, out_dir) -> List[Path]:
     """Run one suite; write its CSV table(s) and plot script into out_dir."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written: List[Path] = []
-
-    def emit(name: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-        path = out_dir / name
-        _write_csv(path, header, rows)
-        written.append(path)
-
-    if spec.kind == "known_minimum_accuracy":
-        emit(
-            "known_minimum_accuracy.csv",
-            ["n", "method", "dist", "rel_residual", "obj_gap", "iterations", "status"],
-            _grid_rows(spec, _accuracy_row),
-        )
-    elif spec.kind == "residual_vs_N":
-        emit(
-            "residual_vs_N.csv",
-            ["n", "method", "rel_residual", "iterations", "termination", "status"],
-            _grid_rows(spec, _residual_row),
-        )
-    elif spec.kind == "iteration_timing":
-        emit(
-            "iteration_timing.csv",
-            ["n", "method", "seconds_per_iteration", "normalized", "status"],
-            _timing_rows(spec),
-        )
+    grid = _GRID_KINDS.get(spec.kind)
+    if grid is None:
+        tables = _gapped_tables(spec)
+        body, xlabel, ylabel = _GAPPED_PLOT_BODY, "index", "value"
     else:
-        table_rows, status_rows = _gapped_tables(spec)
-        emit(
-            "gapped_fit.csv",
-            ["index", "observed", "signal"]
-            + [f"fitted_{m}" for m in spec.methods],
-            table_rows,
-        )
-        emit(
-            "gapped_fit_status.csv",
-            ["method", "iterations", "termination", "rel_residual", "rel_error", "status"],
-            status_rows,
-        )
+        tables = [(f"{spec.kind}.csv", ["n", "method", *grid.columns], grid.rows(spec))]
+        body = _GRID_PLOT_BODY.format(column=grid.plotted)
+        xlabel, ylabel = "N", grid.ylabel
 
-    csv_name = written[0].name
+    written: List[Path] = []
+    for name, header, rows in tables:
+        written.append(out_dir / name)
+        _write_csv(written[-1], header, rows)
     script = out_dir / f"plot_{spec.kind}.py"
-    script.write_text(_plot_script(spec.kind, csv_name))
+    script.write_text(
+        _PLOT_TEMPLATE.format(
+            csv_name=tables[0][0],
+            body=body,
+            xlabel=xlabel,
+            ylabel=ylabel,
+            png_name=f"{spec.kind}.png",
+        )
+    )
     written.append(script)
     return written

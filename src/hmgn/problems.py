@@ -187,7 +187,6 @@ def gapped_preset(
     return TimeSeries(observed), signal
 
 
-#: named presets for the generation surface: name -> (builder, rank)
-PRESETS = {
-    "twotone50": (gapped_preset, 4),
-}
+#: named presets for the generation surface: name -> builder(seed, noise_level,
+#: gaps) -> (observed series, clean signal)
+PRESETS = {"twotone50": gapped_preset}

@@ -12,18 +12,20 @@ Usage, from the root of a checkout:
 
 Each checkout's ``src/hmgn`` is copied into a temporary directory under its
 own package name (``hmgn_a``, ``hmgn_b``), and ``perfbench/workloads.py`` of
-this checkout, which is read and not changed, builds the cells once against
-each version.  After one warm-up fit of each (method, weight type), capped
-at two iterations as in ``perfbench/run.py``, the script makes whole passes
-over the cells for about ``--seconds`` (at least one).  It runs BLAS and
-OpenMP at one thread, as the benchmark does.
+this checkout builds the cells once against each version.  Set-up, warm-up
+and the judgement of each fit are those of ``perfbench/run.py`` (its
+``_set_up`` and ``run_cell``): a fit that raises ``HmgnError`` or misses its
+cell's reference bound fails, and only fits that pass are timed.  Both files
+are read and executed from their source text, so nothing is written under
+``perfbench/``.  The script makes whole passes over the cells for about
+``--seconds`` (at least one).  It runs BLAS and OpenMP at one thread, as the
+benchmark does.
 
 It prints one line: the lower quartile over cells of each cell's median ms
 per iteration for each side (``iter_ms_p25`` as ``perfbench/run.py``
-defines it, without its check of the answer), their ratio B/A, the median
-over cells of the ratio of the cells' medians, and the number of cells
-whose iteration counts differ between the sides.  Fits that raise
-``HmgnError`` are left out of the timings.
+defines it), their ratio B/A, the median over cells of the ratio of the
+cells' medians, the number of cells whose iteration counts differ between
+the sides, and the number of failed fits on each side.
 """
 
 from __future__ import annotations
@@ -36,21 +38,35 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse
 import importlib
-import importlib.util
 import shutil
 import statistics
 import sys
 import tempfile
 import time
+import types
 from collections import defaultdict
-from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional
 
+import numpy
+
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS_PY = ROOT / "perfbench" / "workloads.py"
+PERFBENCH = ROOT / "perfbench"
 SIDES = ("a", "b")
-WARMUP_ITERS = 2
+
+
+def exec_source(path: Path, name: str) -> types.ModuleType:
+    """The module at ``path``, executed from its source text under ``name``,
+    so that no bytecode is written next to it."""
+    module = types.ModuleType(name)
+    module.__file__ = str(path)
+    sys.modules[name] = module  # dataclasses look their module up
+    source = path.read_text(encoding="utf-8")
+    exec(compile(source, str(path), "exec"), module.__dict__)
+    return module
+
+
+BENCH = exec_source(PERFBENCH / "run.py", "perfbench_run")
 
 
 def load_version(checkout: Path, side: str, tmp: Path):
@@ -74,10 +90,7 @@ def load_version(checkout: Path, side: str, tmp: Path):
     saved = {key: sys.modules.get(key) for key in aliases}
     sys.modules.update(aliases)
     try:
-        spec = importlib.util.spec_from_file_location(f"workloads_{side}", WORKLOADS_PY)
-        workloads = importlib.util.module_from_spec(spec)
-        sys.modules[spec.name] = workloads  # dataclasses look their module up
-        spec.loader.exec_module(workloads)
+        workloads = exec_source(PERFBENCH / "workloads.py", f"workloads_{side}")
     finally:
         for key, mod in saved.items():
             if mod is None:
@@ -87,34 +100,12 @@ def load_version(checkout: Path, side: str, tmp: Path):
     return package, workloads.WORKLOADS
 
 
-def timed_fit(package, cell):
-    """(seconds, iterations), or None when the fit raised ``HmgnError``."""
-    start = time.perf_counter()
-    try:
-        result = package.fit(cell.x, r=cell.r, w=cell.w, a0=cell.a0, config=cell.config)
-    except package.HmgnError:
-        return None
-    return time.perf_counter() - start, result.iterations
-
-
-def warm_up(package, cells) -> None:
-    seen = set()
-    for cell in cells:
-        kind = (cell.config.method, type(cell.w).__name__)
-        if kind not in seen:
-            seen.add(kind)
-            capped = replace(cell, config=replace(cell.config, max_iter=WARMUP_ITERS))
-            timed_fit(package, capped)
-
-
-def lower_quartile(values: List[float]) -> float:
-    return statistics.quantiles(values, n=4)[0] if len(values) > 1 else values[0]
-
-
 def run(packages, cells, seconds: float):
-    """Per side and cell, the ms per iteration of every pass; and the cells
-    whose iteration counts differ between the sides."""
+    """Per side and cell, the ms per iteration of every passing fit; the
+    cells whose iteration counts differ between the sides; and the failed
+    fits of each side."""
     iter_ms = {side: defaultdict(list) for side in SIDES}
+    failed = dict.fromkeys(SIDES, 0)
     differ = set()
     start = time.perf_counter()
     passes = 0
@@ -124,32 +115,35 @@ def run(packages, cells, seconds: float):
         for idx in range(len(cells[SIDES[0]])):
             counts = {}
             for side in order:
-                got = timed_fit(packages[side], cells[side][idx])
-                counts[side] = None if got is None else got[1]
-                if got is not None and got[1] > 0:
-                    iter_ms[side][idx].append(1e3 * got[0] / got[1])
+                record = BENCH.run_cell(packages[side], numpy, cells[side][idx])
+                counts[side] = record.iterations
+                if record.ok:
+                    iter_ms[side][idx].append(1e3 * record.seconds / record.iterations)
+                else:
+                    failed[side] += 1
             if counts["a"] != counts["b"]:
                 differ.add(idx)
         passes += 1
         now = time.perf_counter()
         if now - start + (now - pass_start) > seconds:
-            return iter_ms, differ, passes
+            return iter_ms, differ, failed, passes
 
 
-def summary(iter_ms, differ, passes, workload: str, seed: int) -> str:
+def summary(iter_ms, differ, failed, passes, workload: str, seed: int) -> str:
+    head = f"ab_paired workload={workload} seed={seed} passes={passes}"
+    tail = f"a_failed={failed['a']} b_failed={failed['b']}"
     common = sorted(set(iter_ms["a"]) & set(iter_ms["b"]))
     if not common:
-        return f"ab_paired workload={workload} seed={seed} passes={passes} cells=0"
+        return f"{head} cells=0 {tail}"
     med = {
         side: [statistics.median(iter_ms[side][idx]) for idx in common] for side in SIDES
     }
-    p25 = {side: lower_quartile(med[side]) for side in SIDES}
+    p25 = {side: BENCH._lower_quartile(med[side]) for side in SIDES}
     cell_ratio = statistics.median(b / a for a, b in zip(med["a"], med["b"]))
     return (
-        f"ab_paired workload={workload} seed={seed} passes={passes} "
-        f"cells={len(common)} a_iter_ms_p25={p25['a']:.4f} "
+        f"{head} cells={len(common)} a_iter_ms_p25={p25['a']:.4f} "
         f"b_iter_ms_p25={p25['b']:.4f} p25_ratio={p25['b'] / p25['a']:.4f} "
-        f"cell_median_ratio={cell_ratio:.4f} iterations_differ={len(differ)}"
+        f"cell_median_ratio={cell_ratio:.4f} iterations_differ={len(differ)} {tail}"
     )
 
 
@@ -170,10 +164,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                 parser.error(f"unknown workload {args.workload!r}; "
                              f"expected one of {sorted(builders)}")
             packages[side] = package
-            cells[side] = builders[args.workload](args.seed, args.smoke).cells
-            warm_up(package, cells[side])
-        iter_ms, differ, passes = run(packages, cells, args.seconds)
-    print(summary(iter_ms, differ, passes, args.workload, args.seed))
+            workload = BENCH._set_up(package, builders[args.workload], args.seed, args.smoke)
+            cells[side] = workload.cells
+        iter_ms, differ, failed, passes = run(packages, cells, args.seconds)
+    print(summary(iter_ms, differ, failed, passes, args.workload, args.seed))
     return 0
 
 

@@ -24,7 +24,7 @@ def test_ab_paired_one_pass_against_itself():
     match = re.fullmatch(
         r"ab_paired workload=gapped-short seed=100 passes=1 cells=4 "
         rf"a_iter_ms_p25={number} b_iter_ms_p25={number} p25_ratio={number} "
-        rf"cell_median_ratio={number} iterations_differ=0",
+        rf"cell_median_ratio={number} iterations_differ=0 a_failed=0 b_failed=0",
         lines[0],
     )
     assert match, lines[0]

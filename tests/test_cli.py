@@ -4,8 +4,14 @@ from __future__ import annotations
 
 import ast
 import csv
+import hashlib
+import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,8 +22,9 @@ from hmgn import experiments
 from hmgn.cli import main, parse_components
 from hmgn.problems import build_known_minimum, gapped_preset
 from hmgn.series import ModelComponent, generate_model_signal, read_series_csv
-from hmgn.weights import Identity
+from hmgn.weights import Identity, ar_inverse_covariance, mask_missing, weighted_norm
 
+ROOT = Path(__file__).resolve().parent.parent
 RANK2 = "1:0.98:0.12:0.3"
 
 
@@ -66,6 +73,11 @@ def test_generate_preset_gap_and_noise_overrides(tmp_path):
     series2 = read_series_csv(out2)
     assert not series2.mask[2:4].any()
     assert series2.mask.sum() == 48
+
+    # the preset fixes its own length: --n belongs to --components
+    out3 = tmp_path / "long.csv"
+    assert run("generate", "--preset", "twotone50", "--n", 200, "--out", out3) == 2
+    assert not out3.exists()
 
 
 def test_generate_components_matches_model(tmp_path):
@@ -175,6 +187,22 @@ def test_fit_gapped_preset(tmp_path):
     assert sum(1 for r in rows if r["observed"] == "") == 15
     fitted = np.array([float(r["fitted"]) for r in rows])
     assert np.isfinite(fitted).all()
+
+
+def test_fit_weighted_residual_is_the_objective_over_observed_entries(tmp_path):
+    # fit masks the gaps out of W itself; the JSON reports the objective it
+    # reached, which must be ‖X − S‖_W over the observed entries exactly
+    data = tmp_path / "gapped.csv"
+    run("generate", "--preset", "twotone50", "--seed", 3, "--out", data)
+    out = tmp_path / "fit.csv"
+    assert run("fit", "--input", data, "--rank", 4, "--method", "mgn",
+               "--weights", "ar:0.5", "--out", out) == 0
+    meta = json.loads((tmp_path / "fit.json").read_text())
+    series = read_series_csv(data)
+    assert series.has_missing
+    fitted = np.array([float(r["fitted"]) for r in read_rows(out)])
+    w = mask_missing(ar_inverse_covariance([0.5], 1.0, series.n), series.mask)
+    assert meta["weighted_residual"] == weighted_norm(w, series.values - fitted)
 
 
 def test_fit_usage_and_io_errors(tmp_path, capsys):
@@ -371,3 +399,60 @@ def test_experiment_rejects_oversized_n(tmp_path, capsys):
     )
     err = capsys.readouterr().err
     assert "extend" in err
+
+
+#: one small run of every experiment kind with every method
+PINNED_RUNS = {
+    "known_minimum_accuracy": ("--n-list", "20,30"),
+    "residual_vs_N": ("--n-list", "20,30"),
+    "iteration_timing": ("--n-list", "20,30"),
+    "gapped_fit": ("--seed", "3"),
+}
+#: the wall-clock columns, left out of the digest
+TIMING_COLUMNS = ("seconds_per_iteration", "normalized")
+#: SHA-256 of every file the runs above emit, in name order, with the
+#: timing columns of iteration_timing.csv dropped (see emitted_digest)
+PINNED_DIGEST = "54a83ac5caddf9ddca3009e8d66724595c5d4f4b9e32754509f4d23984723377"
+
+
+def emitted_digest(out_dir) -> str:
+    """SHA-256 over each file's name and text, without the timing columns."""
+    digest = hashlib.sha256()
+    for path in sorted(out_dir.iterdir()):
+        text = path.read_text()
+        if path.name == "iteration_timing.csv":
+            rows = list(csv.reader(io.StringIO(text)))
+            keep = [i for i, col in enumerate(rows[0]) if col not in TIMING_COLUMNS]
+            text = "\n".join(",".join(row[i] for i in keep) for row in rows)
+        digest.update(path.name.encode() + b"\0" + text.encode() + b"\0")
+    return digest.hexdigest()
+
+
+def test_experiment_outputs_are_pinned(tmp_path, capsys):
+    # headers, plot labels, row order and every fitted value, byte for byte
+    out_dir = tmp_path / "all"
+    for kind, extra in PINNED_RUNS.items():
+        assert run(
+            "experiment", "--kind", kind, "--methods", "mgn,s-mgn,vpgn,s-vpgn",
+            "--out-dir", out_dir, *extra,
+        ) == 0
+    capsys.readouterr()
+    assert sorted(f.name for f in out_dir.iterdir()) == [
+        "gapped_fit.csv", "gapped_fit_status.csv", "iteration_timing.csv",
+        "known_minimum_accuracy.csv", "plot_gapped_fit.py",
+        "plot_iteration_timing.py", "plot_known_minimum_accuracy.py",
+        "plot_residual_vs_N.py", "residual_vs_N.csv",
+    ]
+    assert emitted_digest(out_dir) == PINNED_DIGEST
+
+
+@pytest.mark.parametrize(
+    "demo", sorted(p.name for p in (ROOT / "demos").glob("*.py"))
+)
+def test_demo_runs(demo, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
