@@ -109,12 +109,19 @@ def _mul_upper(bands: Bands, x: np.ndarray) -> np.ndarray:
 
 
 def _mul_upper_t(bands: Bands, x: np.ndarray) -> np.ndarray:
-    """Mᵀ·x for upper-triangular banded M."""
+    """Mᵀ·x for upper-triangular banded M (vector or columnwise matrix x).
+
+    A matrix is taken one whole column at a time, as in ``_mul_upper``: each
+    entry takes the same products and sums in the same order as with a band
+    broadcast over the block, so the bits are the same, but no band product
+    is as large as x.  The result keeps the layout of x.
+    """
     n = x.shape[0]
     out = np.zeros_like(x, dtype=float)
-    for d, band in enumerate(bands):
-        b = band if x.ndim == 1 else band[:, None]
-        out[d:] += b * x[: n - d]
+    cols = zip(x.T, out.T) if x.ndim == 2 else ((x, out),)
+    for x_col, out_col in cols:
+        for d, band in enumerate(bands):
+            out_col[d:] += band * x_col[: n - d]
     return out
 
 

@@ -459,3 +459,68 @@ def mul_upper_broadcast_oracle(bands, x):
         b = band if x.ndim == 1 else band[:, None]
         out[: n - d] += b * x[d:]
     return out
+
+
+def mul_upper_t_broadcast_oracle(bands, x):
+    """Mᵀ·x for upper-triangular banded M, each band broadcast over the
+    columns of a matrix x."""
+    n = x.shape[0]
+    out = np.zeros_like(x, dtype=float)
+    for d, band in enumerate(bands):
+        b = band if x.ndim == 1 else band[:, None]
+        out[d:] += b * x[: n - d]
+    return out
+
+
+def gram_upper_fresh_products_oracle(coeffs, chat_bands, n):
+    """Γ = (ĈQ)ᵀ(ĈQ) in upper band storage, built band by band as
+    ``_gram_upper`` builds it, but with every band product in a fresh
+    array."""
+    r = coeffs.size - 1
+    p = len(chat_bands) - 1
+    m = n - r
+    mb = np.zeros((r + p + 1, m))
+    for o in range(max(-p, 1 - m), r + 1):
+        lo = max(0, -o)
+        row = mb[o + p, lo:]
+        for e in range(max(0, -o), min(p, r - o) + 1):
+            row += coeffs[o + e] * chat_bands[e][lo + o : m + o]
+    width = r + p
+    ab = np.zeros((width + 1, m))
+    for d in range(min(width, m - 1) + 1):
+        band = ab[width - d, d:]
+        for o in range(d - p, r + 1):
+            band += mb[o + p, : m - d] * mb[o - d + p, d:]
+    return ab
+
+
+def vp_columns_block_oracle(factor, chat_bands, tau, x, pix, g=None):
+    """K of ``_vp_columns`` from whole-block expressions: g zero-padded and
+    Πx windowed into N×r and (N−r)×r blocks, W⁻¹ = ĈᵀĈ applied to the
+    padded block with each band broadcast over its columns (``chat_bands``
+    is None for W = I), and K = −padded − Q·Γ⁻¹(windows − QᵀW⁻¹·padded).
+    Only the Γ⁻¹ solve is the factor's."""
+    coeffs = factor.coeffs
+    n, r = x.shape[0], factor.r
+    m = n - r
+
+    def q_t(v):
+        return np.column_stack([np.correlate(col, coeffs, mode="valid") for col in v.T])
+
+    def q(v):
+        return np.column_stack([np.convolve(col, coeffs, mode="full") for col in v.T])
+
+    if g is None:
+        g = factor.solve(np.correlate(x, coeffs, mode="valid"))
+    padded = np.zeros((n, r), order="F")
+    windows = np.empty((m, r), order="F")
+    for col, j in enumerate(j for j in range(r + 1) if j != tau - 1):
+        padded[j : j + m, col] = g
+        windows[:, col] = pix[j : j + m]
+    if chat_bands is None:
+        winv = padded.copy()
+    else:
+        chat = mul_upper_broadcast_oracle(chat_bands, padded)
+        winv = mul_upper_t_broadcast_oracle(chat_bands, chat)
+    rhs = windows - q_t(winv)
+    return -padded - q(factor.solve(rhs))

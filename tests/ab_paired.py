@@ -25,7 +25,19 @@ It prints one line: the lower quartile over cells of each cell's median ms
 per iteration for each side (``iter_ms_p25`` as ``perfbench/run.py``
 defines it), their ratio B/A, the median over cells of the ratio of the
 cells' medians, the number of cells whose iteration counts differ between
-the sides, and the number of failed fits on each side.
+the sides (``iterations_differ``), the number of cells whose final signals
+differ in any byte (``signals_differ``), each side's minor page faults per
+iteration (``a_minflt_per_iter``, ``b_minflt_per_iter``: getrusage deltas
+taken around each fit that returns, summed, over the iterations of those
+fits) and the number of failed fits on each side.  So one run shows
+whether two versions fit the same bits and how much memory each touches.
+Both versions allocate from one heap, so a side's fault count also depends
+on how the other side left it; a version's own count needs a run of its
+own.
+
+A warm-up fit that raises ``HmgnError`` during set-up ends the script
+instead: it prints ``<side>_setup_failed=<class name>`` for each side whose
+set-up raised, and exits 1.
 """
 
 from __future__ import annotations
@@ -38,6 +50,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse
 import importlib
+import resource
 import shutil
 import statistics
 import sys
@@ -100,13 +113,43 @@ def load_version(checkout: Path, side: str, tmp: Path):
     return package, workloads.WORKLOADS
 
 
+class Recorder:
+    """``fit`` of one version, for ``run_cell``, that keeps the signal of
+    the last fit (``None`` if it raised) and sums the minor page faults and
+    the iterations of the fits that return."""
+
+    def __init__(self, package):
+        self.HmgnError = package.HmgnError
+        self._fit = package.fit
+        self.signal = None
+        self.minflt = 0
+        self.iterations = 0
+
+    def fit(self, *args, **kwargs):
+        self.signal = None
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        result = self._fit(*args, **kwargs)
+        self.minflt += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        self.iterations += result.iterations
+        self.signal = result.signal
+        return result
+
+
+def _same_bytes(x, y) -> bool:
+    if x is None or y is None:
+        return x is y
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
 def run(packages, cells, seconds: float):
     """Per side and cell, the ms per iteration of every passing fit; the
-    cells whose iteration counts differ between the sides; and the failed
-    fits of each side."""
+    cells whose iteration counts differ between the sides, and those whose
+    final signals differ; the failed fits of each side; and the recorder of
+    each side's faults."""
     iter_ms = {side: defaultdict(list) for side in SIDES}
     failed = dict.fromkeys(SIDES, 0)
-    differ = set()
+    recorders = {side: Recorder(packages[side]) for side in SIDES}
+    differ = {"iterations": set(), "signals": set()}
     start = time.perf_counter()
     passes = 0
     while True:
@@ -115,23 +158,37 @@ def run(packages, cells, seconds: float):
         for idx in range(len(cells[SIDES[0]])):
             counts = {}
             for side in order:
-                record = BENCH.run_cell(packages[side], numpy, cells[side][idx])
+                record = BENCH.run_cell(recorders[side], numpy, cells[side][idx])
                 counts[side] = record.iterations
                 if record.ok:
                     iter_ms[side][idx].append(1e3 * record.seconds / record.iterations)
                 else:
                     failed[side] += 1
             if counts["a"] != counts["b"]:
-                differ.add(idx)
+                differ["iterations"].add(idx)
+            if not _same_bytes(recorders["a"].signal, recorders["b"].signal):
+                differ["signals"].add(idx)
         passes += 1
         now = time.perf_counter()
         if now - start + (now - pass_start) > seconds:
-            return iter_ms, differ, failed, passes
+            return iter_ms, differ, failed, recorders, passes
 
 
-def summary(iter_ms, differ, failed, passes, workload: str, seed: int) -> str:
+def _per_iteration(recorder: Recorder) -> str:
+    if recorder.iterations == 0:
+        return "nan"
+    return f"{recorder.minflt / recorder.iterations:.1f}"
+
+
+def summary(iter_ms, differ, failed, recorders, passes, workload: str, seed: int) -> str:
     head = f"ab_paired workload={workload} seed={seed} passes={passes}"
-    tail = f"a_failed={failed['a']} b_failed={failed['b']}"
+    tail = (
+        f"iterations_differ={len(differ['iterations'])} "
+        f"signals_differ={len(differ['signals'])} "
+        f"a_minflt_per_iter={_per_iteration(recorders['a'])} "
+        f"b_minflt_per_iter={_per_iteration(recorders['b'])} "
+        f"a_failed={failed['a']} b_failed={failed['b']}"
+    )
     common = sorted(set(iter_ms["a"]) & set(iter_ms["b"]))
     if not common:
         return f"{head} cells=0 {tail}"
@@ -143,7 +200,7 @@ def summary(iter_ms, differ, failed, passes, workload: str, seed: int) -> str:
     return (
         f"{head} cells={len(common)} a_iter_ms_p25={p25['a']:.4f} "
         f"b_iter_ms_p25={p25['b']:.4f} p25_ratio={p25['b'] / p25['a']:.4f} "
-        f"cell_median_ratio={cell_ratio:.4f} iterations_differ={len(differ)} {tail}"
+        f"cell_median_ratio={cell_ratio:.4f} {tail}"
     )
 
 
@@ -157,17 +214,27 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--smoke", action="store_true", help="the self-test sizes")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="ab_paired_") as tmp:
-        packages, cells = {}, {}
+        packages, cells, setup_failed = {}, {}, []
         for side, checkout in zip(SIDES, (args.checkout_a, args.checkout_b)):
             package, builders = load_version(checkout.resolve(), side, Path(tmp))
             if args.workload not in builders:
                 parser.error(f"unknown workload {args.workload!r}; "
                              f"expected one of {sorted(builders)}")
             packages[side] = package
-            workload = BENCH._set_up(package, builders[args.workload], args.seed, args.smoke)
+            try:
+                workload = BENCH._set_up(
+                    package, builders[args.workload], args.seed, args.smoke
+                )
+            except package.HmgnError as exc:
+                setup_failed.append(f"{side}_setup_failed={type(exc).__name__}")
+                continue
             cells[side] = workload.cells
-        iter_ms, differ, failed, passes = run(packages, cells, args.seconds)
-    print(summary(iter_ms, differ, failed, passes, args.workload, args.seed))
+        if setup_failed:
+            print(f"ab_paired workload={args.workload} seed={args.seed} "
+                  + " ".join(setup_failed))
+            return 1
+        iter_ms, differ, failed, recorders, passes = run(packages, cells, args.seconds)
+    print(summary(iter_ms, differ, failed, recorders, passes, args.workload, args.seed))
     return 0
 
 

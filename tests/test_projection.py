@@ -39,7 +39,9 @@ from _oracles import (
     fd_jacobian,
     gamma_projection_oracle,
     gram_oracle,
+    gram_upper_fresh_products_oracle,
     q_matrix_oracle,
+    vp_columns_block_oracle,
     vp_jacobian_dense_oracle,
     vp_jacobian_two_solve_oracle,
     weighted_projection_oracle,
@@ -540,6 +542,53 @@ def test_vp_columns_from_the_carried_g_are_bitwise_the_recomputed(r, weight):
     recomputed = projection._vp_columns(factor, tau, x, pix)
     assert np.array_equal(projection._vp_columns(factor, tau, x, pix, g), recomputed)
     assert np.array_equal(vp_jacobian(factor, tau, x), factor.apply_winv(recomputed))
+
+
+@pytest.mark.parametrize("weight", ["identity", "banded_winv"])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_vp_columns_are_bitwise_the_block_expressions(r, weight):
+    # K assembled column by column in place against the whole-block form,
+    # at every pivot, with and without the carried g; odd lengths put the
+    # columns of a block off 16-byte boundaries
+    rng = np.random.default_rng(70 + r + 10 * (weight == "banded_winv"))
+    a = stable_glrr(r, rng)
+    for n in (r + 2, 41, 401):
+        if weight == "identity":
+            w, bands = Identity(n), None
+        else:
+            w = random_tridiagonal_winv(n, rng)
+            bands = w.chat_bands
+        factor = GammaFactor(a, w)
+        x = rng.standard_normal(n)
+        pix = factor.kernel_projection(x)
+        g = factor._take_g(x)
+        inputs = {"x": x, "pix": pix, "g": g}
+        kept = {name: v.tobytes() for name, v in inputs.items()}
+        for tau in range(1, r + 2):
+            for carried in (None, g):
+                got = projection._vp_columns(factor, tau, x, pix, carried)
+                want = vp_columns_block_oracle(factor, bands, tau, x, pix, carried)
+                assert got.shape == (n, r) and got.flags.f_contiguous
+                assert got.tobytes() == want.tobytes(), (n, tau, carried is None)
+                for name, v in inputs.items():
+                    assert v.tobytes() == kept[name], (name, n, tau)
+
+
+@pytest.mark.parametrize("p", [0, 1, 2])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_gram_upper_is_bitwise_the_fresh_product_form(r, p):
+    # the scratch-row products against a fresh array per product, down to
+    # series with N − r ≤ r + p, where upper bands of Γ are partly or
+    # wholly empty
+    rng = np.random.default_rng(90 + 10 * r + p)
+    a = stable_glrr(r, rng)
+    for n in [*range(max(r + 1, p + 1), 2 * r + p + 3), 201]:
+        bands = [rng.uniform(0.5, 2.0, n)]
+        bands += [rng.uniform(-0.4, 0.4, n - d) for d in range(1, p + 1)]
+        got = projection._gram_upper(a, tuple(bands), n)
+        want = gram_upper_fresh_products_oracle(a, bands, n)
+        assert got.strides == want.strides, n
+        assert got.tobytes() == want.tobytes(), n
 
 
 def test_gamma_factor_keeps_g_of_the_last_vector_projected_only():

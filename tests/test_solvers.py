@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -309,6 +310,40 @@ def test_basis_iteration_factors_two_designs_and_whitens_three_blocks(
     assert (gamma, small, trials) == (1.0, False, 1) and trial is not None
     assert len(factorizations) == 2
     assert len(blocks) == 3
+
+
+@pytest.mark.parametrize("weight", ["identity", "banded_winv"])
+def test_vpgn_step_working_set_is_pinned(weight):
+    # the tracemalloc peak of one Gram-route step at a handed-over
+    # projection, as ``fit`` takes it, in blocks of N×r doubles.  The step
+    # needs three blocks at once (K, the right-hand sides, their Γ⁻¹ solve)
+    # besides vectors; the whole-block expressions of the columns hold 6.25
+    n, r = 4000, 4
+    rng = np.random.default_rng(404)
+    tones = [
+        np.array([1.0, -2.0 * math.cos(2.0 * math.pi * om), 1.0])
+        for om in (0.013, 0.071)
+    ]
+    norm = normalize_glrr(np.convolve(*tones) + 1e-4 * rng.standard_normal(r + 1))
+    t = np.arange(n)
+    x = np.cos(0.08 * t) + np.cos(0.45 * t + 1.0) + 0.3 * rng.standard_normal(n)
+    if weight == "identity":
+        w = Identity(n)
+    else:
+        w = banded_winv_from_winv_bands(
+            (1.0 + rng.uniform(0.0, 1.0, n), rng.uniform(-0.4, 0.4, n - 1))
+        )
+    problem = _problem(x, w, "vpgn")
+    at = solvers._project(problem, h_tau(norm.adot, norm.tau))
+    vpgn_step(problem, norm.adot, norm.tau, at)  # caches filled outside the count
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        vpgn_step(problem, norm.adot, norm.tau, at)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * n * r * 8, peak / (n * r * 8)
 
 
 def test_vpgn_step_rejects_masked_weights():

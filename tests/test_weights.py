@@ -29,12 +29,14 @@ from hmgn.weights import (
     weighted_norm,
     _bands_to_ab_upper,
     _mul_upper,
+    _mul_upper_t,
     whiten,
 )
 
 from _oracles import (
     ar_dense_covariance_oracle,
     mul_upper_broadcast_oracle,
+    mul_upper_t_broadcast_oracle,
     weighted_norm_oracle,
 )
 
@@ -299,12 +301,18 @@ def _layouts(rng, n, k):
 
 @pytest.mark.parametrize("n,k,p", [(7, 1, 0), (50, 4, 1), (997, 3, 2), (5000, 3, 1)])
 def test_banded_product_runs_down_columns_bitwise(n, k, p):
+    # M·x and Mᵀ·x, each against its band-broadcast form
     rng = np.random.default_rng(n + k + p)
     bands = _random_c_bands(rng, n, p)
+    products = (
+        (_mul_upper, mul_upper_broadcast_oracle),
+        (_mul_upper_t, mul_upper_t_broadcast_oracle),
+    )
     for name, x in _layouts(rng, n, k).items():
-        got, want = _mul_upper(bands, x), mul_upper_broadcast_oracle(bands, x)
-        assert got.strides == want.strides, name
-        assert got.tobytes() == want.tobytes(), name
+        for product, oracle in products:
+            got, want = product(bands, x), oracle(bands, x)
+            assert got.strides == want.strides, (product.__name__, name)
+            assert got.tobytes() == want.tobytes(), (product.__name__, name)
 
 
 def test_masked_identity_whitens_into_a_fresh_array():
