@@ -70,7 +70,7 @@ from .weights import (
     weighted_norm,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "__version__",

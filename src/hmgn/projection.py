@@ -25,9 +25,8 @@ With g = Γ⁻¹Qᵀ(a)x and E_j = Q(e_j), the Jacobian column
     K_j = −E_j·g − QΓ⁻¹(E_jᵀΠx − QᵀW⁻¹E_j·g),
 
 which follows from Π = I − W⁻¹QΓ⁻¹Qᵀ.  All r columns take one batched
-solve, and a caller holding Πx passes it in.  The projection of a vector
-solves for the same g, so the factor keeps the last one (a one-slot memo,
-``GammaFactor._take_g``) and the Jacobian does not solve for it again.
+solve, and a caller holding Πx passes it in.  The projection solves for the
+same g and returns it beside Πx, so the Jacobian does not solve for it again.
 Since whiten(W, W⁻¹v) = Ĉv, the whitened design of the Gauss-Newton least
 squares is ĈK, so the solvers never form J.
 
@@ -55,7 +54,9 @@ when it solves; its factor is not checked again on every solve.
 The ``GammaFactor`` is the only carrier of (a, W) on the Gram route:
 ``project_gamma`` and ``vp_jacobian`` take the factor alone, as the basis
 route's building blocks take the rotated spectrum of :mod:`hmgn.nullspace`,
-so a projection and its Jacobian cannot mix coefficients or weights.
+so a projection and its Jacobian cannot mix coefficients or weights.  The
+Gram route has no masked weights, so both reject a ``TimeSeries`` with gaps
+rather than read the 0.0 stored at each gap as an observation.
 """
 
 from __future__ import annotations
@@ -250,8 +251,7 @@ class GammaFactor:
     W⁻¹ = ĈᵀĈ, in O(N(r+p)²) with no sparse matrices.  The factor is
     immutable and reusable for every Γ⁻¹ solve at the same (a, W) — a
     projection plus all Jacobian columns.  It also owns the products with
-    W⁻¹, through the Ĉ admitted here (none for W = I).  Its one mutable
-    slot holds g = Γ⁻¹Qᵀx of the last vector it projected, for ``_take_g``.
+    W⁻¹, through the Ĉ admitted here (none for W = I).
     """
 
     def __init__(self, a: Union[GlrrVector, np.ndarray], w: WeightSpec):
@@ -272,7 +272,9 @@ class GammaFactor:
         ab = _gram_upper(coeffs, (np.ones(n),) if chat_bands is None else chat_bands, n)
         if not np.isfinite(ab).all():
             raise ValueError("Γ(a) must not contain infs or NaNs")
-        chol, info = _PBTRF(ab, lower=0, overwrite_ab=1)
+        # pbtrf copies Γ once, into Fortran order; Γ is built C-ordered
+        # because Fortran-order band writes measured slower
+        chol, info = _PBTRF(ab, lower=0)
         if info > 0:
             raise GammaBreakdownError(
                 f"Γ(a) is numerically indefinite at N={n}: "
@@ -283,8 +285,6 @@ class GammaFactor:
         self._chol = chol
         self._coeffs = coeffs
         self._chat_bands = chat_bands
-        self._memo = None
-        self.n = n
         self.r = r
 
     @property
@@ -322,29 +322,24 @@ class GammaFactor:
             return x.copy(order="K")
         return _mul_upper_t(self._chat_bands, self.apply_chat(x))
 
-    def kernel_projection(self, x: np.ndarray) -> np.ndarray:
-        """(I − W⁻¹Q Γ⁻¹ Qᵀ)·x for a vector or columnwise matrix.
 
-        For a vector x, g = Γ⁻¹Qᵀx replaces the memo, for ``_take_g``.
-        """
-        g = self.solve(apply_q_transpose(self._coeffs, x))
-        if x.ndim == 1:
-            self._memo = (x, g)
-        return x - self.apply_winv(apply_q(self._coeffs, g))
-
-    def _take_g(self, x: np.ndarray) -> Optional[np.ndarray]:
-        """g = Γ⁻¹Qᵀx from the memo if the last vector projected was this
-        very array x, else None; either way the memo is emptied."""
-        memo, self._memo = self._memo, None
-        if memo is not None and memo[0] is x:
-            return memo[1]
-        return None
+def _gram_rhs(x: Union[TimeSeries, np.ndarray]) -> np.ndarray:
+    if isinstance(x, TimeSeries) and x.has_missing:
+        raise WeightVariantError("the Gram route takes no masked weights, so no gaps")
+    return _as_vector_or_batch(x)
 
 
-def project_gamma(factor: GammaFactor, x: Union[TimeSeries, np.ndarray]) -> np.ndarray:
-    """Π_{Z(a),W}x = (I − W⁻¹Q(a)Γ⁻¹(a)Qᵀ(a))x without forming a basis, for
-    the (a, W) of ``factor``."""
-    return factor.kernel_projection(_as_vector_or_batch(x))
+def project_gamma(
+    factor: GammaFactor, x: Union[TimeSeries, np.ndarray]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(Πx, g) for the (a, W) of ``factor``, without forming a basis:
+    Πx = (I − W⁻¹Q(a)Γ⁻¹(a)Qᵀ(a))x = Π_{Z(a),W}x and g = Γ⁻¹(a)Qᵀ(a)x, for
+    a vector or columnwise batch x.  A ``TimeSeries`` with gaps raises
+    ``WeightVariantError``."""
+    x = _gram_rhs(x)
+    coeffs = factor.coeffs
+    g = factor.solve(apply_q_transpose(coeffs, x))
+    return x - factor.apply_winv(apply_q(coeffs, g)), g
 
 
 def _vp_columns(
@@ -394,12 +389,13 @@ def vp_jacobian(
     where Qᵀ(e_j)v windows v at offset j−1 and Q(e_j)u zero-pads u to that
     window.  It is computed in the merged form W⁻¹K_j of the module
     docstring: one batched solve for all r columns, besides the solve of
-    Πx, whose g the columns reuse, all on one factorization.
+    Πx, whose g the columns reuse, all on one factorization.  A
+    ``TimeSeries`` with gaps raises ``WeightVariantError``.
     """
-    rhs = _as_vector_or_batch(x)
+    rhs = _gram_rhs(x)
     if rhs.ndim != 1:
         raise ValueError("the Jacobian is defined for a single series")
     if not 1 <= tau <= factor.r + 1:
         raise ValueError(f"pivot index {tau} outside 1..{factor.r + 1}")
-    pix = factor.kernel_projection(rhs)
-    return factor.apply_winv(_vp_columns(factor, tau, rhs, pix, factor._take_g(rhs)))
+    pix, g = project_gamma(factor, rhs)
+    return factor.apply_winv(_vp_columns(factor, tau, rhs, pix, g))

@@ -286,8 +286,8 @@ def _project(problem: _Problem, a_full: np.ndarray) -> _Projection:
     values, w = problem.values, problem.w
     if problem.gram:
         factor = GammaFactor(a_full, w)
-        signal = project_gamma(factor, values)
-        route = dict(factor=factor, g=factor._take_g(values))
+        signal, g = project_gamma(factor, values)
+        route = dict(factor=factor, g=g)
     else:
         spectrum = rotated_spectrum(a_full, values.shape[0], problem.mode)
         basis = nullspace_basis(spectrum)

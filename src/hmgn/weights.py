@@ -41,7 +41,6 @@ __all__ = [
     "BandedWinv",
     "Masked",
     "ar_inverse_covariance",
-    "banded_w_from_w_bands",
     "banded_winv_from_winv_bands",
     "mask_missing",
     "whiten",
@@ -319,12 +318,6 @@ def ar_inverse_covariance(
 
     c_bands = _chol_banded_or_raise(w_bands, n, "AR inverse covariance")
     return BandedW(n, tuple(c_bands))
-
-
-def banded_w_from_w_bands(w_bands: Bands) -> BandedW:
-    """BandedW from the upper bands of an SPD W itself (bands[d][i] = W[i,i+d])."""
-    n = np.asarray(w_bands[0]).size
-    return BandedW(n, tuple(_chol_banded_or_raise(w_bands, n, "weight matrix")))
 
 
 def banded_winv_from_winv_bands(winv_bands: Bands) -> BandedWinv:

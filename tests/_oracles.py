@@ -2,9 +2,11 @@
 
 Everything here is written as plain double loops over the defining formulas
 and deliberately shares no code with the package.  Tests compare package
-output against these oracles (or against values frozen from them).  The one
-exception is ``basis_projection``, the package's basis route composed from
-its public building blocks, for tests that check that route itself.
+output against these oracles (or against values frozen from them).  The
+exceptions are ``basis_projection``, the package's basis route composed from
+its public building blocks, for tests that check that route itself, and
+``banded_w_from_w_bands``, a ``BandedW`` built from the bands of W through
+the package's banded Cholesky helper.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import scipy.linalg
 
 from hmgn.nullspace import nullspace_basis, rotated_spectrum
 from hmgn.projection import weighted_pinv_apply
+from hmgn.weights import BandedW, _chol_banded_or_raise
 
 
 def hankel_oracle(x, L):
@@ -65,6 +68,12 @@ def basis_projection(a, w, x, mode="plain"):
     """Π_{Z(a),W}x through an orthonormal basis of Z(a) built in ``mode``."""
     basis = nullspace_basis(rotated_spectrum(a, np.shape(x)[0], mode))
     return weighted_pinv_apply(basis.z, w, x)
+
+
+def banded_w_from_w_bands(w_bands):
+    """BandedW from the upper bands of an SPD W itself (bands[d][i] = W[i,i+d])."""
+    n = np.asarray(w_bands[0]).size
+    return BandedW(n, tuple(_chol_banded_or_raise(w_bands, n, "weight matrix")))
 
 
 def poly_eval_oracle(a, z):

@@ -21,7 +21,7 @@ from hmgn.projection import (
     vp_jacobian,
     weighted_pinv_apply,
 )
-from hmgn.series import apply_q_transpose, h_tau
+from hmgn.series import TimeSeries, apply_q_transpose, h_tau
 from hmgn.weights import (
     BandedW,
     BandedWinv,
@@ -334,13 +334,13 @@ def test_gamma_factor_matches_dense_gram_all_lengths(r, p):
         x = rng.standard_normal(n)
         winv = gram_oracle((1.0,), bands, n)  # Q(1) = I, so this is Ĉᵀ Ĉ
         want = gamma_projection_oracle(a, winv, x)
-        got = factor.kernel_projection(x)
+        got, _ = project_gamma(factor, x)
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(x), n
 
 
 def test_gamma_mean_projection_matches_basis():
     x = np.array([0.5, 1.5, -2.0, 4.0, 1.0, 0.0])
-    got = project_gamma(GammaFactor((1.0, -1.0), Identity(6)), x)
+    got, _ = project_gamma(GammaFactor((1.0, -1.0), Identity(6)), x)
     want = basis_projection((1.0, -1.0), Identity(6), x).projected
     assert_allclose(got, want, atol=1e-10)
 
@@ -352,7 +352,7 @@ def test_gamma_matches_dense_formula(seed):
     n = int(rng.integers(20, 100))
     a = stable_glrr(r, rng)
     x = rng.standard_normal(n)
-    got = project_gamma(GammaFactor(a, Identity(n)), x)
+    got, _ = project_gamma(GammaFactor(a, Identity(n)), x)
     want = gamma_projection_oracle(a, np.eye(n), x)
     assert_allclose(got, want, rtol=1e-9, atol=1e-11)
 
@@ -365,7 +365,7 @@ def test_gamma_matches_basis_path_banded_winv(seed):
     a = stable_glrr(r, rng)
     w = random_tridiagonal_winv(n, rng)
     x = rng.standard_normal(n)
-    got = project_gamma(GammaFactor(a, w), x)
+    got, _ = project_gamma(GammaFactor(a, w), x)
     want = basis_projection(a, w, x).projected
     assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(x)
 
@@ -413,7 +413,7 @@ def test_gamma_degrades_at_triple_unit_root():
     ).projected
     basis_resid = np.linalg.norm(q.T @ basis_out)
     try:
-        gamma_out = project_gamma(GammaFactor(a, Identity(n)), x)
+        gamma_out, _ = project_gamma(GammaFactor(a, Identity(n)), x)
     except GammaBreakdownError:
         return
     gamma_resid = np.linalg.norm(q.T @ gamma_out)
@@ -439,7 +439,7 @@ def test_vp_jacobian_matches_finite_differences(seed):
     jac = vp_jacobian(GammaFactor(h_tau(adot, tau), w), tau, x)
 
     def s_star(ad):
-        return project_gamma(GammaFactor(h_tau(ad, tau), w), x)
+        return project_gamma(GammaFactor(h_tau(ad, tau), w), x)[0]
 
     want = fd_jacobian(s_star, adot, h=1e-6)
     assert np.linalg.norm(jac - want) <= 1e-4 * max(1.0, np.linalg.norm(want))
@@ -535,13 +535,24 @@ def _gram_banded_case(weight, n=60):
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_vp_columns_from_the_carried_g_are_bitwise_the_recomputed(r, weight):
     factor, tau, x, _ = _jacobian_case(r, weight)
-    pix = project_gamma(factor, x)
-    g = factor._take_g(x)
+    pix, g = project_gamma(factor, x)
     fresh = factor.solve(apply_q_transpose(factor.coeffs, x))
-    assert np.array_equal(g, fresh)
+    assert g.tobytes() == fresh.tobytes()
     recomputed = projection._vp_columns(factor, tau, x, pix)
     assert np.array_equal(projection._vp_columns(factor, tau, x, pix, g), recomputed)
     assert np.array_equal(vp_jacobian(factor, tau, x), factor.apply_winv(recomputed))
+    # a columnwise batch projects and carries g column by column, whatever
+    # the layout of the batch
+    batch = np.stack([x, x[::-1], 2.0 * x], axis=1)
+    for xs in (batch, np.asfortranarray(batch)):
+        pix_b, g_b = project_gamma(factor, xs)
+        assert pix_b.shape == xs.shape and g_b.shape == (x.size - r, 3)
+        for col in range(3):
+            v = xs[:, col]
+            pix_v, g_v = project_gamma(factor, v)
+            g_fresh = factor.solve(apply_q_transpose(factor.coeffs, v))
+            assert g_b[:, col].tobytes() == g_fresh.tobytes() == g_v.tobytes()
+            assert pix_b[:, col].tobytes() == pix_v.tobytes()
 
 
 @pytest.mark.parametrize("weight", ["identity", "banded_winv"])
@@ -560,8 +571,7 @@ def test_vp_columns_are_bitwise_the_block_expressions(r, weight):
             bands = w.chat_bands
         factor = GammaFactor(a, w)
         x = rng.standard_normal(n)
-        pix = factor.kernel_projection(x)
-        g = factor._take_g(x)
+        pix, g = project_gamma(factor, x)
         inputs = {"x": x, "pix": pix, "g": g}
         kept = {name: v.tobytes() for name, v in inputs.items()}
         for tau in range(1, r + 2):
@@ -591,16 +601,55 @@ def test_gram_upper_is_bitwise_the_fresh_product_form(r, p):
         assert got.tobytes() == want.tobytes(), n
 
 
-def test_gamma_factor_keeps_g_of_the_last_vector_projected_only():
-    factor, _, x, _ = _jacobian_case(2, "banded_winv")
-    project_gamma(factor, x)
-    assert factor._take_g(x.copy()) is None  # equal values, another array
-    project_gamma(factor, x)
-    assert factor._take_g(x) is not None
-    assert factor._take_g(x) is None  # taken once
-    project_gamma(factor, x)
-    project_gamma(factor, np.stack([x, x], axis=1))  # a batch keeps no g
-    assert factor._take_g(x) is not None
+@pytest.mark.parametrize("weight", ["identity", "banded_winv"])
+def test_gram_route_leaves_the_factor_unchanged(weight):
+    # the factor holds no state of its own: projecting and taking the
+    # Jacobian rebind none of its attributes and write into none of them
+    factor, tau, x, _ = _jacobian_case(2, weight)
+
+    def contents(value):
+        if isinstance(value, np.ndarray):
+            return value.tobytes()
+        if isinstance(value, tuple):  # the bands of Ĉ
+            return tuple(contents(v) for v in value)
+        return value
+
+    def attributes():
+        return {name: (value, contents(value)) for name, value in vars(factor).items()}
+
+    before = attributes()
+    for call in (
+        lambda: project_gamma(factor, x),
+        lambda: project_gamma(factor, np.stack([x, x], axis=1)),
+        lambda: vp_jacobian(factor, tau, x),
+    ):
+        call()
+        after = attributes()
+        assert after.keys() == before.keys()
+        for name, (value, data) in before.items():
+            assert after[name][0] is value, name
+            assert after[name][1] == data, name
+
+
+def test_gram_route_rejects_a_series_with_gaps():
+    # the Gram route has no masked weights, so the 0.0 stored at a gap must
+    # not be projected as an observation; a fully observed series is its
+    # values bit for bit
+    factor, tau, x, _ = _jacobian_case(2, "banded_winv")
+    gapped = x.copy()
+    gapped[[3, 17, 18, 40, 59]] = np.nan
+    with pytest.raises(WeightVariantError):
+        project_gamma(factor, TimeSeries(gapped))
+    with pytest.raises(WeightVariantError):
+        vp_jacobian(factor, tau, TimeSeries(gapped))
+    masked = TimeSeries(x, mask=np.arange(x.size) != 5)
+    with pytest.raises(WeightVariantError):
+        project_gamma(factor, masked)
+    full = TimeSeries(x)
+    for got, want in zip(project_gamma(factor, full), project_gamma(factor, x)):
+        assert got.tobytes() == want.tobytes()
+    want = vp_jacobian(factor, tau, x)
+    assert vp_jacobian(factor, tau, full).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("weight", ["identity", "banded_winv"])

@@ -23,7 +23,6 @@ from hmgn.weights import (
     Masked,
     WeightSpec,
     ar_inverse_covariance,
-    banded_w_from_w_bands,
     banded_winv_from_winv_bands,
     mask_missing,
     weighted_norm,
@@ -35,6 +34,7 @@ from hmgn.weights import (
 
 from _oracles import (
     ar_dense_covariance_oracle,
+    banded_w_from_w_bands,
     mul_upper_broadcast_oracle,
     mul_upper_t_broadcast_oracle,
     weighted_norm_oracle,
