@@ -43,7 +43,6 @@ from .projection import (
 from .series import (
     GlrrVector,
     ModelComponent,
-    NormalizedGlrr,
     TimeSeries,
     generate_model_signal,
     glrr_residual,
@@ -70,7 +69,7 @@ from .weights import (
     weighted_norm,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "__version__",
@@ -84,7 +83,6 @@ __all__ = [
     # series model
     "TimeSeries",
     "GlrrVector",
-    "NormalizedGlrr",
     "ModelComponent",
     "generate_model_signal",
     "glrr_residual",

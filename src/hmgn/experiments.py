@@ -77,7 +77,7 @@ class ExperimentSpec:
     """A reproducible experiment grid.
 
     A grid kind given no series lengths runs its defaults; ``gapped_fit``
-    fits the N = 50 preset and reads none.
+    fits the N = 50 preset and rejects any.
     """
 
     kind: str
@@ -99,7 +99,10 @@ class ExperimentSpec:
             raise ValueError("at least one method is required")
         object.__setattr__(self, "methods", methods)
         n_list = tuple(int(n) for n in self.n_list)
-        if not n_list and self.kind in _GRID_KINDS:
+        if self.kind not in _GRID_KINDS:
+            if n_list:
+                raise ValueError(f"{self.kind} takes no series lengths")
+        elif not n_list:
             n_list = _GRID_KINDS[self.kind].default_n_list
         if any(b <= a for a, b in zip(n_list, n_list[1:])):
             raise ValueError("series lengths must be strictly increasing")

@@ -455,14 +455,6 @@ class SubspaceBasis:
         z.flags.writeable = False
         object.__setattr__(self, "z", z)
 
-    @property
-    def n(self) -> int:
-        return self.z.shape[0]
-
-    @property
-    def r(self) -> int:
-        return self.z.shape[1]
-
 
 @functools.lru_cache(maxsize=_TABLE_SIZE)
 def _fourier_columns(n: int, r: int) -> np.ndarray:

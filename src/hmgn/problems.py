@@ -60,10 +60,6 @@ class KnownMinimumProblem:
     a_star: GlrrVector
     tangent_basis: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.x.n
-
 
 def legendre_values(grid: np.ndarray, max_degree: int) -> np.ndarray:
     """Legendre polynomial values P_0..P_max_degree at the grid points.

@@ -25,14 +25,13 @@ import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence, Tuple, Union
 
 import numpy as np
 
 __all__ = [
     "TimeSeries",
     "GlrrVector",
-    "NormalizedGlrr",
     "ModelComponent",
     "as_time_series",
     "embed",
@@ -49,6 +48,13 @@ __all__ = [
 ArrayLike = Union[np.ndarray, Sequence[float]]
 
 
+def _check_one_axis(x: np.ndarray, what: str) -> None:
+    """Raise ValueError unless at most one axis of x is longer than 1, so
+    that flattening x keeps the order of its entries along that axis."""
+    if sum(d > 1 for d in x.shape) > 1:
+        raise ValueError(f"{what} must be one-dimensional, got shape {x.shape}")
+
+
 # ---------------------------------------------------------------------------
 # Domain types
 # ---------------------------------------------------------------------------
@@ -63,10 +69,10 @@ class TimeSeries:
 
     Parameters
     ----------
-    values : array, shape (N,)
+    values : array, shape (N,), (N, 1) or (1, N)
         Series values.  Non-finite entries are treated as missing: they are
         replaced by 0.0 in storage and marked unobserved in ``mask``.
-    mask : bool array, shape (N,), optional
+    mask : bool array of the shape of values, optional
         True marks an observed entry.  Defaults to "observed wherever the
         input value is finite".  Values at unobserved positions are ignored
         by every objective evaluation in this package.
@@ -76,14 +82,20 @@ class TimeSeries:
     mask: np.ndarray = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float).reshape(-1)
+        values = np.asarray(self.values, dtype=float)
+        if values.ndim != 1:
+            _check_one_axis(values, "series values")
+        values = values.reshape(-1)
         if values.size < 1:
             raise ValueError("a series needs at least one value")
         finite = np.isfinite(values)
         if self.mask is None:
             mask = finite
         else:
-            mask = np.asarray(self.mask, dtype=bool).reshape(-1)
+            mask = np.asarray(self.mask, dtype=bool)
+            if mask.ndim != 1:
+                _check_one_axis(mask, "series mask")
+            mask = mask.reshape(-1)
             if mask.shape != values.shape:
                 raise ValueError(
                     f"mask length {mask.size} does not match series length {values.size}"
@@ -151,10 +163,13 @@ class GlrrVector:
 
 def _glrr_coeffs(a: Union[GlrrVector, ArrayLike]) -> np.ndarray:
     """Extract a validated coefficient array from a GlrrVector or array-like:
-    length ≥ 2, finite, not all zero."""
+    one axis longer than 1, length ≥ 2, finite, not all zero."""
     if isinstance(a, GlrrVector):
         return a.coeffs
-    coeffs = np.asarray(a, dtype=float).reshape(-1)
+    coeffs = np.asarray(a, dtype=float)
+    if coeffs.ndim != 1:
+        _check_one_axis(coeffs, "GLRR coefficients")
+    coeffs = coeffs.reshape(-1)
     if coeffs.size < 2:
         raise ValueError("a GLRR coefficient vector needs length >= 2")
     if not np.all(np.isfinite(coeffs)):
@@ -162,35 +177,6 @@ def _glrr_coeffs(a: Union[GlrrVector, ArrayLike]) -> np.ndarray:
     if not np.any(coeffs != 0.0):
         raise ValueError("GLRR coefficients must not be all zero")
     return coeffs
-
-
-@dataclass(frozen=True, eq=False)
-class NormalizedGlrr:
-    """Pivot form of a GLRR vector: a = H_τ(ȧ) has −1 at position τ.
-
-    ``tau`` is 1-based; ``adot`` holds the remaining r coefficients in order.
-
-    Compared and hashed by identity (``eq=False``): a field-wise ``==``
-    would compare arrays and raise instead of returning a bool.
-    """
-
-    tau: int
-    adot: np.ndarray
-
-    def __post_init__(self):
-        adot = np.asarray(self.adot, dtype=float).reshape(-1)
-        if not 1 <= self.tau <= adot.size + 1:
-            raise ValueError(f"tau={self.tau} out of range 1..{adot.size + 1}")
-        adot.flags.writeable = False
-        object.__setattr__(self, "adot", adot)
-
-    @property
-    def order(self) -> int:
-        return self.adot.size
-
-    def full(self) -> np.ndarray:
-        """Reconstruct the full coefficient vector H_τ(ȧ)."""
-        return h_tau(self.adot, self.tau)
 
 
 # ---------------------------------------------------------------------------
@@ -278,20 +264,19 @@ _MINUS_ONE = np.array([-1.0])
 _MINUS_ONE.flags.writeable = False
 
 
-def normalize_glrr(a: Union[GlrrVector, ArrayLike]) -> NormalizedGlrr:
-    """Normalize a GLRR vector to pivot form (τ, ȧ).
+def normalize_glrr(a: Union[GlrrVector, ArrayLike]) -> Tuple[int, np.ndarray]:
+    """Normalize a GLRR vector to its pivot form, the pair (τ, ȧ).
 
-    τ = argmax_i |a_i| (smallest index on ties, for reproducibility), the
-    vector is rescaled so the pivot entry becomes −1, and the pivot is
-    dropped.  The reconstructed H_τ(ȧ) is collinear with a and has all
-    entries in [−1, 1].
+    τ = argmax_i |a_i| (smallest index on ties, for reproducibility), 1-based;
+    the vector is rescaled so the pivot entry becomes −1, and ȧ holds the
+    other r entries in order.  The reconstructed H_τ(ȧ) is collinear with a
+    and has all entries in [−1, 1].
     """
     coeffs = _glrr_coeffs(a)
     tau = int(np.argmax(np.abs(coeffs)))  # np.argmax returns the first maximum
     scale = -1.0 / coeffs[tau]
     scaled = scale * coeffs
-    adot = np.concatenate((scaled[:tau], scaled[tau + 1 :]))
-    return NormalizedGlrr(tau + 1, adot)
+    return tau + 1, np.concatenate((scaled[:tau], scaled[tau + 1 :]))
 
 
 def h_tau(adot: ArrayLike, tau: int) -> np.ndarray:

@@ -445,8 +445,7 @@ def fit(
         w = mask_missing(w, ts.mask)
 
     step = mgn_step if config.family == "mgn" else vpgn_step
-    norm0 = normalize_glrr(start.coeffs)
-    tau, adot = norm0.tau, norm0.adot
+    tau, adot = normalize_glrr(start.coeffs)
     problem = _Problem.of(ts, w, config)
 
     rows: List[IterationRecord] = []
@@ -458,8 +457,7 @@ def fit(
     for k in range(config.max_iter):
         # some |ȧᵢ| > 2 exceeds the pivot's 1, so re-normalizing moves τ
         if k > 0 and np.max(np.abs(adot)) > _PIVOT_SLACK:
-            renorm = normalize_glrr(h_tau(adot, tau))
-            tau, adot = renorm.tau, renorm.adot
+            tau, adot = normalize_glrr(h_tau(adot, tau))
             at = None
 
         delta, at = step(problem, adot, tau, at)

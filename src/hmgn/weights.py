@@ -63,6 +63,8 @@ def _freeze_bands(bands: Bands, n: int) -> tuple:
             raise ValueError(
                 f"band {d} has length {band.size}, expected {n - d} for dimension {n}"
             )
+        if not np.isfinite(band).all():
+            raise ValueError(f"band {d} has a non-finite entry")
         band = band.copy()
         band.flags.writeable = False
         out.append(band)
@@ -81,13 +83,6 @@ def _bands_to_ab_upper(bands: Bands, n: int) -> np.ndarray:
 def _ab_upper_to_bands(ab: np.ndarray) -> List[np.ndarray]:
     p = ab.shape[0] - 1
     return [ab[p - d, d:].copy() for d in range(p + 1)]
-
-
-def _bands_to_dense(bands: Bands, n: int) -> np.ndarray:
-    m = np.zeros((n, n))
-    for d, band in enumerate(bands):
-        m += np.diag(band, k=d)
-    return m
 
 
 def _mul_upper(bands: Bands, x: np.ndarray) -> np.ndarray:
@@ -143,10 +138,6 @@ class WeightSpec:
 
     n: int
 
-    def to_dense(self) -> np.ndarray:
-        """Dense W, for small-n verification only."""
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class Identity(WeightSpec):
@@ -155,9 +146,6 @@ class Identity(WeightSpec):
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("dimension must be positive")
-
-    def to_dense(self) -> np.ndarray:
-        return np.eye(self.n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,14 +161,6 @@ class BandedW(WeightSpec):
 
     def __post_init__(self):
         object.__setattr__(self, "c_bands", _freeze_bands(self.c_bands, self.n))
-
-    @property
-    def p(self) -> int:
-        return len(self.c_bands) - 1
-
-    def to_dense(self) -> np.ndarray:
-        c = _bands_to_dense(self.c_bands, self.n)
-        return c.T @ c
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,14 +187,6 @@ class BandedWinv(WeightSpec):
         ab = np.asfortranarray(_bands_to_ab_upper(bands, self.n))
         ab.flags.writeable = False
         object.__setattr__(self, "ab_upper", ab)
-
-    @property
-    def p(self) -> int:
-        return len(self.chat_bands) - 1
-
-    def to_dense(self) -> np.ndarray:
-        chat = _bands_to_dense(self.chat_bands, self.n)
-        return np.linalg.inv(chat.T @ chat)
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,10 +218,6 @@ class Masked(WeightSpec):
     @property
     def n(self) -> int:  # type: ignore[override]
         return self.inner.n
-
-    def to_dense(self) -> np.ndarray:
-        u = self.mask.astype(float)
-        return u[:, None] * self.inner.to_dense() * u[None, :]
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,10 @@ Everything here is written as plain double loops over the defining formulas
 and deliberately shares no code with the package.  Tests compare package
 output against these oracles (or against values frozen from them).  The
 exceptions are ``basis_projection``, the package's basis route composed from
-its public building blocks, for tests that check that route itself, and
+its public building blocks, for tests that check that route itself,
 ``banded_w_from_w_bands``, a ``BandedW`` built from the bands of W through
-the package's banded Cholesky helper.
+the package's banded Cholesky helper, and ``dense_weight``, which reads the
+stored factors of the package's weight types.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import scipy.linalg
 
 from hmgn.nullspace import nullspace_basis, rotated_spectrum
 from hmgn.projection import weighted_pinv_apply
-from hmgn.weights import BandedW, _chol_banded_or_raise
+from hmgn.weights import BandedW, BandedWinv, Identity, Masked, _chol_banded_or_raise
 
 
 def hankel_oracle(x, L):
@@ -74,6 +75,31 @@ def banded_w_from_w_bands(w_bands):
     """BandedW from the upper bands of an SPD W itself (bands[d][i] = W[i,i+d])."""
     n = np.asarray(w_bands[0]).size
     return BandedW(n, tuple(_chol_banded_or_raise(w_bands, n, "weight matrix")))
+
+
+def dense_upper(bands, n):
+    """n x n upper-triangular matrix with bands[d][i] at (i, i+d)."""
+    m = np.zeros((n, n))
+    for d, band in enumerate(bands):
+        m += np.diag(band, k=d)
+    return m
+
+
+def dense_weight(w):
+    """Dense W of a package weight, for small n: I, CᵀC, inv(ĈᵀĈ), or
+    u·W₀·u with u the mask as 0/1 floats."""
+    if isinstance(w, Identity):
+        return np.eye(w.n)
+    if isinstance(w, BandedW):
+        c = dense_upper(w.c_bands, w.n)
+        return c.T @ c
+    if isinstance(w, BandedWinv):
+        chat = dense_upper(w.chat_bands, w.n)
+        return np.linalg.inv(chat.T @ chat)
+    if isinstance(w, Masked):
+        u = w.mask.astype(float)
+        return u[:, None] * dense_weight(w.inner) * u[None, :]
+    raise TypeError(f"no dense form for {type(w).__name__}")
 
 
 def poly_eval_oracle(a, z):

@@ -174,8 +174,7 @@ def test_03_step_matches_full_jacobian_direction():
     for _ in range(50):
         a, r = random_glrr(rng)
         n = int(rng.integers(5 * (r + 1), 61))
-        norm = normalize_glrr(a)
-        tau, adot = norm.tau, norm.adot.copy()
+        tau, adot = normalize_glrr(a)
         z = nullspace_basis(rotated_spectrum(h_tau(adot, tau), n)).z
         x = z @ rng.standard_normal(r) + 0.05 * rng.standard_normal(n)
         problem = _Problem.of(x, Identity(n), SolverConfig(method="mgn"))
@@ -210,8 +209,7 @@ def test_04_parameterization_derivatives_stay_in_squared_kernel():
     for _ in range(50):
         a, r = random_glrr(rng)
         n = int(rng.integers(25, 61))
-        norm = normalize_glrr(a)
-        tau, adot = norm.tau, norm.adot.copy()
+        tau, adot = normalize_glrr(a)
         a_tau = h_tau(adot, tau)
         a2 = np.convolve(a_tau, a_tau)
         q2 = q_matrix_oracle(a2, n)
@@ -339,10 +337,10 @@ def test_09_step_cost_scaling():
     def step_at(n):
         known = build_known_minimum(n)
         w = ar_inverse_covariance([0.5], 1.0, n)
-        norm = normalize_glrr(np.array(known.a_star.coeffs) + 1e-6)
+        tau, adot = normalize_glrr(np.array(known.a_star.coeffs) + 1e-6)
         # built once, outside the timed step, as fit builds it
         problem = _Problem.of(known.x, w, SolverConfig(method="s-mgn"))
-        return lambda: mgn_step(problem, norm.adot, norm.tau)
+        return lambda: mgn_step(problem, adot, tau)
 
     steps = {n: step_at(n) for n in (1000, 8000)}
     # the sizes alternate, so a spell of load on the box slows both

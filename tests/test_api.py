@@ -101,7 +101,6 @@ ARRAY_DATACLASSES = {
     "ProjectionResult": _projection_result,
     "TimeSeries": lambda: series.TimeSeries(np.arange(5.0)),
     "GlrrVector": lambda: series.GlrrVector((1.0, -1.5, 1.0)),
-    "NormalizedGlrr": lambda: series.NormalizedGlrr(2, np.ones(2)),
     "KnownMinimumProblem": lambda: problems.build_known_minimum(20),
     "IterationRecord": _iteration_record,
     "FitResult": _fit_result,

@@ -221,6 +221,10 @@ def test_fit_usage_and_io_errors(tmp_path, capsys):
     a0_file.write_text("1.0\nnan\n1.0\n")
     assert run("fit", "--input", data, "--a0", a0_file) == 2
     assert "finite" in capsys.readouterr().err
+    # a 3×2 table of coefficients is not a coefficient vector
+    a0_file.write_text("1.0 -2.0\n1.0 0.5\n0.5 1.0\n")
+    assert run("fit", "--input", data, "--a0", a0_file) == 2
+    assert "one-dimensional" in capsys.readouterr().err
     # unknown method is an argparse usage error
     with pytest.raises(SystemExit) as exc:
         run("fit", "--input", data, "--rank", 2, "--method", "newton")
@@ -399,6 +403,16 @@ def test_experiment_rejects_oversized_n(tmp_path, capsys):
     )
     err = capsys.readouterr().err
     assert "extend" in err
+
+
+def test_experiment_gapped_kind_rejects_series_lengths(tmp_path, capsys):
+    out_dir = tmp_path / "gapped"
+    assert (
+        run("experiment", "--kind", "gapped_fit", "--n-list", "20", "--out-dir", out_dir)
+        == 2
+    )
+    assert "takes no series lengths" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 #: one small run of every experiment kind with every method

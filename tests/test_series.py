@@ -14,7 +14,6 @@ from scipy.linalg import null_space
 from hmgn.series import (
     GlrrVector,
     ModelComponent,
-    NormalizedGlrr,
     TimeSeries,
     _series_values,
     apply_q,
@@ -80,6 +79,24 @@ def test_timeseries_mask_length_mismatch():
 def test_timeseries_empty():
     with pytest.raises(ValueError):
         TimeSeries([])
+
+
+@pytest.mark.parametrize("shape", [(4,), (4, 1), (1, 4), (1, 4, 1)])
+def test_timeseries_of_one_axis_is_flattened(shape):
+    values = np.array([1.0, np.nan, 3.0, 4.0]).reshape(shape)
+    mask = np.array([True, True, False, True]).reshape(shape)
+    ts = TimeSeries(values, mask=mask)
+    assert ts.n == 4
+    assert_array_equal(ts.values, [1.0, 0.0, 0.0, 4.0])
+    assert_array_equal(ts.mask, [True, False, False, True])
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (2, 2), (2, 1, 2)])
+def test_timeseries_of_several_axes_is_rejected(shape):
+    with pytest.raises(ValueError, match="one-dimensional"):
+        TimeSeries(np.ones(shape))
+    with pytest.raises(ValueError, match="one-dimensional"):
+        TimeSeries(np.ones(math.prod(shape)), mask=np.ones(shape, dtype=bool))
 
 
 def test_timeseries_immutable():
@@ -226,23 +243,23 @@ def test_residual_vanishes_on_nullspace():
 
 
 def test_normalize_examples():
-    n1 = normalize_glrr([2, -4, 2])
-    assert n1.tau == 2
-    assert_allclose(n1.adot, [0.5, 0.5])
+    tau, adot = normalize_glrr([2, -4, 2])
+    assert tau == 2
+    assert_allclose(adot, [0.5, 0.5])
 
-    n2 = normalize_glrr([1, -3, 3, -1])
-    assert n2.tau == 2
-    assert_allclose(n2.adot, [1 / 3, 1, -1 / 3])
+    tau, adot = normalize_glrr([1, -3, 3, -1])
+    assert tau == 2
+    assert_allclose(adot, [1 / 3, 1, -1 / 3])
 
-    n3 = normalize_glrr([0, -1])
-    assert n3.tau == 2
-    assert_allclose(n3.adot, [0.0])
+    tau, adot = normalize_glrr([0, -1])
+    assert tau == 2
+    assert_allclose(adot, [0.0])
 
 
 def test_normalize_tie_breaks_to_smallest_index():
-    n = normalize_glrr([1.0, -1.0, 0.5])
-    assert n.tau == 1
-    assert_allclose(n.full(), [-1.0, 1.0, -0.5])
+    tau, adot = normalize_glrr([1.0, -1.0, 0.5])
+    assert tau == 1
+    assert_allclose(h_tau(adot, tau), [-1.0, 1.0, -0.5])
 
 
 def test_normalize_rejects_zero():
@@ -266,10 +283,10 @@ def test_h_tau_out_of_range():
 @settings(max_examples=80)
 def test_pivot_forms_are_bitwise_insert_and_delete(a, data):
     a = np.asarray(a, dtype=float)
-    norm = normalize_glrr(a)
-    pivot = norm.tau - 1
+    tau, adot = normalize_glrr(a)
+    pivot = tau - 1
     want = np.delete((-1.0 / a[pivot]) * a, pivot)
-    assert norm.adot.tobytes() == want.tobytes()
+    assert adot.tobytes() == want.tobytes()
     adot = a[1:]
     tau = data.draw(st.integers(min_value=1, max_value=a.size))
     assert h_tau(adot, tau).tobytes() == np.insert(adot, tau - 1, -1.0).tobytes()
@@ -278,22 +295,15 @@ def test_pivot_forms_are_bitwise_insert_and_delete(a, data):
 @given(glrr_arrays)
 @settings(max_examples=80)
 def test_normalize_round_trip_collinear(a):
-    norm = normalize_glrr(a)
-    full = norm.full()
+    tau, adot = normalize_glrr(a)
+    full = h_tau(adot, tau)
     a = np.asarray(a, dtype=float)
     # pivot entry is -1 and dominates
-    assert full[norm.tau - 1] == -1.0
+    assert full[tau - 1] == -1.0
     assert np.max(np.abs(full)) == 1.0
     assert np.all(np.abs(full) <= 1.0)
     # collinear with the input: full a^T must be symmetric
     assert_allclose(np.outer(full, a), np.outer(a, full), rtol=1e-12, atol=1e-9)
-
-
-def test_normalized_glrr_validates_tau():
-    with pytest.raises(ValueError):
-        NormalizedGlrr(0, np.array([1.0]))
-    with pytest.raises(ValueError):
-        NormalizedGlrr(3, np.array([1.0]))
 
 
 def test_glrr_vector_validation():
@@ -303,6 +313,23 @@ def test_glrr_vector_validation():
         GlrrVector(np.zeros(3))
     v = GlrrVector(np.array([1.0, -2.0, 1.0]))
     assert v.order == 2
+
+
+@pytest.mark.parametrize("shape", [(3,), (3, 1), (1, 3), (1, 3, 1)])
+def test_glrr_coefficients_of_one_axis_are_flattened(shape):
+    coeffs = np.array([1.0, -2.0, 1.0]).reshape(shape)
+    assert_array_equal(GlrrVector(coeffs).coeffs, [1.0, -2.0, 1.0])
+    assert coeffs.flags.writeable  # the vector froze a view, not the input
+    assert_array_equal(glrr_residual(np.arange(5.0), coeffs), [0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 2), (2, 1, 2)])
+def test_glrr_coefficients_of_several_axes_are_rejected(shape):
+    coeffs = np.arange(1.0, 1.0 + math.prod(shape)).reshape(shape)
+    with pytest.raises(ValueError, match="one-dimensional"):
+        GlrrVector(coeffs)
+    with pytest.raises(ValueError, match="one-dimensional"):
+        normalize_glrr(coeffs)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -120,8 +120,7 @@ def test_mgn_step_matches_full_jacobian_direction(seed):
     n = int(rng.integers(5 * (r + 1), 60))
     roots = rng.uniform(0.45, 0.9, r) * np.exp(1j * rng.uniform(0, np.pi, r))
     a = np.real(np.poly(roots))[::-1]
-    norm = normalize_glrr(a)
-    tau, adot = norm.tau, norm.adot.copy()
+    tau, adot = normalize_glrr(a)
     a_full = h_tau(adot, tau)
     w = Identity(n)
 
@@ -148,8 +147,8 @@ def test_mgn_step_matches_full_jacobian_direction(seed):
 
 def test_mgn_step_stationary_at_known_minimum():
     problem = build_known_minimum(50)
-    norm = normalize_glrr(problem.a_star.coeffs)
-    delta, _ = mgn_step(_problem(problem.x, Identity(50), "s-mgn"), norm.adot, norm.tau)
+    tau, adot = normalize_glrr(problem.a_star.coeffs)
+    delta, _ = mgn_step(_problem(problem.x, Identity(50), "s-mgn"), adot, tau)
     assert np.linalg.norm(delta) <= 1e-6
 
 
@@ -161,13 +160,13 @@ def test_mgn_step_stationary_at_known_minimum():
 def test_vpgn_step_zero_at_fixed_point():
     rng = np.random.default_rng(1)
     a = np.array([0.56, -1.5, 1.0])
-    norm = normalize_glrr(a)
+    tau, adot = normalize_glrr(a)
     n = 40
     z = nullspace_basis(rotated_spectrum(a, n)).z
     x = z @ rng.standard_normal(2)
-    delta, at = vpgn_step(_problem(x, Identity(n), "vpgn"), norm.adot, norm.tau)
+    delta, at = vpgn_step(_problem(x, Identity(n), "vpgn"), adot, tau)
     assert np.linalg.norm(at.signal - x) <= 1e-9 * np.linalg.norm(x)
-    assert np.linalg.norm(delta) <= 1e-8 * np.linalg.norm(norm.adot)
+    assert np.linalg.norm(delta) <= 1e-8 * np.linalg.norm(adot)
 
 
 def test_vpgn_step_descends_on_noisy_instances():
@@ -183,11 +182,11 @@ def test_vpgn_step_descends_on_noisy_instances():
             phi=rng.uniform(0, np.pi),
         ) + 0.05 * rng.standard_normal(n)
         a0 = initial_glrr(x, 2)
-        norm = normalize_glrr(a0.coeffs)
+        tau, adot = normalize_glrr(a0.coeffs)
         w = Identity(n)
-        delta, at = vpgn_step(_problem(x, w, "vpgn"), norm.adot, norm.tau)
+        delta, at = vpgn_step(_problem(x, w, "vpgn"), adot, tau)
         before = weighted_norm(w, x - at.signal)
-        moved = GammaFactor(h_tau(norm.adot + 1e-3 * delta, norm.tau), w)
+        moved = GammaFactor(h_tau(adot + 1e-3 * delta, tau), w)
         trial, _ = project_gamma(moved, x)
         after = weighted_norm(w, x - trial)
         if after < before:
@@ -200,14 +199,14 @@ def _banded_step_case(r, weight, n=60):
     rng = np.random.default_rng(400 + 10 * r + (weight == "banded_winv"))
     roots = rng.uniform(0.2, 0.8, r) * np.exp(1j * rng.uniform(0, np.pi, r))
     a_raw = np.real(np.poly(roots))[::-1]
-    norm = normalize_glrr(a_raw)
+    tau, adot = normalize_glrr(a_raw)
     if weight == "identity":
         w, bands = Identity(n), (np.ones(n),)
     else:
         diag = 1.0 + rng.uniform(0.0, 1.0, n)
         w = banded_winv_from_winv_bands((diag, rng.uniform(-0.4, 0.4, n - 1)))
         bands = w.chat_bands
-    return norm.adot, norm.tau, rng.standard_normal(n), w, gram_oracle((1.0,), bands, n)
+    return adot, tau, rng.standard_normal(n), w, gram_oracle((1.0,), bands, n)
 
 
 @pytest.mark.parametrize("weight", ["identity", "banded_winv"])
@@ -270,8 +269,8 @@ def _basis_iteration_case(weight):
         else:
             w = ar_inverse_covariance([0.5], 1.0, 80)
         r = 2
-    norm = normalize_glrr(initial_glrr(x, r).coeffs)
-    return norm.adot, norm.tau, x, w
+    tau, adot = normalize_glrr(initial_glrr(x, r).coeffs)
+    return adot, tau, x, w
 
 
 @pytest.mark.parametrize("weight", ["identity", "banded_w", "masked"])
@@ -325,7 +324,7 @@ def test_vpgn_step_working_set_is_pinned(weight):
         np.array([1.0, -2.0 * math.cos(2.0 * math.pi * om), 1.0])
         for om in (0.013, 0.071)
     ]
-    norm = normalize_glrr(np.convolve(*tones) + 1e-4 * rng.standard_normal(r + 1))
+    tau, adot = normalize_glrr(np.convolve(*tones) + 1e-4 * rng.standard_normal(r + 1))
     t = np.arange(n)
     x = np.cos(0.08 * t) + np.cos(0.45 * t + 1.0) + 0.3 * rng.standard_normal(n)
     if weight == "identity":
@@ -335,12 +334,12 @@ def test_vpgn_step_working_set_is_pinned(weight):
             (1.0 + rng.uniform(0.0, 1.0, n), rng.uniform(-0.4, 0.4, n - 1))
         )
     problem = _problem(x, w, "vpgn")
-    at = solvers._project(problem, h_tau(norm.adot, norm.tau))
-    vpgn_step(problem, norm.adot, norm.tau, at)  # caches filled outside the count
+    at = solvers._project(problem, h_tau(adot, tau))
+    vpgn_step(problem, adot, tau, at)  # caches filled outside the count
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        vpgn_step(problem, norm.adot, norm.tau, at)
+        vpgn_step(problem, adot, tau, at)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -367,19 +366,19 @@ def _base_point(adot, tau, x, w):
 def test_line_search_zero_direction_first_iteration():
     x = rank2_signal(30)
     w = Identity(30)
-    norm = normalize_glrr(initial_glrr(x, 2).coeffs)
+    tau, adot = normalize_glrr(initial_glrr(x, 2).coeffs)
     gamma, nxt, small, _, trials = line_search(
         _problem(x, w),
-        norm.adot,
+        adot,
         np.zeros(2),
-        norm.tau,
-        *_base_point(norm.adot, norm.tau, x, w),
+        tau,
+        *_base_point(adot, tau, x, w),
         None,
     )
     assert gamma == 1.0
     assert small
     assert trials == 1
-    assert_allclose(nxt, norm.adot)
+    assert_allclose(nxt, adot)
 
 
 def test_line_search_accepts_improving_full_step():
@@ -387,17 +386,17 @@ def test_line_search_accepts_improving_full_step():
     n = 60
     x = rank2_signal(n) + 0.02 * rng.standard_normal(n)
     w = Identity(n)
-    norm = normalize_glrr(initial_glrr(x, 2).coeffs)
+    tau, adot = normalize_glrr(initial_glrr(x, 2).coeffs)
     # nudge away from the optimum so the Gauss-Newton step genuinely improves
-    adot = norm.adot + 0.05
+    adot = adot + 0.05
     problem = _problem(x, w)
-    delta, _ = mgn_step(problem, adot, norm.tau)
+    delta, _ = mgn_step(problem, adot, tau)
     gamma, nxt, small, _, trials = line_search(
         problem,
         adot,
         delta,
-        norm.tau,
-        *_base_point(adot, norm.tau, x, w),
+        tau,
+        *_base_point(adot, tau, x, w),
         None,
     )
     assert not small
@@ -418,15 +417,15 @@ def test_line_search_carries_what_the_accepted_trial_computed(case, method):
     x = rank2_signal(n) + 0.02 * rng.standard_normal(n)
     w = Identity(n)
     problem = _problem(x, w, method)
-    norm = normalize_glrr(initial_glrr(x, 2).coeffs)
+    tau, adot = normalize_glrr(initial_glrr(x, 2).coeffs)
     if case == "compared":
-        adot = norm.adot + 0.05
+        adot = adot + 0.05
         step = mgn_step if method == "mgn" else vpgn_step
-        delta, _ = step(problem, adot, norm.tau)
+        delta, _ = step(problem, adot, tau)
     else:
-        adot, delta = norm.adot, np.zeros(2)
+        delta = np.zeros(2)
     gamma, _, small, trial, _ = line_search(
-        problem, adot, delta, norm.tau, *_base_point(adot, norm.tau, x, w), None
+        problem, adot, delta, tau, *_base_point(adot, tau, x, w), None
     )
     assert (gamma, small) == (1.0, case == "small_step")
     assert np.array_equal(trial.residual_w, whiten(w, x - trial.signal))
@@ -446,19 +445,19 @@ def test_line_search_exhausts_on_adversarial_direction():
     n = 50
     x = rank2_signal(n)
     w = Identity(n)
-    norm = normalize_glrr(initial_glrr(x, 2).coeffs)
+    tau, adot = normalize_glrr(initial_glrr(x, 2).coeffs)
     delta = 50.0 * rng.standard_normal(2)
     gamma, nxt, small, _, _ = line_search(
         _problem(x, w),
-        norm.adot,
+        adot,
         delta,
-        norm.tau,
-        *_base_point(norm.adot, norm.tau, x, w),
+        tau,
+        *_base_point(adot, tau, x, w),
         1.0,
     )
     assert gamma == 0.0
     assert not small
-    assert_allclose(nxt, norm.adot)
+    assert_allclose(nxt, adot)
 
 
 @pytest.mark.parametrize("rho", [1e-6, 1e-3, 1.0])
@@ -671,7 +670,7 @@ def test_fit_keeps_the_pivot_at_a_triple_unit_root(method):
     problem = build_known_minimum(1000)
     a0 = problem.a_star.coeffs + 1e-6
     res = fit(problem.x, a0=a0, config=SolverConfig(method=method))
-    assert {row.tau for row in res.trace.rows} == {normalize_glrr(a0).tau} == {res.tau}
+    assert {row.tau for row in res.trace.rows} == {normalize_glrr(a0)[0]} == {res.tau}
     assert np.linalg.norm(res.signal - problem.y_star.values) <= 1e-5
 
 

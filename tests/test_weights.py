@@ -35,6 +35,8 @@ from hmgn.weights import (
 from _oracles import (
     ar_dense_covariance_oracle,
     banded_w_from_w_bands,
+    dense_upper,
+    dense_weight,
     mul_upper_broadcast_oracle,
     mul_upper_t_broadcast_oracle,
     weighted_norm_oracle,
@@ -47,13 +49,6 @@ def _random_c_bands(rng, n, p, diag_low=0.5, diag_high=2.0):
     for d in range(1, p + 1):
         bands.append(rng.uniform(-0.4, 0.4, n - d))
     return bands
-
-
-def _dense_upper(bands, n):
-    m = np.zeros((n, n))
-    for d, band in enumerate(bands):
-        m += np.diag(band, k=d)
-    return m
 
 
 def _apply_winv(w, x):
@@ -70,17 +65,17 @@ def _apply_winv(w, x):
 def test_ar0_unit_variance_is_identity():
     w = ar_inverse_covariance([], 1.0, 6)
     assert isinstance(w, Identity)
-    assert_array_equal(w.to_dense(), np.eye(6))
+    assert_array_equal(dense_weight(w), np.eye(6))
 
 
 def test_ar0_scaled_variance():
     w = ar_inverse_covariance([], 4.0, 5)
-    assert_allclose(w.to_dense(), np.eye(5) / 4.0, rtol=1e-14)
+    assert_allclose(dense_weight(w), np.eye(5) / 4.0, rtol=1e-14)
 
 
 def test_ar1_tridiagonal_pattern():
     phi, sigma2 = 0.5, 1.0
-    w = ar_inverse_covariance([phi], sigma2, 5).to_dense()
+    w = dense_weight(ar_inverse_covariance([phi], sigma2, 5))
     expect = np.zeros((5, 5))
     for i in range(5):
         expect[i, i] = (1 + phi**2) / sigma2
@@ -98,7 +93,7 @@ def test_ar1_matches_dense_inverse(phi, sigma2):
     sigma = np.fromfunction(
         lambda i, j: phi ** np.abs(i - j) * sigma2 / (1 - phi**2), (n, n)
     )
-    w = ar_inverse_covariance([phi], sigma2, n).to_dense()
+    w = dense_weight(ar_inverse_covariance([phi], sigma2, n))
     assert_allclose(w, np.linalg.inv(sigma), rtol=1e-10, atol=1e-10)
 
 
@@ -121,7 +116,7 @@ def test_ar2_matches_impulse_response_oracle():
                 phi = -np.real(np.poly(roots))[1:]
                 sigma2 = rng.uniform(0.5, 2.0)
                 sigma = ar_dense_covariance_oracle(phi, sigma2, n)
-                w = ar_inverse_covariance(phi, sigma2, n).to_dense()
+                w = dense_weight(ar_inverse_covariance(phi, sigma2, n))
                 assert_allclose(
                     w, np.linalg.inv(sigma), rtol=1e-8, atol=1e-8, err_msg=f"p={p} n={n}"
                 )
@@ -157,7 +152,7 @@ def test_ar_rejects_bad_variance():
 def test_ar_bandwidth_matches_order():
     w = ar_inverse_covariance([0.4, -0.2, 0.1], 1.0, 40)
     assert isinstance(w, BandedW)
-    assert w.p == 3
+    assert len(w.c_bands) - 1 == 3
 
 
 # ---------------------------------------------------------------------------
@@ -171,19 +166,19 @@ def test_ctc_reconstructs_w():
         n = 40
         c_bands = _random_c_bands(rng, n, p)
         w = BandedW(n, tuple(c_bands))
-        c = _dense_upper(c_bands, n)
-        assert_allclose(w.to_dense(), c.T @ c, rtol=1e-10)
+        c = dense_upper(c_bands, n)
+        assert_allclose(dense_weight(w), c.T @ c, rtol=1e-10)
 
 
 def test_banded_w_from_w_bands_round_trip():
     rng = np.random.default_rng(6)
     n, p = 30, 2
     c_bands = _random_c_bands(rng, n, p)
-    c = _dense_upper(c_bands, n)
+    c = dense_upper(c_bands, n)
     w_dense = c.T @ c
     w_bands = [np.diagonal(w_dense, offset=d).copy() for d in range(p + 1)]
     w = banded_w_from_w_bands(w_bands)
-    assert_allclose(w.to_dense(), w_dense, rtol=1e-10, atol=1e-12)
+    assert_allclose(dense_weight(w), w_dense, rtol=1e-10, atol=1e-12)
 
 
 def test_banded_w_rejects_indefinite():
@@ -191,13 +186,22 @@ def test_banded_w_rejects_indefinite():
         banded_w_from_w_bands([np.array([1.0, -1.0, 1.0]), np.zeros(2)])
 
 
+@pytest.mark.parametrize("cls", [BandedW, BandedWinv])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_banded_weights_reject_non_finite_bands(cls, bad):
+    with pytest.raises(ValueError, match="band 0 has a non-finite entry"):
+        cls(4, ([1.0, bad, 1.0, 1.0],))
+    with pytest.raises(ValueError, match="band 1 has a non-finite entry"):
+        cls(4, (np.ones(4), [0.5, bad, 0.5]))
+
+
 def test_banded_winv_dense():
     rng = np.random.default_rng(7)
     n, p = 20, 1
     chat_bands = _random_c_bands(rng, n, p)
     w = BandedWinv(n, tuple(chat_bands))
-    chat = _dense_upper(chat_bands, n)
-    assert_allclose(w.to_dense(), np.linalg.inv(chat.T @ chat), rtol=1e-9)
+    chat = dense_upper(chat_bands, n)
+    assert_allclose(dense_weight(w), np.linalg.inv(chat.T @ chat), rtol=1e-9)
     assert_allclose(_apply_winv(w, np.eye(n)), chat.T @ chat, rtol=1e-12)
 
 
@@ -205,11 +209,11 @@ def test_banded_winv_from_winv_bands():
     rng = np.random.default_rng(8)
     n, p = 25, 1
     chat_bands = _random_c_bands(rng, n, p)
-    chat = _dense_upper(chat_bands, n)
+    chat = dense_upper(chat_bands, n)
     winv_dense = chat.T @ chat
     winv_bands = [np.diagonal(winv_dense, offset=d).copy() for d in range(p + 1)]
     w = banded_winv_from_winv_bands(winv_bands)
-    assert_allclose(w.to_dense(), np.linalg.inv(winv_dense), rtol=1e-9)
+    assert_allclose(dense_weight(w), np.linalg.inv(winv_dense), rtol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -219,13 +223,13 @@ def test_banded_winv_from_winv_bands():
 
 def test_mask_identity_example():
     w = mask_missing(Identity(3), [True, False, True])
-    assert_array_equal(w.to_dense(), np.diag([1.0, 0.0, 1.0]))
+    assert_array_equal(dense_weight(w), np.diag([1.0, 0.0, 1.0]))
 
 
 def test_mask_all_true_keeps_w():
     w0 = ar_inverse_covariance([0.5], 1.0, 6)
     w = mask_missing(w0, np.ones(6, dtype=bool))
-    assert_allclose(w.to_dense(), w0.to_dense(), rtol=1e-14)
+    assert_allclose(dense_weight(w), dense_weight(w0), rtol=1e-14)
 
 
 def test_mask_ar1_quadratic_form():
@@ -235,7 +239,7 @@ def test_mask_ar1_quadratic_form():
     mask[4] = False
     w = mask_missing(w0, mask)
     u = mask.astype(float)
-    dense = u[:, None] * w0.to_dense() * u[None, :]
+    dense = u[:, None] * dense_weight(w0) * u[None, :]
     for _ in range(10):
         x = rng.standard_normal(12)
         assert_allclose(
@@ -334,8 +338,8 @@ def test_masked_identity_whitens_into_a_fresh_array():
 def test_banded_w_factor_norm():
     rng = np.random.default_rng(13)
     w = ar_inverse_covariance([0.5], 1.0, 15)
-    dense = w.to_dense()
-    c = _dense_upper(w.c_bands, 15)
+    dense = dense_weight(w)
+    c = dense_upper(w.c_bands, 15)
     for _ in range(10):
         x = rng.standard_normal(15)
         cx = whiten(w, x)
@@ -348,7 +352,7 @@ def test_whiten_banded_winv_inverse_property():
     n, p = 18, 2
     chat_bands = _random_c_bands(rng, n, p)
     w = BandedWinv(n, tuple(chat_bands))
-    chat = _dense_upper(chat_bands, n)
+    chat = dense_upper(chat_bands, n)
     for _ in range(8):
         x = rng.standard_normal(n)
         y = whiten(w, x)
@@ -356,7 +360,7 @@ def test_whiten_banded_winv_inverse_property():
     # the whitened norm equals the dense inverse route
     x = rng.standard_normal(n)
     y = whiten(w, x)
-    assert_allclose(float(y @ y), float(x @ w.to_dense() @ x), rtol=1e-8, atol=1e-10)
+    assert_allclose(float(y @ y), float(x @ dense_weight(w) @ x), rtol=1e-8, atol=1e-10)
 
 
 def test_variant_mismatch_errors():
@@ -388,7 +392,7 @@ def test_gamma_factor_winv_matches_dense_solve():
             float(y @ y), float(x @ _apply_winv(w, x)), rtol=1e-9, atol=1e-11
         )
     x = rng.standard_normal(n)
-    assert_allclose(_apply_winv(w, x), np.linalg.solve(w.to_dense(), x), rtol=1e-9)
+    assert_allclose(_apply_winv(w, x), np.linalg.solve(dense_weight(w), x), rtol=1e-9)
     # identity: a fresh copy, not an alias
     y = _apply_winv(Identity(n), x)
     assert_array_equal(y, x)
@@ -415,7 +419,7 @@ def test_whiten_matches_quadratic_form_all_variants():
         Masked(Masked(inner, mask), outer),
     ]
     for w in variants:
-        dense = w.to_dense()
+        dense = dense_weight(w)
         for _ in range(6):
             x = rng.standard_normal(n)
             y = whiten(w, x)
@@ -438,7 +442,7 @@ def test_matrix_right_hand_sides():
     n = 12
     xs = rng.standard_normal((n, 4))
     w = ar_inverse_covariance([0.5], 2.0, n)
-    c = _dense_upper(w.c_bands, n)
+    c = dense_upper(w.c_bands, n)
     assert_allclose(whiten(w, xs), c @ xs, rtol=1e-11, atol=1e-13)
     mask = rng.uniform(size=n) > 0.3
     w_inv = BandedWinv(n, tuple(_random_c_bands(rng, n, 1)))
@@ -463,7 +467,7 @@ def test_banded_winv_triangular_solves_match_dense(p):
         rows = np.arange(0, n - 1, 3)
         bands[1][rows] = 2.5 * bands[0][rows] * rng.choice([-1.0, 1.0], rows.size)
     w = BandedWinv(n, tuple(bands))
-    chat = _dense_upper(bands, n)
+    chat = dense_upper(bands, n)
     assert np.any(np.abs(np.diag(chat, 1)) > np.abs(np.diag(chat)[:-1])) == (p > 0)
     xs = rng.standard_normal((n, 4))
     for x in (xs[:, 0], xs):
