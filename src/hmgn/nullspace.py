@@ -30,10 +30,25 @@ orthonormalized product has condition number O(1).  The Gram–Schmidt
 inner products are numpy reductions, not BLAS calls, so a basis is the
 same at any BLAS thread count.
 
+For real a and e^{iNα₀} = ±1, which the closed-form placement gives for
+nearly every spectrum of a fit (α₀ = π/N or 0), T_N(−α₀)·C(ã)⁻¹·T_N(α₀) is
+the inverse of a real circulant or skew-circulant (Davis, *Circulant
+Matrices*, 1979).  Column c of R_r is the transform of the standard vector
+e_m, m = N − r + c, so after de-phasing it by e^{iα₀m} the complex basis
+Z_c = T_N(−α₀)·F⁻¹·U_r is real up to rounding, and its real part is the
+basis whenever ‖Im Z_c‖_F ≤ min(√u, the mode's realization bound); then
+σ_{r+1}([Re Z_c | Im Z_c]) ≤ ‖Im Z_c‖_F (Weyl), so this route is taken only
+where the SVD realization would pass.  Any other spectrum falls back on
+the SVD of [Re Z_c | Im Z_c] (``_realize_basis``).  Either way Z is stored
+one column per contiguous line (Fortran order).
+
 The same rotated spectrum also solves the banded system Qᵀ(a)·F̂ = M that
 the search-direction computation needs (``fhat_matrix``): extend M by r
 zero rows, twist, and apply C(ã)⁻¹ through the FFT, with M held one column
-per row so that each transform runs over a contiguous line.
+per row so that each transform runs over a contiguous line.  With a real
+twist the solve maps real columns to real columns, so columns 2k and
+2k + 1 share one complex transform as M₂ₖ + i·M₂ₖ₊₁ (Press et al.,
+*Numerical Recipes*, §12.3): ⌈r/2⌉ transform pairs instead of r.
 
 The ``RotatedSpectrum`` is the only carrier of (a, N, mode): it holds the
 coefficients and the arithmetic mode its eigenvalues were evaluated in, N
@@ -89,6 +104,10 @@ __all__ = [
 _IMAG_TOL = {"plain": 1e-2, "compensated": 1e-9}
 
 _MODES = tuple(_IMAG_TOL)
+
+#: √u, u = 2⁻⁵³ the unit roundoff: an imaginary part of a basis that is real
+#: by construction larger than this is more than rounding
+_SQRT_U = 2.0**-26.5
 
 CoeffLike = Union[GlrrVector, Sequence[float], np.ndarray]
 
@@ -369,6 +388,10 @@ def find_rotation(a: CoeffLike, n: int) -> float:
     return float(cand[best])
 
 
+#: ulps of π/N within which a rotation counts as ±π/N (``real_twist``)
+_TWIST_ULPS = 4
+
+
 @dataclass(frozen=True, eq=False)
 class RotatedSpectrum:
     """Eigenvalues of the rotated circulant C(T_{r+1}(−α₀)·a), with the
@@ -376,7 +399,8 @@ class RotatedSpectrum:
 
     ``eigenvalues[j] = g_a(exp(i(2πj/N − α₀)))``; all strictly nonzero.  N is
     the eigenvalue count and r the order of a, with 1 ≤ r < N/2.
-    ``untwist`` is the diagonal of T_N(−α₀), from a table per (N, α₀).
+    ``untwist`` is the diagonal of T_N(−α₀), from a table per (N, α₀), and
+    ``real_twist`` says whether e^{iNα₀} = ±1.
 
     Compared and hashed by identity (``eq=False``): a field-wise ``==``
     would compare arrays and raise instead of returning a bool.
@@ -418,6 +442,17 @@ class RotatedSpectrum:
     def untwist(self) -> np.ndarray:
         return _untwist(self.n, float(self.alpha0))
 
+    @property
+    def real_twist(self) -> bool:
+        """Whether e^{iNα₀} = ±1: α₀ is 0, or ±π/N within ``_TWIST_ULPS``
+        ulps, since a gap midpoint of the closed-form placement can land a
+        few ulps off −π/N (2 ulps for (z − 1)⁵ at N = 2000).  Then, for real
+        a, T_N(−α₀)·C(ã)⁻¹·T_N(α₀) is the inverse of a real circulant or
+        skew-circulant."""
+        alpha0 = float(self.alpha0)
+        half = 0.5 * (2.0 * math.pi / self.n)
+        return alpha0 == 0.0 or abs(abs(alpha0) - half) <= _TWIST_ULPS * math.ulp(half)
+
 
 def rotated_spectrum(a: CoeffLike, n: int, mode: str = "plain") -> RotatedSpectrum:
     """Place the rotation and evaluate the circulant eigenvalues in ``mode``."""
@@ -438,9 +473,16 @@ def rotated_spectrum(a: CoeffLike, n: int, mode: str = "plain") -> RotatedSpectr
 class SubspaceBasis:
     """Orthonormal basis Z (N×r) of Z(a), with realization diagnostics.
 
-    ``defect`` is the relative size σ_{r+1}/σ₁ of the complex-to-real
-    realization (0 when the complex basis spanned the complexification of a
-    real subspace exactly); ``residual_norm`` is ‖Qᵀ(a)·Z‖_F.
+    ``defect`` measures how far the complex basis Z_c was from real.  When
+    Z is the real part of Z_c (a real twist, see the module docstring) it is
+    ‖Im Z_c‖_F, an upper bound on σ_{r+1}([Re Z_c | Im Z_c]); after the SVD
+    fallback it is the relative size σ_{r+1}/σ₁ of that matrix.  Either is
+    0 when Z_c spanned the complexification of a real subspace exactly.
+    ``residual_norm`` is ‖Qᵀ(a)·Z‖_F.  The SVD gives ‖ZᵀZ − I‖ at
+    rounding level; so does the real part in plain mode (within ‖Im Z_c‖²
+    ≤ u), while in compensated mode the real part is orthonormal to about
+    u·κ(A_g⁻¹·R_r) (at most 4.1e-9 over the ``trend-long`` fits), which the
+    solvers' pivoted-QR projection does not rely on.  Z is read-only.
 
     Compared and hashed by identity (``eq=False``): a field-wise ``==``
     would compare arrays and raise instead of returning a bool.
@@ -523,42 +565,75 @@ def _realize_basis(z_c: np.ndarray, imag_tol: float) -> tuple:
     return u[:, :r], defect
 
 
+def _real_coeffs(spectrum: RotatedSpectrum) -> np.ndarray:
+    """The spectrum's coefficients as a real array; a complex a has no real
+    Z(a) and no real F̂, so a nonzero imaginary part raises ``ValueError``."""
+    coeffs = spectrum.coeffs
+    if coeffs.dtype.kind == "c":
+        if np.any(coeffs.imag != 0.0):
+            raise ValueError(
+                "GLRR coefficients must be real: a complex a has no real "
+                "subspace Z(a) and no real F̂"
+            )
+        coeffs = coeffs.real
+    return coeffs
+
+
 def nullspace_basis(spectrum: RotatedSpectrum) -> SubspaceBasis:
     """Orthonormal basis of Z(a) = ker Qᵀ(a) in O(rN log N + Nr²), for the
-    coefficients and mode the spectrum carries.
+    real coefficients and the mode the spectrum carries.
 
-    Both modes factor L_r = A_g⁻¹·R_r = Q·R̂ once, by Gram–Schmidt run twice.
-    Plain mode uses U_r = Q.  Compensated mode takes O_r = R̂⁻¹, re-evaluates
-    B = R_r·O_r columnwise as the polynomial Σ_j O_r[j,c]·z^{r+1−j} on the
-    unrotated grid in compensated arithmetic, and uses U_r = A_g⁻¹·B; this
-    removes the λ_max/λ_min error amplification of the plain route.
+    Both modes factor L_r = A_g⁻¹·R_r·Φ = Q·R̂ once, by Gram–Schmidt run
+    twice, where Φ = diag(e^{iα₀m}), m = N − r + c for column c, de-phases
+    the Fourier columns.  Plain mode uses U_r = Q.  Compensated mode takes
+    O_r = R̂⁻¹, re-evaluates B = R_r·Φ·O_r columnwise as the polynomial
+    Σ_j Φ_j·O_r[j,c]·z^{r+1−j} on the unrotated grid in compensated
+    arithmetic, and uses U_r = A_g⁻¹·B; this removes the λ_max/λ_min error
+    amplification of the plain route.  Z_c = T_N(−α₀)·F⁻¹·U_r.
 
-    A relative defect of the final complex-to-real realization beyond the
-    mode's bound (1e-2 plain, 1e-9 compensated) raises
-    ``BasisRealizationError`` rather than silently truncating imaginary parts.
+    When e^{iNα₀} = ±1 (α₀ = 0 or ±π/N, nearly every spectrum of a fit),
+    Z_c is real up to rounding, and its real part is the basis whenever
+    ‖Im Z_c‖_F is at most min(√u, the mode's bound); ``defect`` is then that
+    norm.  Otherwise the SVD of [Re Z_c | Im Z_c] realizes the basis, and a
+    relative defect beyond the mode's bound (1e-2 plain, 1e-9 compensated)
+    raises ``BasisRealizationError`` rather than silently truncating
+    imaginary parts.  Complex coefficients raise ``ValueError``.
     """
+    coeffs = _real_coeffs(spectrum)
     n, r = spectrum.n, spectrum.r
     eig = spectrum.eigenvalues
+    untwist = spectrum.untwist
+    # row c of R_r is the transform of e_m, m = N − r + c; e^{iα₀m} is the
+    # conjugate of untwist[m]
+    phase = np.conj(untwist[n - r :])
     # matrices over the grid are held one column per row (r×N)
-    q, rhat = _cgs2(_fourier_columns(n, r) / eig)
+    l_rows = _fourier_columns(n, r) * phase[:, None]
+    l_rows /= eig
+    q, rhat = _cgs2(l_rows)
 
     if spectrum.mode == "plain":
         u_r = q
     else:
         o_r = scipy.linalg.solve_triangular(rhat, np.eye(r, dtype=complex))
-        # column c of R_r·O_r equals (1/√N)·p_c(z_k) on the unrotated grid,
-        # with p_c(z) = Σ_j O_r[j,c]·z^{r+1−j}
+        # column c of R_r·Φ·O_r equals (1/√N)·p_c(z_k) on the unrotated
+        # grid, with p_c(z) = Σ_j Φ_j·O_r[j,c]·z^{r+1−j}
         z_grid = _unit_grid(n)
         u_r = np.empty((r, n), dtype=complex)
         for c in range(r):
             poly = np.zeros(r + 1, dtype=complex)
-            poly[1:] = o_r[::-1, c]  # power m carries O_r[r+1−m, c]
+            poly[1:] = (o_r[:, c] * phase)[::-1]  # power m carries row r+1−m
             u_r[c] = _comp_horner(poly, z_grid) / np.sqrt(n)
         u_r /= eig
 
-    z_c = spectrum.untwist * np.fft.ifft(u_r, axis=1, norm="ortho")
-    z, defect = _realize_basis(z_c, _IMAG_TOL[spectrum.mode])
-    residual = _norm2(apply_q_transpose(spectrum.coeffs.real, z))
+    z_c = untwist * np.fft.ifft(u_r, axis=1, norm="ortho")
+    imag = _norm2(z_c.imag)
+    tol = _IMAG_TOL[spectrum.mode]
+    if imag <= min(_SQRT_U, tol):
+        z, defect = np.ascontiguousarray(z_c.real).T, imag
+    else:
+        z, defect = _realize_basis(z_c, tol)
+        z = np.asfortranarray(z)
+    residual = _norm2(apply_q_transpose(coeffs, z))
     return SubspaceBasis(z, defect, residual)
 
 
@@ -573,14 +648,18 @@ def fhat_matrix(
     tau: int,
 ) -> np.ndarray:
     """Solve Qᵀ(a)·F̂ = M for F̂ ∈ R^{N×r}, M = −(rows K(τ) of T_{r+1}(S))ᵀ,
-    with a the spectrum's coefficients.
+    with a the spectrum's real coefficients (complex ones raise
+    ``ValueError``).
 
     The solve extends M by r zero rows, twists by T_{N−r}(α₀), applies the
     inverse rotated circulant through the FFT, and untwists; the real part
     is exact because M and Q(a) are real.  T_{N−r}(α₀) is the conjugate of
     the leading N − r entries of the spectrum's untwist T_N(−α₀), bitwise.
     M and the transforms are held one column per row (r×N), so each FFT
-    runs over a contiguous line; F̂ is returned N×r in C order.
+    runs over a contiguous line; F̂ is returned N×r in C order.  When the
+    spectrum's twist is real the whole solve is real, so row k carries
+    columns 2k and 2k + 1 of M as real and imaginary parts, and F̂ reads
+    them back from the real and imaginary parts of the result.
     """
     values = _series_values(s)
     n, r = spectrum.n, spectrum.r
@@ -588,17 +667,26 @@ def fhat_matrix(
         raise ValueError(f"series length {values.size} does not match grid size {n}")
     if not 1 <= tau <= r + 1:
         raise ValueError(f"tau={tau} out of range 1..{r + 1}")
+    _real_coeffs(spectrum)
 
-    # row c holds column c of M: −(window of S at offset j), j the c-th
-    # index of K(τ)
-    m = np.empty((r, n - r))
-    for row, j in enumerate(j for j in range(r + 1) if j != tau - 1):
-        np.negative(values[j : j + n - r], out=m[row])
-    m_ext = np.zeros((r, n), dtype=complex)
+    # column c of M is −(window of S at offset j), j the c-th index of K(τ);
+    # it goes to row c // step, in the imaginary part for odd c when two
+    # columns share a row
+    step = 2 if spectrum.real_twist else 1
+    m_ext = np.zeros((-(-r // step), n), dtype=complex)
+    for c, j in enumerate(j for j in range(r + 1) if j != tau - 1):
+        row = m_ext[c // step]
+        part = row.imag if c % step else row.real
+        np.negative(values[j : j + n - r], out=part[: n - r])
     untwist = spectrum.untwist
-    np.multiply(np.conj(untwist[: n - r]), m, out=m_ext[:, : n - r])
+    m_ext[:, : n - r] *= np.conj(untwist[: n - r])
     y = np.fft.fft(m_ext, axis=1, norm="ortho")
     y /= spectrum.eigenvalues
     fhat = np.fft.ifft(y, axis=1, norm="ortho")
     np.multiply(untwist, fhat, out=fhat)
-    return np.ascontiguousarray(fhat.real.T)
+    if step == 1:
+        return np.ascontiguousarray(fhat.real.T)
+    out = np.empty((n, r))
+    out[:, 0::2] = fhat.real.T
+    out[:, 1::2] = fhat.imag[: r // 2].T
+    return out

@@ -461,6 +461,27 @@ def fhat_columns_oracle(values, untwist, eigenvalues, r, tau):
     return np.ascontiguousarray(fhat.real)
 
 
+def fhat_packed_oracle(values, untwist, eigenvalues, r, tau):
+    """F̂ of ``fhat_matrix`` for a real twist, held N×r: columns 2k and
+    2k + 1 of M go through one transform as M₂ₖ + i·M₂ₖ₊₁ and are read back
+    from its real and imaginary parts."""
+    n = values.size
+    m = np.empty((n - r, r), order="F")
+    for col, j in enumerate(j for j in range(r + 1) if j != tau - 1):
+        np.negative(values[j : j + n - r], out=m[:, col])
+    pairs = (r + 1) // 2
+    packed = np.zeros((n, pairs), dtype=complex)
+    packed.real[: n - r] = m[:, 0::2]
+    packed.imag[: n - r, : r // 2] = m[:, 1::2]
+    packed[: n - r] *= np.conj(untwist[: n - r])[:, None]
+    y = np.fft.fft(packed, axis=0, norm="ortho") / eigenvalues[:, None]
+    both = untwist[:, None] * np.fft.ifft(y, axis=0, norm="ortho")
+    fhat = np.empty((n, r))
+    fhat[:, 0::2] = both.real
+    fhat[:, 1::2] = both.imag[:, : r // 2]
+    return fhat
+
+
 def cgs2_oracle(l_rows):
     """Q and R̂ of ``nullspace._cgs2``, conjugating the finished columns
     afresh at every column."""

@@ -114,25 +114,30 @@ def load_version(checkout: Path, side: str, tmp: Path):
 
 
 class Recorder:
-    """``fit`` of one version, for ``run_cell``, that keeps the signal of
+    """``fit`` of one version, for ``run_cell``, that keeps the result of
     the last fit (``None`` if it raised) and sums the minor page faults and
     the iterations of the fits that return."""
 
     def __init__(self, package):
         self.HmgnError = package.HmgnError
         self._fit = package.fit
-        self.signal = None
+        self.result = None
         self.minflt = 0
         self.iterations = 0
 
     def fit(self, *args, **kwargs):
-        self.signal = None
+        self.result = None
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         result = self._fit(*args, **kwargs)
         self.minflt += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
         self.iterations += result.iterations
-        self.signal = result.signal
+        self.result = result
         return result
+
+    @property
+    def signal(self):
+        """The signal of the last fit, or ``None`` if it raised."""
+        return None if self.result is None else self.result.signal
 
 
 def _same_bytes(x, y) -> bool:

@@ -17,6 +17,7 @@ from scipy.linalg import subspace_angles
 
 from hmgn.errors import SpectrumDegeneracyError
 import hmgn.nullspace
+import hmgn.solvers
 from hmgn.nullspace import (
     RotatedSpectrum,
     eval_poly_grid,
@@ -34,6 +35,7 @@ from _oracles import (
     cgs2_oracle,
     comp_horner_oracle,
     fhat_columns_oracle,
+    fhat_packed_oracle,
     find_rotation_oracle,
     gram_schmidt_cols,
     grid_min_abs_loop_oracle,
@@ -316,8 +318,121 @@ def test_basis_cost_scaling():
     assert ratio <= 5.5
 
 
+#: ‖ZᵀZ − I‖_F of a basis taken as the real part of Z_c.  Plain mode
+#: orthonormalizes Z_c itself, so Re Z_c is orthonormal to rounding plus
+#: ‖Im Z_c‖² ≤ u.  Compensated mode re-evaluates A_g⁻¹·R_r·O_r, which is
+#: orthonormal only to about u·κ(L_r): 2.2e-9 at (z − 1)³, N = 5000, and at
+#: most 4.1e-9 over the `trend-long` fits of seed 100.
+_REAL_PART_ORTH = {"plain": 1e-14, "compensated": 1e-8}
+
+_TRIPLE_ROOT = np.array([1.0, -3.0, 3.0, -1.0])
+
+
+def _count_realizations(monkeypatch):
+    """A list that grows by one at every SVD realization."""
+    calls = []
+    realize = hmgn.nullspace._realize_basis
+
+    def counting(z_c, imag_tol):
+        calls.append(z_c.shape)
+        return realize(z_c, imag_tol)
+
+    monkeypatch.setattr(hmgn.nullspace, "_realize_basis", counting)
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["plain", "compensated"])
+@pytest.mark.parametrize("n", [50, 200, 1000, 5000, 20000])
+def test_real_part_basis_spans_the_svd_realization(monkeypatch, mode, n):
+    # the known minimum's a* = (z − 1)³ and the benchmark's start a* + 1e-6;
+    # forcing the SVD on the same Z_c isolates the realization
+    for offset in (0.0, 1e-6):
+        spectrum = rotated_spectrum(_TRIPLE_ROOT + offset, n, mode)
+        assert spectrum.real_twist
+        calls = _count_realizations(monkeypatch)
+        fast = nullspace_basis(spectrum)
+        fast_route = not calls
+        monkeypatch.setattr(hmgn.nullspace, "_SQRT_U", -1.0)
+        svd = nullspace_basis(spectrum)
+        monkeypatch.undo()
+        # ‖Im Z_c‖ of the compensated exact triple root is 2.1e-9 at
+        # N = 20000, past the compensated bound of 1e-9 (the SVD reads
+        # σ₄/σ₁ = 6.4e-13 there)
+        assert fast_route or (mode, offset, n) == ("compensated", 0.0, 20000)
+        assert np.max(subspace_angles(fast.z, svd.z)) <= 1e-12
+        assert fast.residual_norm <= 1e-14 and svd.residual_norm <= 1e-14
+        if fast_route:
+            bound = min(hmgn.nullspace._SQRT_U, hmgn.nullspace._IMAG_TOL[mode])
+            assert fast.defect <= bound
+            orth = np.linalg.norm(fast.z.T @ fast.z - np.eye(3))
+            assert orth <= _REAL_PART_ORTH[mode]
+
+
+def test_smoke_trend_long_fits_realize_no_basis_by_svd(monkeypatch):
+    import fit_digest
+
+    calls = _count_realizations(monkeypatch)
+    projections = []
+    build = hmgn.solvers.nullspace_basis
+
+    def counting_basis(spectrum):
+        projections.append(spectrum.n)
+        return build(spectrum)
+
+    monkeypatch.setattr(hmgn.solvers, "nullspace_basis", counting_basis)
+    fits = fit_digest.workload_fits("trend-long", 100, smoke=True)
+    assert all(not isinstance(result, str) for _, result in fits)
+    assert len(projections) > 4 * len(fits)
+    assert calls == []
+
+
+@pytest.mark.parametrize("r", range(1, 7))
+def test_basis_layout_is_one_on_both_routes(monkeypatch, r):
+    n = 64
+    a = np.random.default_rng(r).standard_normal(r + 1)
+    real = rotated_spectrum(a, n)
+    # any rotation off the roots diagonalizes the circulant; one that is
+    # not 0 or ±π/N makes the basis go through the SVD
+    alpha0 = 0.3 * np.pi / n
+    general = RotatedSpectrum(a, "plain", alpha0, eval_poly_grid(a, alpha0, n))
+    assert real.real_twist and not general.real_twist
+    calls = _count_realizations(monkeypatch)
+    bases = []
+    for spectrum, svd_calls in ((real, 0), (general, 1)):
+        basis = nullspace_basis(spectrum)
+        assert len(calls) == svd_calls
+        z = basis.z
+        assert z.shape == (n, r) and z.dtype == np.float64
+        assert z.flags.f_contiguous and z.strides == (8, 8 * n)
+        assert not z.flags.writeable
+        bases.append(z)
+    assert np.max(subspace_angles(*bases)) <= 1e-12
+
+
+def test_basis_of_complex_coefficients_is_rejected():
+    spectrum = rotated_spectrum([1.0, -1.8 + 0.3j, 1.0], 50)
+    with pytest.raises(ValueError, match="must be real"):
+        nullspace_basis(spectrum)
+    with pytest.raises(ValueError, match="must be real"):
+        fhat_matrix(spectrum, np.ones(50), 1)
+
+
+def test_basis_of_complex_coefficients_with_zero_imaginary_part():
+    real = nullspace_basis(rotated_spectrum([1.0, -1.8, 1.0], 50))
+    spectrum = rotated_spectrum(np.array([1.0, -1.8, 1.0], dtype=complex), 50)
+    basis = nullspace_basis(spectrum)
+    assert np.max(subspace_angles(basis.z, real.z)) <= 1e-13
+    assert basis.residual_norm <= 1e-14
+    q = q_matrix_oracle((1.0, -1.8, 1.0), 50)
+    assert np.linalg.norm(q.T @ basis.z) <= 1e-14
+    values = np.cos(0.4 * np.arange(50))
+    want = fhat_matrix(rotated_spectrum([1.0, -1.8, 1.0], 50), values, 2)
+    assert_allclose(fhat_matrix(spectrum, values, 2), want, rtol=0.0, atol=1e-12)
+
+
 def _l_rows(a, n):
-    """L_r = A_g⁻¹·R_r of ``nullspace_basis``, one column per row (r×N)."""
+    """L_r = A_g⁻¹·R_r, one column per row (r×N): the input of
+    ``nullspace_basis``'s Gram–Schmidt before its columns are de-phased."""
     spectrum = rotated_spectrum(a, n)
     return hmgn.nullspace._fourier_columns(n, spectrum.r) / spectrum.eigenvalues
 
@@ -721,6 +836,23 @@ def test_rotation_of_non_finite_coefficients_is_the_roots_form(a):
         assert find_rotation_oracle(a, 50) is None
 
 
+def _assert_fhat_is_its_oracle(spectrum, values, tau, rel=1e-11):
+    """F̂ is bitwise the packed oracle for a real twist and the column
+    oracle otherwise; a packed F̂ also agrees with the column oracle within
+    ``rel`` relative.  Returns (F̂, the column oracle's F̂)."""
+    got = fhat_matrix(spectrum, values, tau)
+    args = (values, spectrum.untwist, spectrum.eigenvalues, spectrum.r, tau)
+    columns = fhat_columns_oracle(*args)
+    assert got.shape == columns.shape and got.flags.c_contiguous
+    if spectrum.real_twist:
+        assert got.tobytes() == fhat_packed_oracle(*args).tobytes()
+        scale = max(np.linalg.norm(columns), np.finfo(float).tiny)
+        assert np.linalg.norm(got - columns) <= rel * scale
+    else:
+        assert got.tobytes() == columns.tobytes()
+    return got, columns
+
+
 @pytest.mark.parametrize("n", [9, 50, 997, 5000])
 @pytest.mark.parametrize("r", range(1, 5))
 def test_fhat_is_bitwise_the_column_layout(r, n):
@@ -731,12 +863,33 @@ def test_fhat_is_bitwise_the_column_layout(r, n):
     for mode in ("plain", "compensated"):
         spectrum = rotated_spectrum(rng.standard_normal(r + 1), n, mode)
         for tau in range(1, r + 2):
-            got = fhat_matrix(spectrum, values, tau)
-            want = fhat_columns_oracle(
-                values, spectrum.untwist, spectrum.eigenvalues, r, tau
-            )
-            assert got.shape == (n, r) and got.flags.c_contiguous
-            assert got.tobytes() == want.tobytes()
+            _assert_fhat_is_its_oracle(spectrum, values, tau)
+
+
+def _poly_of_roots(roots):
+    return np.real(np.poly(roots))[::-1].copy()
+
+
+#: real coefficients whose closed-form rotation is neither 0 nor ±π/N: real
+#: roots at 1 and −1 on an odd grid, or a root at 1 beside a unit-circle pair
+_GENERAL_TWISTS = [
+    ([1.0, -1.0], 9),
+    ([1.0, -1.0], 997),
+    ([1.0, np.exp(0.7j), np.exp(-0.7j)], 50),
+    ([1.0, np.exp(1.3j), np.exp(-1.3j)], 5000),
+    ([1.0, -1.0, np.exp(0.7j), np.exp(-0.7j)], 9),
+    ([1.0, -1.0, np.exp(0.7j), np.exp(-0.7j)], 997),
+]
+
+
+@pytest.mark.parametrize("roots,n", _GENERAL_TWISTS)
+def test_fhat_of_a_general_twist_is_bitwise_the_column_layout(roots, n):
+    values = np.random.default_rng(n).standard_normal(n)
+    for mode in ("plain", "compensated"):
+        spectrum = rotated_spectrum(_poly_of_roots(roots), n, mode)
+        assert not spectrum.real_twist
+        for tau in range(1, spectrum.r + 2):
+            _assert_fhat_is_its_oracle(spectrum, values, tau)
 
 
 def test_fhat_of_a_gapped_series_reads_the_stored_values():
@@ -744,10 +897,52 @@ def test_fhat_of_a_gapped_series_reads_the_stored_values():
     raw = np.cos(0.3 * np.arange(n))
     raw[[3, 17]] = np.nan
     spectrum = rotated_spectrum((1.0, -2.0 * np.cos(0.3), 1.0), n)
+    assert spectrum.real_twist
     stored = hmgn.series.as_time_series(raw).values
-    want = fhat_columns_oracle(stored, spectrum.untwist, spectrum.eigenvalues, r, 2)
+    want = fhat_packed_oracle(stored, spectrum.untwist, spectrum.eigenvalues, r, 2)
     for s in (raw, list(raw), hmgn.series.TimeSeries(raw)):
         assert fhat_matrix(spectrum, s, 2).tobytes() == want.tobytes()
+    _assert_fhat_is_its_oracle(spectrum, stored, 2)
+
+
+def test_rotation_a_few_ulps_off_pi_over_n_is_a_real_twist():
+    # the closed form returns −π/N + 2 ulp for (z − 1)⁵ at N = 2000
+    n = 2000
+    a = _poly_of_roots([1.0] * 5)
+    spectrum = rotated_spectrum(a, n)
+    half = 0.5 * (2.0 * np.pi / n)
+    assert spectrum.alpha0 != -half and abs(spectrum.alpha0 + half) <= 4 * np.spacing(half)
+    assert spectrum.real_twist
+    compensated = rotated_spectrum(a, n, "compensated")
+    assert compensated.real_twist
+    values = np.random.default_rng(5).standard_normal(n)
+    for tau in (1, 3, 6):
+        # F̂ is about 5e12 here: the compensated solve is conditioned like
+        # 1e-13 relative, and packing stays within that
+        accurate, _ = _assert_fhat_is_its_oracle(compensated, values, tau)
+        # the plain eigenvalues put both plain layouts 0.77 % off; packing
+        # moves the plain F̂ by 8.5e-9 relative, far inside that error
+        packed, columns = _assert_fhat_is_its_oracle(spectrum, values, tau, rel=1e-7)
+        assert np.linalg.norm(packed - columns) <= 1e-5 * np.linalg.norm(columns - accurate)
+
+
+@pytest.mark.parametrize(
+    "alpha0,real",
+    [
+        (0.0, True),
+        (np.pi / 50, True),
+        (-np.pi / 50, True),
+        (np.nextafter(-np.pi / 50, 0.0), True),
+        (-np.pi / 50 + 4 * np.spacing(np.pi / 50), True),
+        (-np.pi / 50 + 5 * np.spacing(np.pi / 50), False),
+        (np.nextafter(0.0, 1.0), False),
+        (0.5 * np.pi / 50, False),
+    ],
+)
+def test_real_twist_is_e_to_the_i_n_alpha0_of_plus_or_minus_one(alpha0, real):
+    a = np.array([1.0, -0.5, 0.2])
+    eig = eval_poly_grid(a, alpha0, 50)
+    assert RotatedSpectrum(a, "plain", alpha0, eig).real_twist is real
 
 
 @pytest.mark.parametrize("n", [50, 997, 5000])
