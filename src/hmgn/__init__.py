@@ -69,7 +69,7 @@ from .weights import (
     weighted_norm,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "__version__",

@@ -121,14 +121,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument(
         "--methods", default="mgn,s-mgn", help="comma-separated method names"
     )
-    p_exp.add_argument("--weights", default="identity")
+    p_exp.add_argument("--weights", default="identity", help="not for gapped_fit")
     p_exp.add_argument(
         "--seed", type=int, default=0, help="noise seed of gapped_fit (no other kind)"
     )
     p_exp.add_argument("--max-iter", type=int, default=200)
-    p_exp.add_argument(
-        "--extend", action="store_true", help="lift the series-length ceiling"
-    )
     p_exp.add_argument("--out-dir", required=True)
     return parser
 
@@ -195,7 +192,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         weights=args.weights,
         seed=args.seed,
         max_iter=args.max_iter,
-        extend=args.extend,
     )
     written = run_experiment(spec, args.out_dir)
     for path in written:

@@ -37,10 +37,6 @@ __all__ = [
     "run_experiment",
 ]
 
-#: default grid length ceiling; ``extend`` lifts it for large-scale runs
-_DEFAULT_MAX_N = 10_000
-_EXTENDED_MAX_N = 50_000
-
 #: start the accuracy/residual runs next to the known solution
 _START_OFFSET = 1e-6
 
@@ -50,6 +46,9 @@ _START_OFFSET = 1e-6
 #: Gram-route fit at N = 1000 reads −1.15e-5, about −1.8e-4 of it
 _BELOW_MINIMUM_RTOL = 1e-8
 
+#: the weight specs of W = I
+_IDENTITY_SPECS = ("", "identity")
+
 
 def parse_weight_spec(spec: str, n: int) -> WeightSpec:
     """Build a weight matrix from its command-line syntax.
@@ -58,7 +57,7 @@ def parse_weight_spec(spec: str, n: int) -> WeightSpec:
     banded inverse autocovariance of a stationary AR process.
     """
     spec = spec.strip().lower()
-    if spec in ("", "identity"):
+    if spec in _IDENTITY_SPECS:
         return Identity(n)
     if spec.startswith("ar:"):
         parts = spec[3:].split(":")
@@ -77,7 +76,7 @@ class ExperimentSpec:
     """A reproducible experiment grid.
 
     A grid kind given no series lengths runs its defaults; ``gapped_fit``
-    fits the N = 50 preset and rejects any.
+    fits the N = 50 preset with W = I and rejects any lengths or weights.
     """
 
     kind: str
@@ -86,7 +85,6 @@ class ExperimentSpec:
     weights: str = "identity"
     seed: int = 0
     max_iter: int = 200
-    extend: bool = False
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -102,16 +100,12 @@ class ExperimentSpec:
         if self.kind not in _GRID_KINDS:
             if n_list:
                 raise ValueError(f"{self.kind} takes no series lengths")
+            if self.weights.strip().lower() not in _IDENTITY_SPECS:
+                raise ValueError(f"{self.kind} takes no weights")
         elif not n_list:
             n_list = _GRID_KINDS[self.kind].default_n_list
         if any(b <= a for a, b in zip(n_list, n_list[1:])):
             raise ValueError("series lengths must be strictly increasing")
-        ceiling = _EXTENDED_MAX_N if self.extend else _DEFAULT_MAX_N
-        if n_list and n_list[-1] > ceiling:
-            raise ValueError(
-                f"series length {n_list[-1]} exceeds the ceiling {ceiling}; "
-                "pass extend=True (--extend) for large runs"
-            )
         object.__setattr__(self, "n_list", n_list)
 
 

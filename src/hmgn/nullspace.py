@@ -52,8 +52,10 @@ twist the solve maps real columns to real columns, so columns 2k and
 
 The ``RotatedSpectrum`` is the only carrier of (a, N, mode): it holds the
 coefficients and the arithmetic mode its eigenvalues were evaluated in, N
-and r follow from it, and the order (1 ≤ r < N/2) and the mode are checked
-once, when it is made.  ``nullspace_basis`` and ``fhat_matrix`` take the
+and r follow from it, and the order (1 ≤ r < N/2), the mode and the
+realness of a are checked once, when it is made (a complex a has no real
+Z(a), so one with a nonzero imaginary part raises ``ValueError`` where
+coefficients enter).  ``nullspace_basis`` and ``fhat_matrix`` take the
 spectrum alone, so a basis and an F̂ solve cannot be built from a spectrum
 of other coefficients.
 
@@ -84,7 +86,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import BasisRealizationError, SpectrumDegeneracyError
-from .series import GlrrVector, TimeSeries, _series_values, apply_q_transpose
+from .series import GlrrVector, TimeSeries, _real_array, _series_values
 from .weights import _norm2
 
 __all__ = [
@@ -113,13 +115,12 @@ CoeffLike = Union[GlrrVector, Sequence[float], np.ndarray]
 
 
 def _coeffs(a: CoeffLike) -> np.ndarray:
-    """Coefficient array for polynomial evaluation (complex allowed, length ≥ 1)."""
+    """Real float64 coefficient array of length ≥ 1 for polynomial
+    evaluation.  A complex a has no real Z(a) and no real F̂, so a nonzero
+    imaginary part raises ``ValueError``; an all-zero one is dropped."""
     if isinstance(a, GlrrVector):
         return a.coeffs
-    arr = np.asarray(a)
-    if arr.dtype.kind not in "fc":
-        arr = arr.astype(float)
-    arr = arr.reshape(-1)
+    arr = _real_array(a, "GLRR coefficients").reshape(-1)
     if arr.size < 1:
         raise ValueError("empty coefficient vector")
     return arr
@@ -395,7 +396,8 @@ _TWIST_ULPS = 4
 @dataclass(frozen=True, eq=False)
 class RotatedSpectrum:
     """Eigenvalues of the rotated circulant C(T_{r+1}(−α₀)·a), with the
-    coefficients a and the arithmetic ``mode`` they were evaluated in.
+    real coefficients a (float64) and the arithmetic ``mode`` they were
+    evaluated in.
 
     ``eigenvalues[j] = g_a(exp(i(2πj/N − α₀)))``; all strictly nonzero.  N is
     the eigenvalue count and r the order of a, with 1 ≤ r < N/2.
@@ -446,8 +448,8 @@ class RotatedSpectrum:
     def real_twist(self) -> bool:
         """Whether e^{iNα₀} = ±1: α₀ is 0, or ±π/N within ``_TWIST_ULPS``
         ulps, since a gap midpoint of the closed-form placement can land a
-        few ulps off −π/N (2 ulps for (z − 1)⁵ at N = 2000).  Then, for real
-        a, T_N(−α₀)·C(ã)⁻¹·T_N(α₀) is the inverse of a real circulant or
+        few ulps off −π/N (2 ulps for (z − 1)⁵ at N = 2000).  Then
+        T_N(−α₀)·C(ã)⁻¹·T_N(α₀) is the inverse of a real circulant or
         skew-circulant."""
         alpha0 = float(self.alpha0)
         half = 0.5 * (2.0 * math.pi / self.n)
@@ -478,11 +480,11 @@ class SubspaceBasis:
     ‖Im Z_c‖_F, an upper bound on σ_{r+1}([Re Z_c | Im Z_c]); after the SVD
     fallback it is the relative size σ_{r+1}/σ₁ of that matrix.  Either is
     0 when Z_c spanned the complexification of a real subspace exactly.
-    ``residual_norm`` is ‖Qᵀ(a)·Z‖_F.  The SVD gives ‖ZᵀZ − I‖ at
-    rounding level; so does the real part in plain mode (within ‖Im Z_c‖²
-    ≤ u), while in compensated mode the real part is orthonormal to about
-    u·κ(A_g⁻¹·R_r) (at most 4.1e-9 over the ``trend-long`` fits), which the
-    solvers' pivoted-QR projection does not rely on.  Z is read-only.
+    The SVD gives ‖ZᵀZ − I‖ at rounding level; so does the real part in
+    plain mode (within ‖Im Z_c‖² ≤ u), while in compensated mode the real
+    part is orthonormal to about u·κ(A_g⁻¹·R_r) (at most 4.1e-9 over the
+    ``trend-long`` fits), which the solvers' pivoted-QR projection does not
+    rely on.  Z is read-only.
 
     Compared and hashed by identity (``eq=False``): a field-wise ``==``
     would compare arrays and raise instead of returning a bool.
@@ -490,7 +492,6 @@ class SubspaceBasis:
 
     z: np.ndarray
     defect: float
-    residual_norm: float
 
     def __post_init__(self):
         z = np.asarray(self.z, dtype=float)
@@ -565,20 +566,6 @@ def _realize_basis(z_c: np.ndarray, imag_tol: float) -> tuple:
     return u[:, :r], defect
 
 
-def _real_coeffs(spectrum: RotatedSpectrum) -> np.ndarray:
-    """The spectrum's coefficients as a real array; a complex a has no real
-    Z(a) and no real F̂, so a nonzero imaginary part raises ``ValueError``."""
-    coeffs = spectrum.coeffs
-    if coeffs.dtype.kind == "c":
-        if np.any(coeffs.imag != 0.0):
-            raise ValueError(
-                "GLRR coefficients must be real: a complex a has no real "
-                "subspace Z(a) and no real F̂"
-            )
-        coeffs = coeffs.real
-    return coeffs
-
-
 def nullspace_basis(spectrum: RotatedSpectrum) -> SubspaceBasis:
     """Orthonormal basis of Z(a) = ker Qᵀ(a) in O(rN log N + Nr²), for the
     real coefficients and the mode the spectrum carries.
@@ -597,9 +584,8 @@ def nullspace_basis(spectrum: RotatedSpectrum) -> SubspaceBasis:
     norm.  Otherwise the SVD of [Re Z_c | Im Z_c] realizes the basis, and a
     relative defect beyond the mode's bound (1e-2 plain, 1e-9 compensated)
     raises ``BasisRealizationError`` rather than silently truncating
-    imaginary parts.  Complex coefficients raise ``ValueError``.
+    imaginary parts.
     """
-    coeffs = _real_coeffs(spectrum)
     n, r = spectrum.n, spectrum.r
     eig = spectrum.eigenvalues
     untwist = spectrum.untwist
@@ -633,8 +619,7 @@ def nullspace_basis(spectrum: RotatedSpectrum) -> SubspaceBasis:
     else:
         z, defect = _realize_basis(z_c, tol)
         z = np.asfortranarray(z)
-    residual = _norm2(apply_q_transpose(coeffs, z))
-    return SubspaceBasis(z, defect, residual)
+    return SubspaceBasis(z, defect)
 
 
 # ---------------------------------------------------------------------------
@@ -648,8 +633,7 @@ def fhat_matrix(
     tau: int,
 ) -> np.ndarray:
     """Solve Qᵀ(a)·F̂ = M for F̂ ∈ R^{N×r}, M = −(rows K(τ) of T_{r+1}(S))ᵀ,
-    with a the spectrum's real coefficients (complex ones raise
-    ``ValueError``).
+    with a the spectrum's coefficients.
 
     The solve extends M by r zero rows, twists by T_{N−r}(α₀), applies the
     inverse rotated circulant through the FFT, and untwists; the real part
@@ -667,7 +651,6 @@ def fhat_matrix(
         raise ValueError(f"series length {values.size} does not match grid size {n}")
     if not 1 <= tau <= r + 1:
         raise ValueError(f"tau={tau} out of range 1..{r + 1}")
-    _real_coeffs(spectrum)
 
     # column c of M is −(window of S at offset j), j the c-th index of K(τ);
     # it goes to row c // step, in the imaginary part for odd c when two

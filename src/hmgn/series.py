@@ -55,6 +55,19 @@ def _check_one_axis(x: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} must be one-dimensional, got shape {x.shape}")
 
 
+def _real_array(x, what: str) -> np.ndarray:
+    """x as a float64 array (x itself, at one dtype comparison, if it is
+    one); a nonzero imaginary part raises ValueError, an all-zero one goes."""
+    arr = np.asarray(x)
+    if arr.dtype == np.float64:
+        return arr
+    if arr.dtype.kind == "c":
+        if np.any(arr.imag != 0.0):
+            raise ValueError(f"{what} must be real, got a nonzero imaginary part")
+        arr = arr.real
+    return arr.astype(float)
+
+
 # ---------------------------------------------------------------------------
 # Domain types
 # ---------------------------------------------------------------------------
@@ -82,7 +95,7 @@ class TimeSeries:
     mask: np.ndarray = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = _real_array(self.values, "series values")
         if values.ndim != 1:
             _check_one_axis(values, "series values")
         values = values.reshape(-1)
@@ -120,7 +133,7 @@ def as_time_series(x: Union[TimeSeries, ArrayLike]) -> TimeSeries:
     """Coerce an array-like (or pass through a TimeSeries) to TimeSeries."""
     if isinstance(x, TimeSeries):
         return x
-    return TimeSeries(np.asarray(x, dtype=float))
+    return TimeSeries(x)
 
 
 def _series_values(x: Union[TimeSeries, ArrayLike]) -> np.ndarray:
@@ -138,7 +151,7 @@ def _series_values(x: Union[TimeSeries, ArrayLike]) -> np.ndarray:
         and np.isfinite(x).all()
     ):
         return x
-    return TimeSeries(np.asarray(x, dtype=float)).values
+    return TimeSeries(x).values
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,7 +179,7 @@ def _glrr_coeffs(a: Union[GlrrVector, ArrayLike]) -> np.ndarray:
     one axis longer than 1, length ≥ 2, finite, not all zero."""
     if isinstance(a, GlrrVector):
         return a.coeffs
-    coeffs = np.asarray(a, dtype=float)
+    coeffs = _real_array(a, "GLRR coefficients")
     if coeffs.ndim != 1:
         _check_one_axis(coeffs, "GLRR coefficients")
     coeffs = coeffs.reshape(-1)

@@ -432,7 +432,7 @@ def fit(
             raise ValueError("either a rank or a starting GLRR is required")
         start = initial_glrr(ts, r)
     else:
-        start = a0 if isinstance(a0, GlrrVector) else GlrrVector(np.asarray(a0, dtype=float))
+        start = a0 if isinstance(a0, GlrrVector) else GlrrVector(a0)
         if r is not None and start.order != r:
             raise ValueError(
                 f"starting GLRR has order {start.order}, but rank {r} was requested"

@@ -33,6 +33,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import WeightVariantError
+from .series import _real_array
 
 __all__ = [
     "WeightSpec",
@@ -58,7 +59,7 @@ Bands = Sequence[np.ndarray]
 def _freeze_bands(bands: Bands, n: int) -> tuple:
     out = []
     for d, band in enumerate(bands):
-        band = np.asarray(band, dtype=float).reshape(-1)
+        band = _real_array(band, f"band {d}").reshape(-1)
         if band.size != n - d:
             raise ValueError(
                 f"band {d} has length {band.size}, expected {n - d} for dimension {n}"
@@ -240,7 +241,7 @@ def ar_inverse_covariance(
 
     Returns Identity for p = 0, σ² = 1; otherwise a BandedW.
     """
-    phi = np.asarray(phi, dtype=float).reshape(-1)
+    phi = _real_array(phi, "AR coefficients").reshape(-1)
     p = phi.size
     if n <= p:
         raise ValueError(f"series length n={n} must exceed the AR order p={p}")
@@ -291,9 +292,8 @@ def ar_inverse_covariance(
 def banded_winv_from_winv_bands(winv_bands: Bands) -> BandedWinv:
     """BandedWinv from the upper bands of an SPD W⁻¹ (bands[d][i] = W⁻¹[i,i+d])."""
     n = np.asarray(winv_bands[0]).size
-    return BandedWinv(
-        n, tuple(_chol_banded_or_raise(winv_bands, n, "inverse weight matrix"))
-    )
+    bands = _freeze_bands(winv_bands, n)
+    return BandedWinv(n, tuple(_chol_banded_or_raise(bands, n, "inverse weight matrix")))
 
 
 def mask_missing(w0: WeightSpec, mask: Sequence[bool]) -> Masked:

@@ -49,12 +49,31 @@ import numpy
 
 SIDES = ab_paired.SIDES
 
+#: kernel-banded cells per seed whose final objective moved by more than
+#: 1e-9 relative in at least one of ten draws of ξ, with the largest move.
+#: The Gram route ends within about 1e-9 of its minimum whatever the start:
+#: the other 21 of the 48 cells of seeds 100, 101, 7919 and 7920 moved by
+#: at most 9.3e-10, and one draw alone put 7 cells past 1e-9.
+_KERNEL_BANDED_MOVES = {
+    100: {3: +1.8e-9, 4: +1.2e-9, 6: +1.2e-9, 7: +1.5e-9, 9: +1.0e-9, 10: +1.0e-9},
+    101: {0: -1.3e-9, 1: -1.5e-9, 2: -1.0e-9, 3: +1.3e-9, 4: +2.2e-9,
+          6: -3.2e-9, 7: +1.6e-9, 9: -1.8e-9, 11: +1.3e-9},
+    7919: {1: -1.0e-9, 6: -1.0e-9, 7: -1.1e-9, 10: -1.1e-9},
+    7920: {0: +1.4e-9, 3: -1.5e-9, 4: -1.2e-9, 5: +2.0e-9, 6: -1.1e-9,
+           7: -1.2e-9, 8: +1.4e-9, 10: +1.5e-9},
+}
+
 #: (workload, seed, cell) whose final objective moves by more than 1e-9
 #: relative when only its start is multiplied by (1 + 1e-12·ξ), ξ standard
-#: normal: seed 107 instance 7 moved 3.6 % with both methods (error 0.284 →
-#: 0.279)
+#: normal.  gapped-short seed 107 instance 7 moved 3.6 % with both methods
+#: (error 0.284 → 0.279); the kernel-banded cells are listed above.
 KNOWN_SENSITIVE = frozenset(
     {("gapped-short", 107, "mgn/7"), ("gapped-short", 107, "s-mgn/7")}
+    | {
+        ("kernel-banded", seed, f"vpgn/{k}")
+        for seed, moves in _KERNEL_BANDED_MOVES.items()
+        for k in moves
+    }
 )
 
 

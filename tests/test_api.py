@@ -68,7 +68,7 @@ def _rotated_spectrum():
 
 
 def _subspace_basis():
-    return nullspace.SubspaceBasis(np.eye(6, 2), 0.0, 0.0)
+    return nullspace.SubspaceBasis(np.eye(6, 2), 0.0)
 
 
 def _projection_result():

@@ -392,17 +392,10 @@ def test_experiment_gapped_kind_records_solver_failures(tmp_path, capsys):
     assert by_method["vpgn"]["status"] == "WeightVariantError"
 
 
-def test_experiment_rejects_oversized_n(tmp_path, capsys):
-    out_dir = tmp_path / "big"
-    assert (
-        run(
-            "experiment", "--kind", "residual_vs_N", "--n-list", "20000",
-            "--out-dir", out_dir,
-        )
-        == 2
-    )
-    err = capsys.readouterr().err
-    assert "extend" in err
+def test_experiment_spec_takes_long_series_lengths():
+    # the N = 100 000 known-minimum runs have no length ceiling to pass
+    spec = experiments.ExperimentSpec(kind="known_minimum_accuracy", n_list=(100000,))
+    assert spec.n_list == (100000,)
 
 
 def test_experiment_gapped_kind_rejects_series_lengths(tmp_path, capsys):
@@ -413,6 +406,22 @@ def test_experiment_gapped_kind_rejects_series_lengths(tmp_path, capsys):
     )
     assert "takes no series lengths" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+def test_experiment_gapped_kind_rejects_weights(tmp_path, capsys):
+    # the preset fit runs at W = I, so a weight spec would go unread
+    out_dir = tmp_path / "gapped"
+    assert (
+        run(
+            "experiment", "--kind", "gapped_fit", "--weights", "ar:0.5",
+            "--out-dir", out_dir,
+        )
+        == 2
+    )
+    assert "takes no weights" in capsys.readouterr().err
+    assert not out_dir.exists()
+    for weights in ("identity", " Identity ", ""):
+        experiments.ExperimentSpec(kind="gapped_fit", weights=weights)
 
 
 #: one small run of every experiment kind with every method

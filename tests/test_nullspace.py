@@ -27,9 +27,15 @@ from hmgn.nullspace import (
     rotated_spectrum,
 )
 from hmgn.problems import build_known_minimum
-from hmgn.series import GlrrVector, embed, generate_model_signal, ModelComponent
+from hmgn.series import (
+    GlrrVector,
+    ModelComponent,
+    apply_q_transpose,
+    embed,
+    generate_model_signal,
+)
 from hmgn.solvers import SolverConfig, fit
-from hmgn.weights import Identity, ar_inverse_covariance
+from hmgn.weights import Identity, _norm2, ar_inverse_covariance
 
 from _oracles import (
     cgs2_oracle,
@@ -239,7 +245,7 @@ def test_constant_series_basis():
     basis = nullspace_basis(rotated_spectrum((1.0, -1.0), 5))
     col = basis.z[:, 0]
     assert_allclose(np.abs(col), np.full(5, 1 / np.sqrt(5)), atol=1e-12)
-    assert basis.residual_norm <= 1e-12
+    assert _norm2(apply_q_transpose((1.0, -1.0), basis.z)) <= 1e-12
 
 
 def test_affine_sequences_basis():
@@ -347,7 +353,8 @@ def test_real_part_basis_spans_the_svd_realization(monkeypatch, mode, n):
     # the known minimum's a* = (z − 1)³ and the benchmark's start a* + 1e-6;
     # forcing the SVD on the same Z_c isolates the realization
     for offset in (0.0, 1e-6):
-        spectrum = rotated_spectrum(_TRIPLE_ROOT + offset, n, mode)
+        a = _TRIPLE_ROOT + offset
+        spectrum = rotated_spectrum(a, n, mode)
         assert spectrum.real_twist
         calls = _count_realizations(monkeypatch)
         fast = nullspace_basis(spectrum)
@@ -360,7 +367,8 @@ def test_real_part_basis_spans_the_svd_realization(monkeypatch, mode, n):
         # σ₄/σ₁ = 6.4e-13 there)
         assert fast_route or (mode, offset, n) == ("compensated", 0.0, 20000)
         assert np.max(subspace_angles(fast.z, svd.z)) <= 1e-12
-        assert fast.residual_norm <= 1e-14 and svd.residual_norm <= 1e-14
+        for basis in (fast, svd):
+            assert _norm2(apply_q_transpose(a, basis.z)) <= 1e-14
         if fast_route:
             bound = min(hmgn.nullspace._SQRT_U, hmgn.nullspace._IMAG_TOL[mode])
             assert fast.defect <= bound
@@ -409,20 +417,31 @@ def test_basis_layout_is_one_on_both_routes(monkeypatch, r):
     assert np.max(subspace_angles(*bases)) <= 1e-12
 
 
-def test_basis_of_complex_coefficients_is_rejected():
-    spectrum = rotated_spectrum([1.0, -1.8 + 0.3j, 1.0], 50)
-    with pytest.raises(ValueError, match="must be real"):
-        nullspace_basis(spectrum)
-    with pytest.raises(ValueError, match="must be real"):
-        fhat_matrix(spectrum, np.ones(50), 1)
+@pytest.mark.parametrize(
+    "a", [(1.0, -1.8 + 0.3j, 1.0), (1.0 + 0.5j, -2.0, 1.0 - 0.25j)]
+)
+def test_complex_coefficients_are_rejected_where_they_enter(a):
+    # a complex a has no real Z(a) and no real F̂
+    eig = np.ones(50, dtype=complex)
+    for enter in (
+        lambda: rotated_spectrum(a, 50),
+        lambda: rotated_spectrum(a, 50, "compensated"),
+        lambda: eval_poly_grid(a, 0.0, 50),
+        lambda: eval_poly_grid(a, 0.0, 50, "compensated"),
+        lambda: find_rotation(a, 50),
+        lambda: RotatedSpectrum(np.asarray(a), "plain", 0.0, eig),
+    ):
+        with pytest.raises(ValueError, match="must be real"):
+            enter()
 
 
 def test_basis_of_complex_coefficients_with_zero_imaginary_part():
     real = nullspace_basis(rotated_spectrum([1.0, -1.8, 1.0], 50))
     spectrum = rotated_spectrum(np.array([1.0, -1.8, 1.0], dtype=complex), 50)
+    assert spectrum.coeffs.dtype == np.float64
     basis = nullspace_basis(spectrum)
     assert np.max(subspace_angles(basis.z, real.z)) <= 1e-13
-    assert basis.residual_norm <= 1e-14
+    assert _norm2(apply_q_transpose((1.0, -1.8, 1.0), basis.z)) <= 1e-14
     q = q_matrix_oracle((1.0, -1.8, 1.0), 50)
     assert np.linalg.norm(q.T @ basis.z) <= 1e-14
     values = np.cos(0.4 * np.arange(50))
@@ -795,7 +814,6 @@ _ADVERSARIAL_POLYS = {
     "one nonzero": (0.0, 0.0, 3.0),
     "one nonzero inside": (0.0, 5.0, 0.0, 0.0),
     "constant": (2.0, 0.0),
-    "complex": (1.0 + 0.5j, -2.0, 1.0 - 0.25j),
 }
 
 

@@ -91,6 +91,20 @@ def test_timeseries_of_one_axis_is_flattened(shape):
     assert_array_equal(ts.mask, [True, False, False, True])
 
 
+def test_timeseries_rejects_a_nonzero_imaginary_part():
+    values = [1.0, 2.0 + 1e-300j, 3.0]
+    for make in (TimeSeries, as_time_series, _series_values):
+        with pytest.raises(ValueError, match="series values must be real"):
+            make(values)
+    with pytest.raises(ValueError, match="must be real"):
+        embed(np.array(values), 2)
+    # an all-zero imaginary part is real, NaN still marks a gap
+    ts = TimeSeries(np.array([1.0, np.nan, 3.0], dtype=complex))
+    assert ts.values.dtype == np.float64
+    assert_array_equal(ts.values, [1.0, 0.0, 3.0])
+    assert_array_equal(ts.mask, [True, False, True])
+
+
 @pytest.mark.parametrize("shape", [(3, 4), (2, 2), (2, 1, 2)])
 def test_timeseries_of_several_axes_is_rejected(shape):
     with pytest.raises(ValueError, match="one-dimensional"):
@@ -321,6 +335,17 @@ def test_glrr_coefficients_of_one_axis_are_flattened(shape):
     assert_array_equal(GlrrVector(coeffs).coeffs, [1.0, -2.0, 1.0])
     assert coeffs.flags.writeable  # the vector froze a view, not the input
     assert_array_equal(glrr_residual(np.arange(5.0), coeffs), [0.0, 0.0, 0.0])
+
+
+def test_glrr_coefficients_reject_a_nonzero_imaginary_part():
+    coeffs = [1.0, -1.9 + 0.5j, 1.0]
+    for use in (GlrrVector, normalize_glrr, lambda a: glrr_residual(np.ones(5), a)):
+        with pytest.raises(ValueError, match="GLRR coefficients must be real"):
+            use(coeffs)
+    # an all-zero imaginary part is real
+    v = GlrrVector(np.array([1.0, -1.9, 1.0], dtype=complex))
+    assert v.coeffs.dtype == np.float64
+    assert_array_equal(v.coeffs, [1.0, -1.9, 1.0])
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (3, 2), (2, 1, 2)])

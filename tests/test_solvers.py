@@ -520,6 +520,21 @@ def test_fit_rejects_non_finite_start(method):
         fit(x, config=SolverConfig(method=method), a0=[1.0, np.nan, 1.0])
 
 
+def test_fit_rejects_complex_start_and_data():
+    # no imaginary part is dropped: a complex start once fitted from its
+    # real part and ended SmallStepStop
+    x = rank2_signal(80)
+    with pytest.raises(ValueError, match="must be real"):
+        fit(x, a0=[1.0, -1.9 + 0.5j, 1.0])
+    with pytest.raises(ValueError, match="must be real"):
+        fit(x + 1e-3j, r=2)
+    # an all-zero imaginary part is real
+    a0 = [1.0, -1.9, 1.0]
+    want = fit(x, a0=a0)
+    got = fit(np.asarray(x, dtype=complex), a0=np.asarray(a0, dtype=complex))
+    assert got.signal.tobytes() == want.signal.tobytes()
+
+
 def test_fit_known_minimum_smgn_n100():
     problem = build_known_minimum(100)
     a0 = GlrrVector(problem.a_star.coeffs + 1e-6)

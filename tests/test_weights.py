@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -193,6 +194,23 @@ def test_banded_weights_reject_non_finite_bands(cls, bad):
         cls(4, ([1.0, bad, 1.0, 1.0],))
     with pytest.raises(ValueError, match="band 1 has a non-finite entry"):
         cls(4, (np.ones(4), [0.5, bad, 0.5]))
+
+
+def test_banded_weights_reject_a_nonzero_imaginary_part():
+    # BandedW(3, ([1 + 2j, 1, 1],)) once read as the identity, ‖1‖_W = √3
+    for make in (
+        lambda: BandedW(3, ([1.0 + 2j, 1.0, 1.0],)),
+        lambda: BandedWinv(3, (np.ones(3), [0.5j, 0.0])),
+        lambda: banded_winv_from_winv_bands(([2.0, 2.0, 2.0], [0.5 + 0.1j, 0.5])),
+    ):
+        with pytest.raises(ValueError, match="must be real"):
+            make()
+    with pytest.raises(ValueError, match="AR coefficients must be real"):
+        ar_inverse_covariance([0.5 + 0.1j], 1.0, 10)
+    # an all-zero imaginary part is real
+    w = BandedW(3, (np.array([2.0, 1.0, 1.0], dtype=complex),))
+    assert w.c_bands[0].dtype == np.float64
+    assert weighted_norm(w, np.ones(3)) == math.sqrt(6.0)
 
 
 def test_banded_winv_dense():
