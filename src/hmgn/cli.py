@@ -10,7 +10,7 @@ Generate the gapped rank-4 preset and fit it::
 Run the accuracy suite::
 
     hmgn experiment --kind known_minimum_accuracy --n-list 20,100,1000 \\
-        --methods mgn,s-mgn --seed 0 --out-dir results/
+        --methods mgn,s-mgn --out-dir results/
 
 Exit codes: 0 on success, 1 on read/solve failure, 2 on usage errors.
 """

@@ -75,8 +75,9 @@ def parse_weight_spec(spec: str, n: int) -> WeightSpec:
 class ExperimentSpec:
     """A reproducible experiment grid.
 
-    A grid kind given no series lengths runs its defaults; ``gapped_fit``
-    fits the N = 50 preset with W = I and rejects any lengths or weights.
+    A grid kind given no series lengths runs its defaults and rejects a
+    seed other than 0, which it would not read; ``gapped_fit`` fits the
+    N = 50 preset with W = I and rejects any lengths or weights.
     """
 
     kind: str
@@ -102,8 +103,11 @@ class ExperimentSpec:
                 raise ValueError(f"{self.kind} takes no series lengths")
             if self.weights.strip().lower() not in _IDENTITY_SPECS:
                 raise ValueError(f"{self.kind} takes no weights")
-        elif not n_list:
-            n_list = _GRID_KINDS[self.kind].default_n_list
+        else:
+            if self.seed != 0:
+                raise ValueError(f"{self.kind} takes no seed")
+            if not n_list:
+                n_list = _GRID_KINDS[self.kind].default_n_list
         if any(b <= a for a, b in zip(n_list, n_list[1:])):
             raise ValueError("series lengths must be strictly increasing")
         object.__setattr__(self, "n_list", n_list)

@@ -35,10 +35,25 @@ nearly every spectrum of a fit (α₀ = π/N or 0), T_N(−α₀)·C(ã)⁻¹·T
 the inverse of a real circulant or skew-circulant (Davis, *Circulant
 Matrices*, 1979).  Column c of R_r is the transform of the standard vector
 e_m, m = N − r + c, so after de-phasing it by e^{iα₀m} the complex basis
-Z_c = T_N(−α₀)·F⁻¹·U_r is real up to rounding, and its real part is the
-basis whenever ‖Im Z_c‖_F ≤ min(√u, the mode's realization bound); then
-σ_{r+1}([Re Z_c | Im Z_c]) ≤ ‖Im Z_c‖_F (Weyl), so this route is taken only
-where the SVD realization would pass.  Any other spectrum falls back on
+Z_c = T_N(−α₀)·F⁻¹·U_r is real, and every quantity over the grid is
+conjugate-symmetric: the rotated grid ω_j satisfies conj(ω_j) = ω_{p(j)}
+with p(j) = (s − j) mod N, s = 0, 1 or −1 for α₀ = 0, π/N or −π/N, so
+g_a(ω_{p(j)}) = conj g_a(ω_j), and likewise for A_g⁻¹·R_r·Φ, its
+Gram–Schmidt factor Q and the re-evaluated product B.  Each is computed on
+the ⌈N/2⌉ pair representatives, a contiguous slice of the grid, with real
+values at the self-conjugate points (ω = ±1), and the other points are
+their partners' conjugates, a reversed slice (``_ConjugatePairs``).  The
+inner products over the grid are then real, Σ_pairs 2·Re(ū_j·v_j) plus
+Σ_self u_j·v_j, so Gram–Schmidt runs on the real view of the
+representatives and R̂ and O_r are real.  B = R_r·Φ·O_r is re-evaluated as
+±p_c(ω) on the rotated grid, with the real coefficients of O_r, since a
+rounded phase Φ would break its symmetry by an error that O_r amplifies by
+up to κ(L_r).  With exactly symmetric U_r, the one inverse FFT leaves
+‖Im Z_c‖_F at its own rounding (about 3e-16 at N = 5000), and the real
+part is the basis whenever ‖Im Z_c‖_F ≤ min(√u, the mode's realization
+bound); then σ_{r+1}([Re Z_c | Im Z_c]) ≤ ‖Im Z_c‖_F (Weyl), so this route
+is taken only where the SVD realization would pass.  A complex twist
+evaluates the whole grid in complex arithmetic and realizes its basis by
 the SVD of [Re Z_c | Im Z_c] (``_realize_basis``).  Either way Z is stored
 one column per contiguous line (Fortran order).
 
@@ -64,7 +79,8 @@ All FFTs use the unitary convention (1/√N in both directions).
 Grid constants that do not depend on a are computed once: the unit grid
 exp(2πik/N) per N (16·N bytes) and the Fourier columns R_r per (N, r)
 (16·N·r bytes), each in a least-recently-used table of ``_TABLE_SIZE`` = 16
-entries (320 KB per (N, r) at N = 5000, r = 3).  The rotated grid
+entries (320 KB per (N, r) at N = 5000, r = 3), and so is the conjugate
+pairing of a real twist per (N, s), a handful of slices.  The rotated grid
 exp(i(2πj/N − α₀)) and the untwist T_N(−α₀) depend on a only through α₀,
 which the closed-form placement puts at π/N or 0 for nearly every spectrum
 of a fit, so each is tabled per (N, α₀) too, in ``_ROTATION_TABLE_SIZE`` = 4
@@ -80,7 +96,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.linalg
@@ -392,6 +408,97 @@ def find_rotation(a: CoeffLike, n: int) -> float:
 #: ulps of π/N within which a rotation counts as ±π/N (``real_twist``)
 _TWIST_ULPS = 4
 
+_SQRT2 = math.sqrt(2.0)
+_INV_SQRT2 = 1.0 / _SQRT2
+
+
+def _pair_shift(n: int, alpha0: float) -> Optional[int]:
+    """s with conj(ω_j) = ω_{(s−j) mod N} on the rotated grid
+    ω_j = exp(i(2πj/N − α₀)): 0 for α₀ = 0, ±1 for α₀ = ±π/N within
+    ``_TWIST_ULPS`` ulps; None for any other rotation."""
+    alpha0 = float(alpha0)
+    if alpha0 == 0.0:
+        return 0
+    half = 0.5 * (2.0 * math.pi / n)
+    if abs(abs(alpha0) - half) <= _TWIST_ULPS * math.ulp(half):
+        return 1 if alpha0 > 0.0 else -1
+    return None
+
+
+class _ConjugatePairs(NamedTuple):
+    """The pairing j ↔ p(j) = (s − j) mod N of a real-twist grid, under
+    which every grid quantity of the basis route is conjugate-symmetric:
+    x[p(j)] = conj(x[j]); made by ``_conjugate_pairs``.
+
+    The k = ⌈N/2⌉ (s = ±1) or ⌊N/2⌋ + 1 (s = 0) pair representatives are
+    the contiguous points ``reps`` = t..t+k−1, t = 1 for s = 1 and 0
+    otherwise.  The partners of all but the self-conjugate ones (p(j) = j,
+    where the rotated grid point is ±1) are the rest of the grid,
+    ``filled``, and are the representatives ``partners`` in reverse order;
+    with t = 1 (``wraps``) point 0 is the partner of point 1.
+    ``self_conjugate`` holds the self-conjugate points as offsets into
+    ``reps``: 0 when s = 0, and k − 1 when N − s is even.  ``twist`` is
+    e^{iNα₀}: 1 for s = 0 and −1 for s = ±1.
+    """
+
+    reps: slice
+    self_conjugate: Tuple[int, ...]
+    filled: slice
+    partners: slice
+    wraps: bool
+    twist: float
+
+    def make_real(self, reps: np.ndarray) -> np.ndarray:
+        """Drop the imaginary part of the representatives ``reps`` (…, k)
+        at the self-conjugate points, in place; returns ``reps``."""
+        for j in self.self_conjugate:
+            reps[..., j] = reps[..., j].real
+        return reps
+
+    def complete(self, full: np.ndarray) -> np.ndarray:
+        """Fill the points of ``full`` (…, N) that are not representatives
+        with the conjugates of their partners, in place; returns ``full``."""
+        np.conjugate(full[..., self.partners], out=full[..., self.filled])
+        if self.wraps:
+            np.conjugate(full[..., 1], out=full[..., 0])
+        return full
+
+    def cgs2(self, l_reps: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``_cgs2`` of the conjugate-symmetric full-grid rows whose
+        representatives are ``l_reps`` (r×k, real at the self-conjugate
+        points), run on their real view; Q's representatives go to ``out``
+        (r×k, complex) and R̂, which is real, is returned.
+
+        Over the full grid ⟨u, v⟩ = Σ_pairs 2·Re(ū_j·v_j) + Σ_self u_j·v_j.
+        The real view (r×2k) holds (Re, Im) per representative with the
+        self-conjugate points scaled by 1/√2, so its Euclidean inner product
+        is ⟨u, v⟩/2: Gram–Schmidt on it gives R̂/√2, and Q on the
+        representatives is its Q' times 1/√2 at pairs and Q' itself at the
+        self-conjugate points.  ``l_reps`` is overwritten.
+        """
+        view = l_reps.view(float)
+        for j in self.self_conjugate:
+            view[:, 2 * j] *= _INV_SQRT2
+        q_view, rhat = _cgs2(view)
+        q_half = q_view.view(complex)
+        np.multiply(q_half, _INV_SQRT2, out=out)
+        for j in self.self_conjugate:
+            out[:, j] = q_half[:, j]
+        return rhat * _SQRT2
+
+
+@functools.lru_cache(maxsize=_TABLE_SIZE)
+def _conjugate_pairs(n: int, shift: int) -> _ConjugatePairs:
+    """The pairing of the size-``n`` grid with shift s (tabled per (N, s))."""
+    t = 1 if shift == 1 else 0
+    k = n // 2 + 1 if shift == 0 else (n + 1) // 2
+    selfs = ((0,) if shift == 0 else ()) + ((k - 1,) if (n - shift) % 2 == 0 else ())
+    # points k + t..N − 1 are the partners of points N + s − k − t down to
+    # s + 1
+    partners = slice(n + shift - k - t, shift if shift >= 0 else None, -1)
+    twist = 1.0 if shift == 0 else -1.0
+    return _ConjugatePairs(slice(t, t + k), selfs, slice(k + t, n), partners, t == 1, twist)
+
 
 @dataclass(frozen=True, eq=False)
 class RotatedSpectrum:
@@ -402,7 +509,11 @@ class RotatedSpectrum:
     ``eigenvalues[j] = g_a(exp(i(2πj/N − α₀)))``; all strictly nonzero.  N is
     the eigenvalue count and r the order of a, with 1 ≤ r < N/2.
     ``untwist`` is the diagonal of T_N(−α₀), from a table per (N, α₀), and
-    ``real_twist`` says whether e^{iNα₀} = ±1.
+    ``real_twist`` says whether e^{iNα₀} = ±1.  On a real twist,
+    ``rotated_spectrum`` makes the eigenvalues exactly conjugate-symmetric,
+    ``eigenvalues[(s − j) mod N] == conj(eigenvalues[j])`` with s = 0, 1 or
+    −1 for α₀ = 0, π/N or −π/N, and real at the self-conjugate points;
+    ``nullspace_basis`` reads only the pair representatives.
 
     Compared and hashed by identity (``eq=False``): a field-wise ``==``
     would compare arrays and raise instead of returning a bool.
@@ -427,6 +538,10 @@ class RotatedSpectrum:
         eig.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "eigenvalues", eig)
+        # the conjugate pairing of a real twist's grid, or None
+        shift = _pair_shift(eig.size, self.alpha0)
+        pairs = None if shift is None else _conjugate_pairs(eig.size, shift)
+        object.__setattr__(self, "_pairs", pairs)
 
     @property
     def n(self) -> int:
@@ -451,19 +566,45 @@ class RotatedSpectrum:
         few ulps off −π/N (2 ulps for (z − 1)⁵ at N = 2000).  Then
         T_N(−α₀)·C(ã)⁻¹·T_N(α₀) is the inverse of a real circulant or
         skew-circulant."""
-        alpha0 = float(self.alpha0)
-        half = 0.5 * (2.0 * math.pi / self.n)
-        return alpha0 == 0.0 or abs(abs(alpha0) - half) <= _TWIST_ULPS * math.ulp(half)
+        return self._pairs is not None
+
+
+def _eigenvalues(coeffs: np.ndarray, alpha0: float, n: int, mode: str) -> np.ndarray:
+    """g_a on the grid rotated by α₀, as ``rotated_spectrum`` evaluates it.
+
+    On a real twist, g_a(conj z) = conj g_a(z) for real a, so only the pair
+    representatives are evaluated, on the rotated-grid table's points (their
+    values are bitwise ``eval_poly_grid``'s); the self-conjugate ones are
+    taken real and the partners are their conjugates, so the eigenvalues
+    are exactly conjugate-symmetric.  Any other rotation evaluates the whole
+    grid through ``eval_poly_grid``.
+    """
+    shift = _pair_shift(n, alpha0)
+    if shift is None:
+        return eval_poly_grid(coeffs, alpha0, n, mode)
+    pairs = _conjugate_pairs(n, shift)
+    z = _rotated_grid(n, float(alpha0))[pairs.reps]
+    horner = _comp_horner if mode == "compensated" else _plain_horner
+    eig = np.empty(n, dtype=complex)
+    eig[pairs.reps] = horner(coeffs, z)
+    pairs.make_real(eig[pairs.reps])
+    return pairs.complete(eig)
 
 
 def rotated_spectrum(a: CoeffLike, n: int, mode: str = "plain") -> RotatedSpectrum:
-    """Place the rotation and evaluate the circulant eigenvalues in ``mode``."""
+    """Place the rotation and evaluate the circulant eigenvalues in ``mode``.
+
+    On a real twist (α₀ = 0 or ±π/N, nearly every spectrum of a fit) the
+    eigenvalues are evaluated at the ⌈N/2⌉ conjugate-pair representatives of
+    the grid and mirrored, so they are exactly conjugate-symmetric under
+    the pairing j ↔ (s − j) mod N, s = 0, 1 or −1 for α₀ = 0, π/N or −π/N.
+    """
     coeffs = _coeffs(a)
     # fail on the order and mode before the rotation search
     _check_mode(mode)
     _check_order(coeffs.size - 1, n)
     alpha0 = find_rotation(coeffs, n)
-    return RotatedSpectrum(coeffs, mode, alpha0, eval_poly_grid(coeffs, alpha0, n, mode))
+    return RotatedSpectrum(coeffs, mode, alpha0, _eigenvalues(coeffs, alpha0, n, mode))
 
 
 # ---------------------------------------------------------------------------
@@ -477,14 +618,15 @@ class SubspaceBasis:
 
     ``defect`` measures how far the complex basis Z_c was from real.  When
     Z is the real part of Z_c (a real twist, see the module docstring) it is
-    ‖Im Z_c‖_F, an upper bound on σ_{r+1}([Re Z_c | Im Z_c]); after the SVD
-    fallback it is the relative size σ_{r+1}/σ₁ of that matrix.  Either is
-    0 when Z_c spanned the complexification of a real subspace exactly.
-    The SVD gives ‖ZᵀZ − I‖ at rounding level; so does the real part in
-    plain mode (within ‖Im Z_c‖² ≤ u), while in compensated mode the real
-    part is orthonormal to about u·κ(A_g⁻¹·R_r) (at most 4.1e-9 over the
-    ``trend-long`` fits), which the solvers' pivoted-QR projection does not
-    rely on.  Z is read-only.
+    ‖Im Z_c‖_F, an upper bound on σ_{r+1}([Re Z_c | Im Z_c]), which reads
+    only the inverse FFT's rounding (about 3e-16 at N = 5000); after the
+    SVD fallback, which only complex twists reach, it is the relative size
+    σ_{r+1}/σ₁ of that matrix.  Either is 0 when Z_c spanned the
+    complexification of a real subspace exactly.  The SVD gives ‖ZᵀZ − I‖ at
+    rounding level; so does the real part in plain mode, while in
+    compensated mode the real part is orthonormal to about u·κ(A_g⁻¹·R_r)
+    (5.6e-8 for (z − 1)³ at N = 20000), which the solvers' pivoted-QR
+    projection does not rely on.  Z is read-only.
 
     Compared and hashed by identity (``eq=False``): a field-wise ``==``
     would compare arrays and raise instead of returning a bool.
@@ -513,8 +655,8 @@ def _fourier_columns(n: int, r: int) -> np.ndarray:
 
 
 def _cgs2(l_rows: np.ndarray) -> tuple:
-    """Q and R̂ with L = Q·R̂ for the complex N×r matrix L held one column
-    per row (r×N); Q is returned the same way.
+    """Q and R̂ with L = Q·R̂ for the complex or real N×r matrix L held one
+    column per row (r×N); Q is returned the same way, and R̂ in L's dtype.
 
     Classical Gram–Schmidt run twice: each column is orthogonalized against
     the finished ones in two passes, with all k inner products of a pass
@@ -525,10 +667,11 @@ def _cgs2(l_rows: np.ndarray) -> tuple:
     factor is the same at any BLAS thread count.
     """
     r = l_rows.shape[0]
+    real = l_rows.dtype.kind == "f"
     q = np.empty_like(l_rows)
     # the conjugates of the finished columns, each taken once
-    conj = np.empty_like(l_rows)
-    rhat = np.zeros((r, r), dtype=complex)
+    conj = q if real else np.empty_like(l_rows)
+    rhat = np.zeros((r, r), dtype=l_rows.dtype)
     for k in range(r):
         v = l_rows[k]
         if k:
@@ -544,7 +687,8 @@ def _cgs2(l_rows: np.ndarray) -> tuple:
         norm = _norm2(v.view(float))
         rhat[k, k] = norm
         np.divide(v, norm, out=q[k])
-        np.conjugate(q[k], out=conj[k])
+        if not real:
+            np.conjugate(q[k], out=conj[k])
     return q, rhat
 
 
@@ -579,39 +723,68 @@ def nullspace_basis(spectrum: RotatedSpectrum) -> SubspaceBasis:
     amplification of the plain route.  Z_c = T_N(−α₀)·F⁻¹·U_r.
 
     When e^{iNα₀} = ±1 (α₀ = 0 or ±π/N, nearly every spectrum of a fit),
-    Z_c is real up to rounding, and its real part is the basis whenever
-    ‖Im Z_c‖_F is at most min(√u, the mode's bound); ``defect`` is then that
-    norm.  Otherwise the SVD of [Re Z_c | Im Z_c] realizes the basis, and a
-    relative defect beyond the mode's bound (1e-2 plain, 1e-9 compensated)
-    raises ``BasisRealizationError`` rather than silently truncating
-    imaginary parts.
+    L_r, Q and B are conjugate-symmetric under the spectrum's pairing
+    j ↔ (s − j) mod N, so each is computed on the ⌈N/2⌉ pair
+    representatives only, with real values at the self-conjugate points.
+    The Gram–Schmidt inner products are real, with weight 2 per pair and 1
+    per self-conjugate point, so R̂ and O_r are real, and B is re-evaluated
+    as ±(1/√N)·Σ_j O_r[j,c]·ω^{r+1−j} on the rotated grid ω, a polynomial
+    with real coefficients.  U_r is completed on the full grid by
+    conjugation before the one inverse FFT, so Z_c is real up to the FFT's
+    rounding, and its real part is the basis whenever ‖Im Z_c‖_F is at most
+    min(√u, the mode's bound); ``defect`` is then that norm (below 1e-14,
+    about 3e-16 at N = 5000).  Otherwise the SVD of [Re Z_c | Im Z_c]
+    realizes the basis, and a relative defect beyond the mode's bound
+    (1e-2 plain, 1e-9 compensated) raises ``BasisRealizationError`` rather
+    than silently truncating imaginary parts.
     """
     n, r = spectrum.n, spectrum.r
-    eig = spectrum.eigenvalues
+    pairs = spectrum._pairs
+    # the grid points computed: the pair representatives of a real twist
+    points = slice(None) if pairs is None else pairs.reps
+    eig = spectrum.eigenvalues[points]
     untwist = spectrum.untwist
     # row c of R_r is the transform of e_m, m = N − r + c; e^{iα₀m} is the
     # conjugate of untwist[m]
     phase = np.conj(untwist[n - r :])
-    # matrices over the grid are held one column per row (r×N)
-    l_rows = _fourier_columns(n, r) * phase[:, None]
+    # matrices over the grid are held one column per row (r×N); a real
+    # twist's U_r is computed on the representatives, in place in the
+    # full-grid array, and completed there
+    l_rows = _fourier_columns(n, r)[:, points] * phase[:, None]
     l_rows /= eig
-    q, rhat = _cgs2(l_rows)
-
-    if spectrum.mode == "plain":
+    if pairs is None:
+        q, rhat = _cgs2(l_rows)
         u_r = q
     else:
-        o_r = scipy.linalg.solve_triangular(rhat, np.eye(r, dtype=complex))
-        # column c of R_r·Φ·O_r equals (1/√N)·p_c(z_k) on the unrotated
-        # grid, with p_c(z) = Σ_j Φ_j·O_r[j,c]·z^{r+1−j}
-        z_grid = _unit_grid(n)
         u_r = np.empty((r, n), dtype=complex)
-        for c in range(r):
-            poly = np.zeros(r + 1, dtype=complex)
-            poly[1:] = (o_r[:, c] * phase)[::-1]  # power m carries row r+1−m
-            u_r[c] = _comp_horner(poly, z_grid) / np.sqrt(n)
-        u_r /= eig
+        q = u_r[:, points]
+        rhat = pairs.cgs2(pairs.make_real(l_rows), q)
 
-    z_c = untwist * np.fft.ifft(u_r, axis=1, norm="ortho")
+    if spectrum.mode == "compensated":
+        o_r = scipy.linalg.solve_triangular(rhat, np.eye(r, dtype=rhat.dtype))
+        # column c of R_r·Φ·O_r equals (1/√N)·p_c(z_k) on the unrotated
+        # grid, with p_c(z) = Σ_j Φ_j·O_r[j,c]·z^{r+1−j}.  On a real twist
+        # Φ_j·z_k^{r+1−j} = e^{iα₀N}·ω_k^{r+1−j} with e^{iα₀N} = ±1, so it is
+        # ±(1/√N)·p_c(ω_k) on the rotated grid with the real coefficients
+        # O_r[j,c]: exactly conjugate-symmetric, where rounded phases would
+        # break the symmetry by an error that O_r amplifies.  B overwrites Q
+        if pairs is None:
+            z_grid, weights, scale = _unit_grid(n), phase, np.sqrt(n)
+        else:
+            z_grid = _rotated_grid(n, float(spectrum.alpha0))[points]
+            weights, scale = 1.0, pairs.twist * np.sqrt(n)
+        for c in range(r):
+            poly = np.zeros(r + 1, dtype=o_r.dtype)
+            poly[1:] = (o_r[:, c] * weights)[::-1]  # power m carries row r+1−m
+            np.divide(_comp_horner(poly, z_grid), scale, out=q[c])
+        q /= eig
+        if pairs is not None:
+            pairs.make_real(q)
+    if pairs is not None:
+        pairs.complete(u_r)
+
+    z_c = np.fft.ifft(u_r, axis=1, norm="ortho", out=u_r)
+    np.multiply(untwist, z_c, out=z_c)
     imag = _norm2(z_c.imag)
     tol = _IMAG_TOL[spectrum.mode]
     if imag <= min(_SQRT_U, tol):

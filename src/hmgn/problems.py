@@ -20,7 +20,13 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .series import GlrrVector, ModelComponent, TimeSeries, generate_model_signal
+from .series import (
+    GlrrVector,
+    ModelComponent,
+    TimeSeries,
+    _real_array,
+    generate_model_signal,
+)
 
 __all__ = [
     "KnownMinimumProblem",
@@ -149,7 +155,7 @@ def apply_gaps(
     values: np.ndarray, gaps: Sequence[Tuple[int, int]]
 ) -> np.ndarray:
     """Copy of the series with the 1-based inclusive blocks blanked to NaN."""
-    out = np.asarray(values, dtype=float).copy()
+    out = _real_array(values, "series values").copy()
     for lo, hi in gaps:
         if hi > out.size:
             raise ValueError(

@@ -73,6 +73,7 @@ from .series import (
     GlrrVector,
     TimeSeries,
     _glrr_coeffs,
+    _real_array,
     apply_q,
     apply_q_transpose,
 )
@@ -115,7 +116,7 @@ class ProjectionResult:
 def _as_vector_or_batch(x: Union[TimeSeries, np.ndarray]) -> np.ndarray:
     if isinstance(x, TimeSeries):
         return x.values
-    arr = np.asarray(x, dtype=float)
+    arr = _real_array(x, "right-hand side")
     if arr.ndim not in (1, 2):
         raise ValueError("right-hand side must be a vector or a matrix")
     return arr

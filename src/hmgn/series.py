@@ -225,8 +225,8 @@ def apply_q_transpose(b: ArrayLike, x: np.ndarray) -> np.ndarray:
     result has length M−d where d+1 = len(b); a matrix result is column-major,
     so banded products and LAPACK take it without a copy.
     """
-    b = np.asarray(b, dtype=float).reshape(-1)
-    x = np.asarray(x, dtype=float)
+    b = _real_array(b, "GLRR coefficients").reshape(-1)
+    x = _real_array(x, "series values")
     if x.ndim == 1:
         return np.correlate(x, b, mode="valid")
     # the length np.correlate gives in "valid" mode
@@ -242,8 +242,8 @@ def apply_q(b: ArrayLike, v: np.ndarray) -> np.ndarray:
     ``v`` may be a vector of length M−d or a matrix (columnwise); the result
     has length M = len(v) + d, column-major for a matrix.
     """
-    b = np.asarray(b, dtype=float).reshape(-1)
-    v = np.asarray(v, dtype=float)
+    b = _real_array(b, "GLRR coefficients").reshape(-1)
+    v = _real_array(v, "kernel coordinates")
     if v.ndim == 1:
         return np.convolve(v, b, mode="full")
     out = np.empty((v.shape[0] + b.size - 1, v.shape[1]), order="F")
@@ -294,7 +294,7 @@ def normalize_glrr(a: Union[GlrrVector, ArrayLike]) -> Tuple[int, np.ndarray]:
 
 def h_tau(adot: ArrayLike, tau: int) -> np.ndarray:
     """Embed ȧ ∈ Rʳ into R^{r+1} by inserting −1 at (1-based) position τ."""
-    adot = np.asarray(adot, dtype=float).reshape(-1)
+    adot = _real_array(adot, "pivot-form coefficients").reshape(-1)
     if not 1 <= tau <= adot.size + 1:
         raise ValueError(f"tau={tau} out of range 1..{adot.size + 1}")
     return np.concatenate((adot[: tau - 1], _MINUS_ONE, adot[tau - 1 :]))

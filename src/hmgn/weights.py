@@ -313,7 +313,7 @@ def mask_missing(w0: WeightSpec, mask: Sequence[bool]) -> Masked:
 
 
 def _check_dim(w: WeightSpec, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
+    x = _real_array(x, "weighted vector")
     if x.shape[0] != w.n:
         raise ValueError(f"vector length {x.shape[0]} does not match dimension {w.n}")
     return x

@@ -506,6 +506,45 @@ def cgs2_oracle(l_rows):
     return q, rhat
 
 
+def full_grid_basis_oracle(coeffs, alpha0, n, mode):
+    """Orthonormal basis of Z(a) built on every point of the rotated grid,
+    in complex arithmetic throughout, as ``nullspace_basis`` built it
+    before real twists were computed on half the grid.
+
+    The eigenvalues come from ``comp_horner_oracle`` or naive Horner on the
+    whole grid, L_r = A_g⁻¹·R_r·Φ is factored by ``cgs2_oracle``, the
+    compensated mode re-evaluates B = R_r·Φ·O_r on the unrotated grid by
+    ``comp_horner_oracle``, and the basis is realized by the SVD of
+    [Re Z_c | Im Z_c].  Returns Z (N×r).
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    r = coeffs.size - 1
+    grid = np.exp(1j * (2.0 * np.pi * np.arange(n) / n - alpha0))
+    if mode == "compensated":
+        eig = comp_horner_oracle(coeffs, grid)
+    else:
+        eig = np.full(n, complex(coeffs[-1]))
+        for c in coeffs[-2::-1]:
+            eig = eig * grid + c
+    m = n - r + np.arange(r)
+    phase = np.exp(1j * alpha0 * m)
+    k = np.arange(n)
+    fourier = np.exp(2j * np.pi * k[None, :] * (r - np.arange(r))[:, None] / n) / np.sqrt(n)
+    q, rhat = cgs2_oracle(fourier * phase[:, None] / eig)
+    u_r = q
+    if mode == "compensated":
+        o_r = scipy.linalg.solve_triangular(rhat, np.eye(r, dtype=complex))
+        unit = np.exp(2j * np.pi * k / n)
+        u_r = np.empty((r, n), dtype=complex)
+        for c in range(r):
+            poly = np.zeros(r + 1, dtype=complex)
+            poly[1:] = (o_r[:, c] * phase)[::-1]
+            u_r[c] = comp_horner_oracle(poly, unit) / np.sqrt(n) / eig
+    z_c = np.exp(-1j * alpha0 * k) * np.fft.ifft(u_r, axis=1, norm="ortho")
+    u, _, _ = np.linalg.svd(np.concatenate([z_c.real, z_c.imag]).T, full_matrices=False)
+    return u[:, :r]
+
+
 def mul_upper_broadcast_oracle(bands, x):
     """M·x for upper-triangular banded M, each band broadcast over the
     columns of a matrix x."""

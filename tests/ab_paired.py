@@ -8,7 +8,7 @@ so that both see the same spells of load.
 
 Usage, from the root of a checkout:
 
-    python3 tests/ab_paired.py CHECKOUT_A CHECKOUT_B --workload W --seconds S --seed N [--smoke]
+    python3 tests/ab_paired.py CHECKOUT_A CHECKOUT_B --workload W --seconds S --seed N [--smoke] [--cells]
 
 Each checkout's ``src/hmgn`` is copied into a temporary directory under its
 own package name (``hmgn_a``, ``hmgn_b``), and ``perfbench/workloads.py`` of
@@ -34,6 +34,11 @@ whether two versions fit the same bits and how much memory each touches.
 Both versions allocate from one heap, so a side's fault count also depends
 on how the other side left it; a version's own count needs a run of its
 own.
+
+With ``--cells`` it first prints one line per cell that passed on both
+sides: the cell id, each side's median ms per iteration and their ratio
+B/A, so that a change to one method's cells shows where the lower quartile
+hides it.
 
 A warm-up fit that raises ``HmgnError`` during set-up ends the script
 instead: it prints ``<side>_setup_failed=<class name>`` for each side whose
@@ -185,6 +190,17 @@ def _per_iteration(recorder: Recorder) -> str:
     return f"{recorder.minflt / recorder.iterations:.1f}"
 
 
+def cell_lines(iter_ms, cells) -> List[str]:
+    """One line per cell that passed on both sides: its id, each side's
+    median ms per iteration and their ratio B/A."""
+    lines = []
+    for idx in sorted(set(iter_ms["a"]) & set(iter_ms["b"])):
+        a, b = (statistics.median(iter_ms[side][idx]) for side in SIDES)
+        lines.append(f"ab_paired cell={cells['a'][idx].cell_id} a_ms_per_iter={a:.4f} "
+                     f"b_ms_per_iter={b:.4f} ratio={b / a:.4f}")
+    return lines
+
+
 def summary(iter_ms, differ, failed, recorders, passes, workload: str, seed: int) -> str:
     head = f"ab_paired workload={workload} seed={seed} passes={passes}"
     tail = (
@@ -217,6 +233,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--smoke", action="store_true", help="the self-test sizes")
+    parser.add_argument("--cells", action="store_true",
+                        help="one line per cell before the summary")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="ab_paired_") as tmp:
         packages, cells, setup_failed = {}, {}, []
@@ -239,6 +257,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                   + " ".join(setup_failed))
             return 1
         iter_ms, differ, failed, recorders, passes = run(packages, cells, args.seconds)
+    if args.cells:
+        print("\n".join(cell_lines(iter_ms, cells)))
     print(summary(iter_ms, differ, failed, recorders, passes, args.workload, args.seed))
     return 0
 

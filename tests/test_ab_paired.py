@@ -37,6 +37,29 @@ def test_ab_paired_one_pass_against_itself():
     assert abs(float(match[3]) - b_ms / a_ms) <= 1e-3 * (1.0 + b_ms / a_ms)
 
 
+def test_ab_paired_cells_lists_each_cell_before_the_summary():
+    argv = [str(ROOT), str(ROOT), "--workload", "gapped-short",
+            "--seconds", "0", "--seed", "100", "--smoke", "--cells"]
+    done = subprocess.run(
+        [sys.executable, str(SCRIPT), *argv],
+        capture_output=True, text=True, check=True, timeout=300,
+    )
+    lines = done.stdout.splitlines()
+    assert len(lines) == 5 and lines[-1].startswith("ab_paired workload=gapped-short ")
+    cells = []
+    for line in lines[:4]:
+        match = re.fullmatch(
+            r"ab_paired cell=(\S+) a_ms_per_iter=(\d+\.\d{4}) "
+            r"b_ms_per_iter=(\d+\.\d{4}) ratio=(\d+\.\d{4})",
+            line,
+        )
+        assert match, line
+        cells.append(match[1])
+        a_ms, b_ms = float(match[2]), float(match[3])
+        assert abs(float(match[4]) - b_ms / a_ms) <= 1e-3 * (1.0 + b_ms / a_ms)
+    assert sorted(cells) == ["mgn/0", "mgn/1", "s-mgn/0", "s-mgn/1"]
+
+
 def test_ab_paired_reports_a_side_whose_warm_up_fit_raises(tmp_path):
     """A checkout whose every fit raises ``HmgnError`` fails in set-up: the
     script names the side and the error class, and exits 1, without a

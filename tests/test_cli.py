@@ -424,6 +424,25 @@ def test_experiment_gapped_kind_rejects_weights(tmp_path, capsys):
         experiments.ExperimentSpec(kind="gapped_fit", weights=weights)
 
 
+@pytest.mark.parametrize("kind", ["known_minimum_accuracy", "residual_vs_N", "iteration_timing"])
+def test_experiment_grid_kinds_reject_a_seed(tmp_path, capsys, kind):
+    # only gapped_fit draws noise; a grid kind wrote the same CSVs at any seed
+    out_dir = tmp_path / "grid"
+    assert (
+        run(
+            "experiment", "--kind", kind, "--n-list", "20", "--methods", "mgn",
+            "--seed", "5", "--out-dir", out_dir,
+        )
+        == 2
+    )
+    assert "takes no seed" in capsys.readouterr().err
+    assert not out_dir.exists()
+    with pytest.raises(ValueError, match="takes no seed"):
+        experiments.ExperimentSpec(kind=kind, seed=-1)
+    assert experiments.ExperimentSpec(kind=kind, seed=0).seed == 0
+    experiments.ExperimentSpec(kind="gapped_fit", seed=5)
+
+
 #: one small run of every experiment kind with every method
 PINNED_RUNS = {
     "known_minimum_accuracy": ("--n-list", "20,30"),
@@ -435,7 +454,7 @@ PINNED_RUNS = {
 TIMING_COLUMNS = ("seconds_per_iteration", "normalized")
 #: SHA-256 of every file the runs above emit, in name order, with the
 #: timing columns of iteration_timing.csv dropped (see emitted_digest)
-PINNED_DIGEST = "ed9289951e68263270867eeb480dcb2c284434501f0392c48a59fd658a773573"
+PINNED_DIGEST = "10763d69e42f345ca7b526a0ed6a9c0e06a11065b9fd918f110fab7a662d0eb1"
 
 
 def emitted_digest(out_dir) -> str:

@@ -14,15 +14,17 @@ SCRIPT = ROOT / "tests" / "fit_report.py"
 
 SUMMARY = re.compile(
     r"fit_report workload=(\S+) seeds=100 fits=(\d+) a_failed=(\d+) b_failed=(\d+) "
-    r"flipped=(\d+) moved=(\d+) rel_tol=1e-09"
+    r"flipped=(\d+) moved=(\d+) rel_tol=(\S+)"
 )
 SIDE = re.compile(
     r"  ([ab]): failed=(\d+) iterations=(\d+) terminations=(\S+) median_error=(\S+)"
 )
 
 
-def _report(checkout_b, *workloads):
+def _report(checkout_b, *workloads, rel_tol=None):
     argv = [str(ROOT), str(checkout_b), "--seed", "100", "--smoke"]
+    if rel_tol is not None:
+        argv += ["--rel-tol", rel_tol]
     for name in workloads:
         argv += ["--workload", name]
     done = subprocess.run(
@@ -35,17 +37,27 @@ def _report(checkout_b, *workloads):
 def test_fit_report_of_a_checkout_against_itself_moves_no_fit():
     lines = _report(ROOT, "trend-long", "gapped-short", "kernel-banded")
     assert len(lines) == 9
-    for block, (name, fits) in zip(
-        range(0, 9, 3), [("trend-long", 4), ("gapped-short", 4), ("kernel-banded", 2)]
+    for block, (name, fits, rel_tol) in zip(
+        range(0, 9, 3),
+        [("trend-long", 4, "1e-09"), ("gapped-short", 4, "1e-09"), ("kernel-banded", 2, "5e-09")],
     ):
         summary = SUMMARY.fullmatch(lines[block])
         assert summary, lines[block]
         assert summary[1] == name and int(summary[2]) == fits
+        # each workload's own tolerance
+        assert summary[7] == rel_tol
         assert summary.group(3, 4, 5, 6) == ("0", "0", "0", "0")
         a, b = (SIDE.fullmatch(line) for line in lines[block + 1 : block + 3])
         assert a and b and a[1] == "a" and b[1] == "b"
         # the same fits on both sides: every count and the median agree
         assert a.group(2, 3, 4, 5) == b.group(2, 3, 4, 5)
+
+
+def test_fit_report_rel_tol_applies_to_every_workload():
+    lines = _report(ROOT, "gapped-short", "kernel-banded", rel_tol="2e-09")
+    summaries = [SUMMARY.fullmatch(line) for line in (lines[0], lines[3])]
+    assert all(summaries), lines
+    assert [m[7] for m in summaries] == ["2e-09", "2e-09"]
 
 
 def test_fit_report_lists_moved_and_flipped_fits(tmp_path):
@@ -72,6 +84,7 @@ def test_fit_report_lists_moved_and_flipped_fits(tmp_path):
     summary = SUMMARY.fullmatch(lines[0])
     assert summary, lines[0]
     assert summary.group(1, 2, 3, 4, 5) == ("gapped-short", "4", "0", "2", "2")
+    assert summary[7] == "1e-09"
     moved = int(summary[6])
     assert moved >= 1
     flipped = lines[1:3]

@@ -43,6 +43,7 @@ from _oracles import (
     fhat_columns_oracle,
     fhat_packed_oracle,
     find_rotation_oracle,
+    full_grid_basis_oracle,
     gram_schmidt_cols,
     grid_min_abs_loop_oracle,
     poly_eval_oracle,
@@ -327,9 +328,13 @@ def test_basis_cost_scaling():
 #: ‖ZᵀZ − I‖_F of a basis taken as the real part of Z_c.  Plain mode
 #: orthonormalizes Z_c itself, so Re Z_c is orthonormal to rounding plus
 #: ‖Im Z_c‖² ≤ u.  Compensated mode re-evaluates A_g⁻¹·R_r·O_r, which is
-#: orthonormal only to about u·κ(L_r): 2.2e-9 at (z − 1)³, N = 5000, and at
-#: most 4.1e-9 over the `trend-long` fits of seed 100.
-_REAL_PART_ORTH = {"plain": 1e-14, "compensated": 1e-8}
+#: orthonormal only to about u·κ(L_r), so its bound is that many times
+#: u·κ(L_r): (z − 1)³ and (z − 1)³ + 1e-6 read at most 1.8·u·κ from N = 50
+#: to 20000 (5.6e-8 = 1.3·u·κ for (z − 1)³ at N = 20000).
+_REAL_PART_ORTH = {"plain": 1e-14, "compensated": 4.0}
+
+#: ‖Im Z_c‖_F of a real twist's basis: the inverse FFT's rounding
+_REAL_TWIST_DEFECT = 1e-14
 
 _TRIPLE_ROOT = np.array([1.0, -3.0, 3.0, -1.0])
 
@@ -362,21 +367,26 @@ def test_real_part_basis_spans_the_svd_realization(monkeypatch, mode, n):
         monkeypatch.setattr(hmgn.nullspace, "_SQRT_U", -1.0)
         svd = nullspace_basis(spectrum)
         monkeypatch.undo()
-        # ‖Im Z_c‖ of the compensated exact triple root is 2.1e-9 at
-        # N = 20000, past the compensated bound of 1e-9 (the SVD reads
-        # σ₄/σ₁ = 6.4e-13 there)
-        assert fast_route or (mode, offset, n) == ("compensated", 0.0, 20000)
+        # the real twist's Z_c is real up to the FFT's rounding in both
+        # modes, so the real part is taken even where κ(L_r) = 3.8e8
+        assert fast_route
         assert np.max(subspace_angles(fast.z, svd.z)) <= 1e-12
         for basis in (fast, svd):
             assert _norm2(apply_q_transpose(a, basis.z)) <= 1e-14
-        if fast_route:
-            bound = min(hmgn.nullspace._SQRT_U, hmgn.nullspace._IMAG_TOL[mode])
-            assert fast.defect <= bound
-            orth = np.linalg.norm(fast.z.T @ fast.z - np.eye(3))
+        assert fast.defect <= _REAL_TWIST_DEFECT
+        orth = np.linalg.norm(fast.z.T @ fast.z - np.eye(3))
+        if mode == "plain":
             assert orth <= _REAL_PART_ORTH[mode]
+        else:
+            l_rows = hmgn.nullspace._fourier_columns(n, 3) / spectrum.eigenvalues
+            u_kappa = np.finfo(float).eps / 2 * np.linalg.cond(l_rows.T)
+            assert orth <= _REAL_PART_ORTH[mode] * u_kappa
 
 
-def test_smoke_trend_long_fits_realize_no_basis_by_svd(monkeypatch):
+@pytest.mark.parametrize("smoke", [True, False])
+def test_trend_long_fits_realize_no_basis_by_svd(monkeypatch, smoke):
+    # every spectrum of these fits has a real twist, and a real twist's Z_c
+    # is real up to the FFT's rounding in both modes
     import fit_digest
 
     calls = _count_realizations(monkeypatch)
@@ -384,14 +394,116 @@ def test_smoke_trend_long_fits_realize_no_basis_by_svd(monkeypatch):
     build = hmgn.solvers.nullspace_basis
 
     def counting_basis(spectrum):
-        projections.append(spectrum.n)
+        projections.append(spectrum.real_twist)
         return build(spectrum)
 
     monkeypatch.setattr(hmgn.solvers, "nullspace_basis", counting_basis)
-    fits = fit_digest.workload_fits("trend-long", 100, smoke=True)
+    fits = fit_digest.workload_fits("trend-long", 100, smoke=smoke)
     assert all(not isinstance(result, str) for _, result in fits)
-    assert len(projections) > 4 * len(fits)
+    assert len(projections) > 4 * len(fits) and all(projections)
     assert calls == []
+
+
+#: the pairing shifts s, conj(ω_j) = ω_{(s − j) mod N}, of α₀ = s·π/N
+_SHIFTS = [-1, 0, 1]
+
+
+@pytest.mark.parametrize("shift", _SHIFTS)
+def test_conjugate_pairing_completes_every_grid(shift):
+    # the representatives, their reversed partners and the wrap of s = 1,
+    # on every grid size up to 64 (odd sizes have one self-conjugate point
+    # more or less than even ones)
+    rng = np.random.default_rng(shift + 1)
+    for n in range(3, 65):
+        pairs = hmgn.nullspace._conjugate_pairs(n, shift)
+        partner = (shift - np.arange(n)) % n
+        assert sorted({min(j, partner[j]) for j in range(n)}) == sorted(
+            min(j, partner[j]) for j in range(pairs.reps.start, pairs.reps.stop)
+        )
+        full = np.full((2, n), np.nan, dtype=complex)
+        k = pairs.reps.stop - pairs.reps.start
+        full[:, pairs.reps] = rng.standard_normal((2, k)) + 1j * rng.standard_normal((2, k))
+        pairs.make_real(full[:, pairs.reps])
+        pairs.complete(full)
+        assert np.array_equal(full[:, partner], np.conj(full)), n
+
+
+@pytest.mark.parametrize("mode", ["plain", "compensated"])
+@pytest.mark.parametrize("n", [50, 51, 1000, 1001])
+@pytest.mark.parametrize("shift", _SHIFTS)
+def test_real_twist_eigenvalues_are_exactly_conjugate_symmetric(shift, n, mode):
+    ns = hmgn.nullspace
+    rng = np.random.default_rng(n + 7 * shift)
+    alpha0 = shift * np.pi / n
+    pairs = ns._conjugate_pairs(n, shift)
+    partner = (shift - np.arange(n)) % n
+    selfs = np.flatnonzero(partner == np.arange(n))
+    assert tuple(selfs - pairs.reps.start) == pairs.self_conjugate
+    grid = _rotated_grid(n, alpha0)
+    assert np.abs(np.abs(grid[selfs].real) - 1.0).max(initial=0.0) <= 1e-15
+    for a in [rng.standard_normal(r + 1) for r in range(1, 7)] + [_fold((-0.9, 1.0), 3)]:
+        eig = ns._eigenvalues(a, alpha0, n, mode)
+        assert np.array_equal(eig[partner], np.conj(eig))
+        assert np.all(eig[selfs].imag == 0.0)
+        # the representatives are the full-grid values, bitwise
+        full = eval_poly_grid(a, alpha0, n, mode)
+        reps = np.setdiff1d(np.arange(pairs.reps.start, pairs.reps.stop), selfs)
+        assert eig[reps].tobytes() == full[reps].tobytes()
+        assert eig[selfs].real.tobytes() == full[selfs].real.tobytes()
+        spectrum = RotatedSpectrum(a, mode, alpha0, eig)
+        assert spectrum.real_twist and spectrum._pairs is pairs
+
+
+@pytest.mark.parametrize("mode", ["plain", "compensated"])
+@pytest.mark.parametrize(
+    "roots,n,shift",
+    [(1.0, 1000, 1), (1.0, 999, 1), (-1.0, 999, 0), (-1.0, 2000, 1), (1.0, 2000, -1)],
+)
+def test_rotated_spectrum_of_a_real_twist_is_exactly_conjugate_symmetric(roots, n, shift, mode):
+    # a t-fold root at 1 forbids α₀ = 0 and one at −1 on an odd grid
+    # forbids π/N; (z − 1)⁵ at N = 2000 gets −π/N + 2 ulp
+    a = _fold((-roots, 1.0), 5 if shift == -1 else 3)
+    spectrum = rotated_spectrum(a, n, mode)
+    assert hmgn.nullspace._pair_shift(n, spectrum.alpha0) == shift
+    eig = spectrum.eigenvalues
+    assert np.array_equal(eig[(shift - np.arange(n)) % n], np.conj(eig))
+
+
+def _real_twist_cases(r):
+    """(a, N, α₀) with α₀ on each pairing shift for order r: a t-fold root
+    at 1 (the closed form places α₀ = π/N; None below), the same with
+    α₀ = −π/N, and a t-fold root at −1 on an odd grid with α₀ = 0 (the
+    closed form lands a few ulps off 0 for r ≤ 2)."""
+    cases = []
+    for n in (999, 1000):
+        cases += [(_fold((-1.0, 1.0), r), n, None), (_fold((-1.0, 1.0), r), n, -np.pi / n)]
+    return cases + [(_fold((1.0, 1.0), r), n, 0.0) for n in (999, 1001)]
+
+
+@pytest.mark.parametrize("r", range(1, 7))
+def test_real_twist_basis_matches_the_kernel_and_the_full_grid_construction(r):
+    # the half-grid basis is in the accuracy class of the full-grid one:
+    # within 4× its subspace angle to the exact kernel (plus 1e-13), in
+    # both modes and for every pairing shift
+    shifts = set()
+    for a, n, alpha0 in _real_twist_cases(r):
+        kernel = recurrence_kernel_oracle(a, n)
+        for mode in ("plain", "compensated"):
+            if alpha0 is None:
+                spectrum = rotated_spectrum(a, n, mode)
+            else:
+                eig = hmgn.nullspace._eigenvalues(a, alpha0, n, mode)
+                spectrum = RotatedSpectrum(a, mode, alpha0, eig)
+            shifts.add(hmgn.nullspace._pair_shift(n, spectrum.alpha0))
+            basis = nullspace_basis(spectrum)
+            assert basis.defect <= _REAL_TWIST_DEFECT
+            full = full_grid_basis_oracle(a, spectrum.alpha0, n, mode)
+            err = np.max(subspace_angles(basis.z, kernel))
+            full_err = np.max(subspace_angles(full, kernel))
+            assert err <= 4.0 * full_err + 1e-13, (mode, n, spectrum.alpha0)
+            if mode == "compensated":
+                assert err <= 1e-13
+    assert shifts == {0, 1, -1}
 
 
 @pytest.mark.parametrize("r", range(1, 7))

@@ -122,6 +122,15 @@ def test_gap_parsing():
         parse_gap_ranges("0-4")
 
 
+def test_apply_gaps_rejects_a_nonzero_imaginary_part():
+    with pytest.raises(ValueError, match="must be real"):
+        apply_gaps(np.ones(6) + 1e-300j, [(2, 3)])
+    # an all-zero imaginary part is real
+    out = apply_gaps(np.ones(6, dtype=complex), [(2, 3)])
+    assert out.dtype == np.float64
+    assert np.array_equal(out, [1.0, np.nan, np.nan, 1.0, 1.0, 1.0], equal_nan=True)
+
+
 def test_apply_gaps_bounds():
     with pytest.raises(ValueError):
         apply_gaps(np.ones(20), [(18, 25)])

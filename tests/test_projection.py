@@ -111,6 +111,20 @@ def test_pinv_batch_columns_consistent():
         assert_allclose(batch.coefficients[:, j], single.coefficients, rtol=1e-12)
 
 
+def test_pinv_rejects_a_nonzero_imaginary_part():
+    # a complex x once lost its imaginary part with only a ComplexWarning
+    rng = np.random.default_rng(4)
+    z = rng.standard_normal((25, 2))
+    w = ar_inverse_covariance([0.3], 2.0, 25)
+    x = rng.standard_normal(25)
+    for bad in (x + 1e-300j, np.column_stack([x, x]) + 1j, list(x + 1j)):
+        with pytest.raises(ValueError, match="must be real"):
+            weighted_pinv_apply(z, w, bad)
+    # an all-zero imaginary part is real
+    got = weighted_pinv_apply(z, w, x.astype(complex)).projected
+    assert np.array_equal(got, weighted_pinv_apply(z, w, x).projected)
+
+
 def test_pinv_rank_deficiency_detected():
     rng = np.random.default_rng(3)
     col = rng.standard_normal(20)
@@ -282,17 +296,25 @@ def test_masked_projection_ignores_unobserved():
 
 
 def test_plain_projection_uses_the_plain_realization_bound():
-    # a*² has a six-fold unit root: at N = 1000 its plain basis is about
-    # 2.7e-4 from real, inside the plain mode's bound of 1e-2 that the
-    # solvers apply too (the compensated bound 1e-9 would reject it)
-    problem = build_known_minimum(1000)
-    a2 = np.convolve(problem.a_star.coeffs, problem.a_star.coeffs)
-    basis = nullspace_basis(rotated_spectrum(a2, 1000, "plain"))
+    # (z − 1)⁵(z + 1) on an odd grid forbids the rotations 0 and π/N, so
+    # its twist is complex (α₀ = 0.67·π/N at N = 999) and the basis goes
+    # through the SVD realization: its plain basis is 7.7e-7 from real,
+    # inside the plain mode's bound of 1e-2 that the solvers apply too (the
+    # compensated bound 1e-9 would reject it).  A real twist's plain basis
+    # is real up to the FFT's rounding (a*² at N = 1000: 4.3e-16).
+    n = 999
+    a = np.real(np.poly([1.0] * 5 + [-1.0]))[::-1].copy()
+    spectrum = rotated_spectrum(a, n, "plain")
+    assert not spectrum.real_twist
+    basis = nullspace_basis(spectrum)
     assert 1e-9 < basis.defect <= 1e-2
-    x = problem.x.values
-    res = basis_projection(a2, Identity(1000), x, mode="plain")
+    x = np.cos(0.05 * np.arange(n)) + 1e-3 * np.arange(n)
+    res = basis_projection(a, Identity(n), x, mode="plain")
     want = basis.z @ (basis.z.T @ x)
     assert np.linalg.norm(res.projected - want) <= 1e-10 * np.linalg.norm(x)
+    problem = build_known_minimum(1000)
+    a2 = np.convolve(problem.a_star.coeffs, problem.a_star.coeffs)
+    assert nullspace_basis(rotated_spectrum(a2, 1000, "plain")).defect <= 1e-15
 
 
 # ---------------------------------------------------------------------------

@@ -348,6 +348,45 @@ def test_glrr_coefficients_reject_a_nonzero_imaginary_part():
     assert_array_equal(v.coeffs, [1.0, -1.9, 1.0])
 
 
+def test_apply_q_transpose_rejects_a_nonzero_imaginary_part():
+    # a complex list once raised a bare TypeError, a complex array lost its
+    # imaginary part with only a ComplexWarning
+    x = np.arange(6.0)
+    for b, v in (
+        ([1.0, -1.0 + 3j], x),
+        (np.array([1.0, -1.0 + 3j]), x),
+        ([1.0, -1.0], x + 1e-300j),
+        ([1.0, -1.0], np.ones((6, 2)) + 2j),
+    ):
+        with pytest.raises(ValueError, match="must be real"):
+            apply_q_transpose(b, v)
+    # an all-zero imaginary part is real
+    got = apply_q_transpose(np.array([1.0, -1.0], dtype=complex), x.astype(complex))
+    assert_array_equal(got, apply_q_transpose([1.0, -1.0], x))
+
+
+def test_apply_q_rejects_a_nonzero_imaginary_part():
+    v = np.arange(5.0)
+    for b, w in (
+        ([1.0, -1.0 + 3j], v),
+        ([1.0, -1.0], v + 1e-300j),
+        ([1.0, -1.0], np.ones((5, 2)) + 2j),
+    ):
+        with pytest.raises(ValueError, match="must be real"):
+            apply_q(b, w)
+    got = apply_q(np.array([1.0, -1.0], dtype=complex), v.astype(complex))
+    assert_array_equal(got, apply_q([1.0, -1.0], v))
+
+
+def test_h_tau_rejects_a_nonzero_imaginary_part():
+    for adot in ([0.5 + 1j, 0.25], np.array([0.5, 0.25 + 1e-300j])):
+        with pytest.raises(ValueError, match="must be real"):
+            h_tau(adot, 2)
+    got = h_tau(np.array([0.5, 0.25], dtype=complex), 2)
+    assert got.dtype == np.float64
+    assert_array_equal(got, [0.5, -1.0, 0.25])
+
+
 @pytest.mark.parametrize("shape", [(2, 2), (3, 2), (2, 1, 2)])
 def test_glrr_coefficients_of_several_axes_are_rejected(shape):
     coeffs = np.arange(1.0, 1.0 + math.prod(shape)).reshape(shape)

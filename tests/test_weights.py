@@ -213,6 +213,36 @@ def test_banded_weights_reject_a_nonzero_imaginary_part():
     assert weighted_norm(w, np.ones(3)) == math.sqrt(6.0)
 
 
+def _weights_of_three():
+    return (
+        Identity(3),
+        BandedW(3, ([2.0, 1.0, 1.0], [0.5, 0.5])),
+        BandedWinv(3, ([2.0, 2.0, 2.0], [0.5, 0.5])),
+        mask_missing(Identity(3), np.array([True, False, True])),
+    )
+
+
+def test_whiten_rejects_a_nonzero_imaginary_part():
+    # whiten(Identity(3), [1 + 5j, 1, 1]) once returned [1, 1, 1] with only
+    # a ComplexWarning
+    for w in _weights_of_three():
+        for x in ([1.0 + 5j, 1.0, 1.0], np.ones((3, 2)) + 1e-300j):
+            with pytest.raises(ValueError, match="must be real"):
+                whiten(w, x)
+        # an all-zero imaginary part is real
+        x = np.array([1.0, -2.0, 0.5])
+        assert_array_equal(whiten(w, x.astype(complex)), whiten(w, x))
+
+
+def test_weighted_norm_rejects_a_nonzero_imaginary_part():
+    # weighted_norm(Identity(3), [1 + 5j, 1, 1]) once read √3
+    for w in _weights_of_three():
+        with pytest.raises(ValueError, match="must be real"):
+            weighted_norm(w, np.array([1.0 + 5j, 1.0, 1.0]))
+        x = np.array([1.0, -2.0, 0.5])
+        assert weighted_norm(w, x.astype(complex)) == weighted_norm(w, x)
+
+
 def test_banded_winv_dense():
     rng = np.random.default_rng(7)
     n, p = 20, 1
