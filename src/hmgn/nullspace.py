@@ -363,12 +363,15 @@ def find_rotation(a: CoeffLike, n: int) -> float:
     ``np.roots`` forms it, so they are bitwise its roots.  The candidates
     are the midpoint of every circular gap between the forbidden rotations
     plus the half-spacing offset π/N; the one with the largest plain
-    min_j |g_a| wins.  Every gap is tried, not only the widest, because the
+    min_j |g_a| wins, where a real-twist candidate (0 or ±π/N) scores its
+    self-conjugate points, whose eigenvalues ``rotated_spectrum`` takes
+    real, by |Re g_a|.  Every gap is tried, not only the widest, because the
     eigenvalue solver splits a t-fold root into a ring of radius about
     u^{1/t} whose gaps say little about where the true root is.  The at
     most r forbidden rotations and r + 1 candidates are sorted, spaced and
     wrapped in Python floats (whose ``%`` rounds as ``np.mod``).  Cost: one
-    r×r eigenproblem and at most r + 1 grid evaluations, taken in one pass.
+    r×r eigenproblem and at most r + 1 grid evaluations, taken in one pass,
+    plus at most two points per rescored candidate.
     """
     coeffs = _coeffs(a)
     if n < coeffs.size:
@@ -395,7 +398,15 @@ def find_rotation(a: CoeffLike, n: int) -> float:
     wrapped = [(c + half) % spacing for c in cand]
     cand = [(w if w != 0.0 else spacing) - half for w in wrapped]
     vals = _grid_min_abs(coeffs, _unit_grid(n), np.array(cand))
+    # a real-twist candidate scores its self-conjugate points by |Re g_a|;
+    # that can only lower its value, so only a leader is rescored, until
+    # one still leads after it
+    scored = set()
     best = int(vals.argmax())
+    while best not in scored:
+        scored.add(best)
+        vals[best] = min(vals[best], _self_conjugate_min_abs(coeffs, n, cand[best]))
+        best = int(vals.argmax())
     if not vals[best] > 0.0:
         raise SpectrumDegeneracyError(
             "every candidate rotation hits a root of the coefficient "
@@ -485,6 +496,22 @@ class _ConjugatePairs(NamedTuple):
         for j in self.self_conjugate:
             out[:, j] = q_half[:, j]
         return rhat * _SQRT2
+
+
+def _self_conjugate_min_abs(coeffs: np.ndarray, n: int, alpha: float) -> float:
+    """min |Re g_a| over the self-conjugate points of the grid rotated by
+    α, where ``_eigenvalues`` takes g_a real (inf when α is not a real
+    twist, or its grid has no such point).  On a grid through a real root,
+    |g_a| there is rounding in the imaginary part alone, and the eigenvalue
+    would be 0, so ``find_rotation`` scores those points by this."""
+    shift = _pair_shift(n, alpha)
+    if shift is None:
+        return math.inf
+    pairs = _conjugate_pairs(n, shift)
+    if not pairs.self_conjugate:
+        return math.inf
+    z = _rotated_grid(n, alpha)[[pairs.reps.start + j for j in pairs.self_conjugate]]
+    return float(np.abs(_plain_horner(coeffs, z).real).min())
 
 
 @functools.lru_cache(maxsize=_TABLE_SIZE)
@@ -783,6 +810,7 @@ def nullspace_basis(spectrum: RotatedSpectrum) -> SubspaceBasis:
     if pairs is not None:
         pairs.complete(u_r)
 
+    # in place, which saves an r×N block per basis (``out=`` needs NumPy 2)
     z_c = np.fft.ifft(u_r, axis=1, norm="ortho", out=u_r)
     np.multiply(untwist, z_c, out=z_c)
     imag = _norm2(z_c.imag)

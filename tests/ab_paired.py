@@ -8,7 +8,7 @@ so that both see the same spells of load.
 
 Usage, from the root of a checkout:
 
-    python3 tests/ab_paired.py CHECKOUT_A CHECKOUT_B --workload W --seconds S --seed N [--smoke] [--cells]
+    python3 tests/ab_paired.py CHECKOUT_A CHECKOUT_B --workload W --seconds S --seed N [--smoke]
 
 Each checkout's ``src/hmgn`` is copied into a temporary directory under its
 own package name (``hmgn_a``, ``hmgn_b``), and ``perfbench/workloads.py`` of
@@ -21,7 +21,10 @@ are read and executed from their source text, so nothing is written under
 ``--seconds`` (at least one).  It runs BLAS and OpenMP at one thread, as the
 benchmark does.
 
-It prints one line: the lower quartile over cells of each cell's median ms
+It prints one line per cell that passed on both sides: the cell id, each
+side's median ms per iteration and their ratio B/A, so that a change to one
+method's cells shows where the lower quartile hides it.  The last line is
+the summary: the lower quartile over cells of each cell's median ms
 per iteration for each side (``iter_ms_p25`` as ``perfbench/run.py``
 defines it), their ratio B/A, the median over cells of the ratio of the
 cells' medians, the number of cells whose iteration counts differ between
@@ -34,11 +37,6 @@ whether two versions fit the same bits and how much memory each touches.
 Both versions allocate from one heap, so a side's fault count also depends
 on how the other side left it; a version's own count needs a run of its
 own.
-
-With ``--cells`` it first prints one line per cell that passed on both
-sides: the cell id, each side's median ms per iteration and their ratio
-B/A, so that a change to one method's cells shows where the lower quartile
-hides it.
 
 A warm-up fit that raises ``HmgnError`` during set-up ends the script
 instead: it prints ``<side>_setup_failed=<class name>`` for each side whose
@@ -233,8 +231,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--smoke", action="store_true", help="the self-test sizes")
-    parser.add_argument("--cells", action="store_true",
-                        help="one line per cell before the summary")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="ab_paired_") as tmp:
         packages, cells, setup_failed = {}, {}, []
@@ -257,8 +253,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                   + " ".join(setup_failed))
             return 1
         iter_ms, differ, failed, recorders, passes = run(packages, cells, args.seconds)
-    if args.cells:
-        print("\n".join(cell_lines(iter_ms, cells)))
+    for line in cell_lines(iter_ms, cells):
+        print(line)
     print(summary(iter_ms, differ, failed, recorders, passes, args.workload, args.seed))
     return 0
 

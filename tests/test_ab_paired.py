@@ -21,36 +21,14 @@ def test_ab_paired_one_pass_against_itself():
         capture_output=True, text=True, check=True, timeout=300,
     )
     lines = done.stdout.splitlines()
-    assert len(lines) == 1
+    # one line per cell, then the summary
+    assert len(lines) == 5
     number = r"(\d+\.\d{4})"
-    faults = r"(\d+\.\d)"
-    match = re.fullmatch(
-        r"ab_paired workload=gapped-short seed=100 passes=1 cells=4 "
-        rf"a_iter_ms_p25={number} b_iter_ms_p25={number} p25_ratio={number} "
-        rf"cell_median_ratio={number} iterations_differ=0 signals_differ=0 "
-        rf"a_minflt_per_iter={faults} b_minflt_per_iter={faults} a_failed=0 b_failed=0",
-        lines[0],
-    )
-    assert match, lines[0]
-    a_ms, b_ms = float(match[1]), float(match[2])
-    assert a_ms > 0.0 and b_ms > 0.0
-    assert abs(float(match[3]) - b_ms / a_ms) <= 1e-3 * (1.0 + b_ms / a_ms)
-
-
-def test_ab_paired_cells_lists_each_cell_before_the_summary():
-    argv = [str(ROOT), str(ROOT), "--workload", "gapped-short",
-            "--seconds", "0", "--seed", "100", "--smoke", "--cells"]
-    done = subprocess.run(
-        [sys.executable, str(SCRIPT), *argv],
-        capture_output=True, text=True, check=True, timeout=300,
-    )
-    lines = done.stdout.splitlines()
-    assert len(lines) == 5 and lines[-1].startswith("ab_paired workload=gapped-short ")
     cells = []
-    for line in lines[:4]:
+    for line in lines[:-1]:
         match = re.fullmatch(
-            r"ab_paired cell=(\S+) a_ms_per_iter=(\d+\.\d{4}) "
-            r"b_ms_per_iter=(\d+\.\d{4}) ratio=(\d+\.\d{4})",
+            rf"ab_paired cell=(\S+) a_ms_per_iter={number} "
+            rf"b_ms_per_iter={number} ratio={number}",
             line,
         )
         assert match, line
@@ -58,6 +36,18 @@ def test_ab_paired_cells_lists_each_cell_before_the_summary():
         a_ms, b_ms = float(match[2]), float(match[3])
         assert abs(float(match[4]) - b_ms / a_ms) <= 1e-3 * (1.0 + b_ms / a_ms)
     assert sorted(cells) == ["mgn/0", "mgn/1", "s-mgn/0", "s-mgn/1"]
+    faults = r"(\d+\.\d)"
+    match = re.fullmatch(
+        r"ab_paired workload=gapped-short seed=100 passes=1 cells=4 "
+        rf"a_iter_ms_p25={number} b_iter_ms_p25={number} p25_ratio={number} "
+        rf"cell_median_ratio={number} iterations_differ=0 signals_differ=0 "
+        rf"a_minflt_per_iter={faults} b_minflt_per_iter={faults} a_failed=0 b_failed=0",
+        lines[-1],
+    )
+    assert match, lines[-1]
+    a_ms, b_ms = float(match[1]), float(match[2])
+    assert a_ms > 0.0 and b_ms > 0.0
+    assert abs(float(match[3]) - b_ms / a_ms) <= 1e-3 * (1.0 + b_ms / a_ms)
 
 
 def test_ab_paired_reports_a_side_whose_warm_up_fit_raises(tmp_path):

@@ -469,6 +469,21 @@ def test_rotated_spectrum_of_a_real_twist_is_exactly_conjugate_symmetric(roots, 
     assert np.array_equal(eig[(shift - np.arange(n)) % n], np.conj(eig))
 
 
+@pytest.mark.parametrize("n", [1999, 2999])
+def test_rotation_scores_self_conjugate_points_by_the_real_part(n):
+    # on an odd grid α₀ = π/N puts a point on the root −1 of (z − 1)⁵(z + 1);
+    # plain Horner reads |g| = 3.9e-15 there, all of it imaginary, so by |g|
+    # that rotation wins, and the real self-conjugate eigenvalue it would
+    # get is 0 (plain) or 1.2e-30 (compensated)
+    a = np.convolve(_fold((-1.0, 1.0), 5), (1.0, 1.0))
+    kernel = recurrence_kernel_oracle(a, n)
+    for mode, bound in (("plain", 1e-3), ("compensated", 1e-12)):
+        spectrum = rotated_spectrum(a, n, mode)
+        assert spectrum.min_abs_eigenvalue >= 1e-15
+        basis = nullspace_basis(spectrum)
+        assert np.max(subspace_angles(basis.z, kernel)) <= bound, mode
+
+
 def _real_twist_cases(r):
     """(a, N, α₀) with α₀ on each pairing shift for order r: a t-fold root
     at 1 (the closed form places α₀ = π/N; None below), the same with
