@@ -17,45 +17,54 @@ The roots are the eigenvalues of the companion matrix of g_a, formed as
 rotations and candidates are handled as Python floats: at N = 50 the
 numpy calls on arrays of one to five entries cost more than the arithmetic.
 
-Both accuracy modes orthonormalize L_r = A_g⁻¹·R_r once, by classical
-Gram–Schmidt run twice (CGS2), into L_r = Q·R̂; they differ only in
-arithmetic.  The plain mode takes Q; its subspace error grows with the
-eigenvalue spread λ_max/λ_min, which for coefficient polynomials with
-unit-circle roots of multiplicity t grows like N^t.  The compensated mode
-takes the triangular orthonormalization O_r = R̂⁻¹, then re-evaluates the
-product R_r·O_r as a polynomial in compensated (error-free-transformation)
-arithmetic before dividing by the eigenvalues; this keeps the elementwise
-error near machine precision regardless of the spread, because the
-orthonormalized product has condition number O(1).  The Gram–Schmidt
-inner products are numpy reductions, not BLAS calls, so a basis is the
-same at any BLAS thread count.
+Column c of the Fourier columns R_r is the unitary DFT of the standard
+vector e_m, m = N − r + c; de-phased by Φ_c = e^{iα₀m} it reads
+(e^{iNα₀}/√N)·ω^{r−c} on the rotated grid, since Φ_c·z^{r−c} =
+e^{iNα₀}·ω^{r−c} with z the unrotated grid.  A scalar multiple of L only
+turns the Gram–Schmidt factor by a unimodular factor, Q(cL) = (c/|c|)·Q(L)
+and R̂(cL) = |c|·R̂(L), so the scalar is dropped: L_r has column j
+(1-based) ω^{r+1−j}/λ, and everything the basis route evaluates is a
+polynomial in ω on the one grid the eigenvalues use.
+
+Both accuracy modes orthonormalize L_r once, by classical Gram–Schmidt run
+twice (CGS2), into L_r = Q·R̂; they differ only in arithmetic.  The plain
+mode takes Q; its subspace error grows with the eigenvalue spread
+λ_max/λ_min, which for coefficient polynomials with unit-circle roots of
+multiplicity t grows like N^t.  The compensated mode takes the triangular
+orthonormalization O_r = R̂⁻¹, then re-evaluates B = A_g·L_r·O_r, whose
+column c is the polynomial Σ_j O_r[j,c]·ω^{r+1−j}, in compensated
+(error-free-transformation) arithmetic before dividing by the eigenvalues;
+this keeps the elementwise error near machine precision regardless of the
+spread, because the orthonormalized product has condition number O(1).
+The Gram–Schmidt inner products are numpy reductions, not BLAS calls, so a
+basis is the same at any BLAS thread count.
 
 For real a and e^{iNα₀} = ±1, which the closed-form placement gives for
 nearly every spectrum of a fit (α₀ = π/N or 0), T_N(−α₀)·C(ã)⁻¹·T_N(α₀) is
 the inverse of a real circulant or skew-circulant (Davis, *Circulant
-Matrices*, 1979).  Column c of R_r is the transform of the standard vector
-e_m, m = N − r + c, so after de-phasing it by e^{iα₀m} the complex basis
-Z_c = T_N(−α₀)·F⁻¹·U_r is real, and every quantity over the grid is
-conjugate-symmetric: the rotated grid ω_j satisfies conj(ω_j) = ω_{p(j)}
-with p(j) = (s − j) mod N, s = 0, 1 or −1 for α₀ = 0, π/N or −π/N, so
-g_a(ω_{p(j)}) = conj g_a(ω_j), and likewise for A_g⁻¹·R_r·Φ, its
-Gram–Schmidt factor Q and the re-evaluated product B.  Each is computed on
-the ⌈N/2⌉ pair representatives, a contiguous slice of the grid, with real
-values at the self-conjugate points (ω = ±1), and the other points are
-their partners' conjugates, a reversed slice (``_ConjugatePairs``).  The
-inner products over the grid are then real, Σ_pairs 2·Re(ū_j·v_j) plus
-Σ_self u_j·v_j, so Gram–Schmidt runs on the real view of the
-representatives and R̂ and O_r are real.  B = R_r·Φ·O_r is re-evaluated as
-±p_c(ω) on the rotated grid, with the real coefficients of O_r, since a
-rounded phase Φ would break its symmetry by an error that O_r amplifies by
-up to κ(L_r).  With exactly symmetric U_r, the one inverse FFT leaves
-‖Im Z_c‖_F at its own rounding (about 3e-16 at N = 5000), and the real
-part is the basis whenever ‖Im Z_c‖_F ≤ min(√u, the mode's realization
-bound); then σ_{r+1}([Re Z_c | Im Z_c]) ≤ ‖Im Z_c‖_F (Weyl), so this route
-is taken only where the SVD realization would pass.  A complex twist
-evaluates the whole grid in complex arithmetic and realizes its basis by
-the SVD of [Re Z_c | Im Z_c] (``_realize_basis``).  Either way Z is stored
-one column per contiguous line (Fortran order).
+Matrices*, 1979), the complex basis Z_c = T_N(−α₀)·F⁻¹·U_r is real, and
+every quantity over the grid is conjugate-symmetric: the rotated grid ω_j
+satisfies conj(ω_j) = ω_{p(j)} with p(j) = (s − j) mod N, s = 0, 1 or −1
+for α₀ = 0, π/N or −π/N, so g_a(ω_{p(j)}) = conj g_a(ω_j), and likewise
+for L_r, its Gram–Schmidt factor Q and the re-evaluated product B.  Each
+is computed on the ⌈N/2⌉ pair representatives, a contiguous slice of the
+grid, with real values at the self-conjugate points (ω = ±1), and the
+other points are their partners' conjugates, a reversed slice
+(``_ConjugatePairs``).  The inner products over the grid are then real,
+Σ_pairs 2·Re(ū_j·v_j) plus Σ_self u_j·v_j, so Gram–Schmidt runs on the
+real view of the representatives and R̂ and O_r are real.  B is then a
+polynomial in ω with real coefficients and exactly conjugate-symmetric,
+where the rounded phases Φ on the unrotated grid would break its symmetry
+by an error that O_r amplifies by up to κ(L_r).  With exactly symmetric
+U_r, the one inverse FFT leaves ‖Im Z_c‖_F at its own rounding (about
+3e-16 at N = 5000), and the real part is the basis whenever ‖Im Z_c‖_F ≤
+min(√u, the mode's realization bound); then σ_{r+1}([Re Z_c | Im Z_c]) ≤
+‖Im Z_c‖_F (Weyl), so this route is taken only where the SVD realization
+would pass.  A complex twist evaluates the whole grid in complex
+arithmetic; at r = 1 its one column of Z_c is real up to rounding too,
+and from r = 2 on it realizes its basis by the SVD of [Re Z_c | Im Z_c]
+(``_realize_basis``).  Either way Z is stored one column per contiguous
+line (Fortran order).
 
 The same rotated spectrum also solves the banded system Qᵀ(a)·F̂ = M that
 the search-direction computation needs (``fhat_matrix``): extend M by r
@@ -77,14 +86,13 @@ of other coefficients.
 All FFTs use the unitary convention (1/√N in both directions).
 
 Grid constants that do not depend on a are computed once: the unit grid
-exp(2πik/N) per N (16·N bytes) and the Fourier columns R_r per (N, r)
-(16·N·r bytes), each in a least-recently-used table of ``_TABLE_SIZE`` = 16
-entries (320 KB per (N, r) at N = 5000, r = 3), and so is the conjugate
-pairing of a real twist per (N, s), a handful of slices.  The rotated grid
-exp(i(2πj/N − α₀)) and the untwist T_N(−α₀) depend on a only through α₀,
-which the closed-form placement puts at π/N or 0 for nearly every spectrum
-of a fit, so each is tabled per (N, α₀) too, in ``_ROTATION_TABLE_SIZE`` = 4
-entries (16·N bytes each).  T_{N−r}(α₀) is the untwist's conjugate prefix,
+exp(2πik/N) per N (16·N bytes), which only the rotation search reads, in a
+least-recently-used table of ``_TABLE_SIZE`` = 16 entries, and so is the
+conjugate pairing of a real twist per (N, s), a handful of slices.  The
+rotated grid exp(i(2πj/N − α₀)) and the untwist T_N(−α₀) depend on a only
+through α₀, which the closed-form placement puts at π/N or 0 for nearly
+every spectrum of a fit, so each is tabled per (N, α₀) too, in
+``_ROTATION_TABLE_SIZE`` = 4 entries (16·N bytes each).  T_{N−r}(α₀) is the untwist's conjugate prefix,
 which equals the directly computed T_{N−r}(α₀) bit for bit.  A table entry
 is computed by the same formula as the direct form, so tabling changes no
 bit of any result.  The tables are read-only arrays, so threads share them
@@ -159,7 +167,7 @@ def _twist(n: int, alpha: float) -> np.ndarray:
     return np.exp(1j * alpha * np.arange(n))
 
 
-#: entries per grid table; a fit uses one N and one r
+#: entries per grid table; a fit uses one N
 _TABLE_SIZE = 16
 
 
@@ -448,8 +456,7 @@ class _ConjugatePairs(NamedTuple):
     ``filled``, and are the representatives ``partners`` in reverse order;
     with t = 1 (``wraps``) point 0 is the partner of point 1.
     ``self_conjugate`` holds the self-conjugate points as offsets into
-    ``reps``: 0 when s = 0, and k − 1 when N − s is even.  ``twist`` is
-    e^{iNα₀}: 1 for s = 0 and −1 for s = ±1.
+    ``reps``: 0 when s = 0, and k − 1 when N − s is even.
     """
 
     reps: slice
@@ -457,7 +464,6 @@ class _ConjugatePairs(NamedTuple):
     filled: slice
     partners: slice
     wraps: bool
-    twist: float
 
     def make_real(self, reps: np.ndarray) -> np.ndarray:
         """Drop the imaginary part of the representatives ``reps`` (…, k)
@@ -523,8 +529,7 @@ def _conjugate_pairs(n: int, shift: int) -> _ConjugatePairs:
     # points k + t..N − 1 are the partners of points N + s − k − t down to
     # s + 1
     partners = slice(n + shift - k - t, shift if shift >= 0 else None, -1)
-    twist = 1.0 if shift == 0 else -1.0
-    return _ConjugatePairs(slice(t, t + k), selfs, slice(k + t, n), partners, t == 1, twist)
+    return _ConjugatePairs(slice(t, t + k), selfs, slice(k + t, n), partners, t == 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -663,22 +668,9 @@ class SubspaceBasis:
     defect: float
 
     def __post_init__(self):
-        z = np.asarray(self.z, dtype=float)
+        z = _real_array(self.z, "basis")
         z.flags.writeable = False
         object.__setattr__(self, "z", z)
-
-
-@functools.lru_cache(maxsize=_TABLE_SIZE)
-def _fourier_columns(n: int, r: int) -> np.ndarray:
-    """R_r ∈ C^{N×r}, the unitary DFT of the last r standard basis vectors,
-    stored one column per row (r×N).
-
-    Column j (1-based) is the Fourier mode (1/√N)·exp(i2πk(r+1−j)/N); the
-    columns are exactly orthonormal.  Read-only, tabled per (N, r).
-    """
-    j = np.arange(1, r + 1)[:, None]
-    k = np.arange(n)[None, :]
-    return _read_only(np.exp(2j * np.pi * k * (r + 1 - j) / n) / np.sqrt(n))
 
 
 def _cgs2(l_rows: np.ndarray) -> tuple:
@@ -741,44 +733,46 @@ def nullspace_basis(spectrum: RotatedSpectrum) -> SubspaceBasis:
     """Orthonormal basis of Z(a) = ker Qᵀ(a) in O(rN log N + Nr²), for the
     real coefficients and the mode the spectrum carries.
 
-    Both modes factor L_r = A_g⁻¹·R_r·Φ = Q·R̂ once, by Gram–Schmidt run
-    twice, where Φ = diag(e^{iα₀m}), m = N − r + c for column c, de-phases
-    the Fourier columns.  Plain mode uses U_r = Q.  Compensated mode takes
-    O_r = R̂⁻¹, re-evaluates B = R_r·Φ·O_r columnwise as the polynomial
-    Σ_j Φ_j·O_r[j,c]·z^{r+1−j} on the unrotated grid in compensated
-    arithmetic, and uses U_r = A_g⁻¹·B; this removes the λ_max/λ_min error
-    amplification of the plain route.  Z_c = T_N(−α₀)·F⁻¹·U_r.
+    Both modes factor L_r = Q·R̂ once, by Gram–Schmidt run twice, where
+    column j of L_r (1-based) is ω^{r+1−j}/λ on the rotated grid ω with the
+    eigenvalues λ.  This is A_g⁻¹·R_r·Φ, R_r the Fourier columns of the last
+    r standard vectors and Φ = diag(e^{iα₀m}), m = N − r + j − 1, up to the
+    scalar e^{iNα₀}/√N, which changes Z by a unimodular factor only.  Plain
+    mode uses U_r = Q.  Compensated mode takes O_r = R̂⁻¹, re-evaluates
+    B = A_g·L_r·O_r columnwise as the polynomial Σ_j O_r[j,c]·ω^{r+1−j} in
+    compensated arithmetic, and uses U_r = A_g⁻¹·B; this removes the
+    λ_max/λ_min error amplification of the plain route.
+    Z_c = T_N(−α₀)·F⁻¹·U_r.
 
     When e^{iNα₀} = ±1 (α₀ = 0 or ±π/N, nearly every spectrum of a fit),
     L_r, Q and B are conjugate-symmetric under the spectrum's pairing
     j ↔ (s − j) mod N, so each is computed on the ⌈N/2⌉ pair
     representatives only, with real values at the self-conjugate points.
     The Gram–Schmidt inner products are real, with weight 2 per pair and 1
-    per self-conjugate point, so R̂ and O_r are real, and B is re-evaluated
-    as ±(1/√N)·Σ_j O_r[j,c]·ω^{r+1−j} on the rotated grid ω, a polynomial
-    with real coefficients.  U_r is completed on the full grid by
+    per self-conjugate point, so R̂ and O_r are real and B is a polynomial
+    in ω with real coefficients.  U_r is completed on the full grid by
     conjugation before the one inverse FFT, so Z_c is real up to the FFT's
-    rounding, and its real part is the basis whenever ‖Im Z_c‖_F is at most
+    rounding.  The real part is the basis whenever ‖Im Z_c‖_F is at most
     min(√u, the mode's bound); ``defect`` is then that norm (below 1e-14,
-    about 3e-16 at N = 5000).  Otherwise the SVD of [Re Z_c | Im Z_c]
-    realizes the basis, and a relative defect beyond the mode's bound
-    (1e-2 plain, 1e-9 compensated) raises ``BasisRealizationError`` rather
-    than silently truncating imaginary parts.
+    about 3e-16 at N = 5000).  At r = 1 a complex twist's Z_c is real up
+    to rounding as well.  Otherwise the SVD of [Re Z_c | Im Z_c] realizes the basis, and a
+    relative defect beyond the mode's bound (1e-2 plain, 1e-9 compensated)
+    raises ``BasisRealizationError`` rather than silently truncating
+    imaginary parts.
     """
     n, r = spectrum.n, spectrum.r
     pairs = spectrum._pairs
     # the grid points computed: the pair representatives of a real twist
     points = slice(None) if pairs is None else pairs.reps
     eig = spectrum.eigenvalues[points]
-    untwist = spectrum.untwist
-    # row c of R_r is the transform of e_m, m = N − r + c; e^{iα₀m} is the
-    # conjugate of untwist[m]
-    phase = np.conj(untwist[n - r :])
-    # matrices over the grid are held one column per row (r×N); a real
-    # twist's U_r is computed on the representatives, in place in the
-    # full-grid array, and completed there
-    l_rows = _fourier_columns(n, r)[:, points] * phase[:, None]
-    l_rows /= eig
+    omega = _rotated_grid(n, float(spectrum.alpha0))[points]
+    # matrices over the grid are held one column per row (r×N); row c of
+    # L_r is ω^{r−c}/λ.  A real twist's U_r is computed on the
+    # representatives, in place in the full-grid array, and completed there
+    l_rows = np.empty((r, eig.size), dtype=complex)
+    np.divide(omega, eig, out=l_rows[r - 1])
+    for c in range(r - 2, -1, -1):
+        np.multiply(l_rows[c + 1], omega, out=l_rows[c])
     if pairs is None:
         q, rhat = _cgs2(l_rows)
         u_r = q
@@ -789,21 +783,13 @@ def nullspace_basis(spectrum: RotatedSpectrum) -> SubspaceBasis:
 
     if spectrum.mode == "compensated":
         o_r = scipy.linalg.solve_triangular(rhat, np.eye(r, dtype=rhat.dtype))
-        # column c of R_r·Φ·O_r equals (1/√N)·p_c(z_k) on the unrotated
-        # grid, with p_c(z) = Σ_j Φ_j·O_r[j,c]·z^{r+1−j}.  On a real twist
-        # Φ_j·z_k^{r+1−j} = e^{iα₀N}·ω_k^{r+1−j} with e^{iα₀N} = ±1, so it is
-        # ±(1/√N)·p_c(ω_k) on the rotated grid with the real coefficients
-        # O_r[j,c]: exactly conjugate-symmetric, where rounded phases would
-        # break the symmetry by an error that O_r amplifies.  B overwrites Q
-        if pairs is None:
-            z_grid, weights, scale = _unit_grid(n), phase, np.sqrt(n)
-        else:
-            z_grid = _rotated_grid(n, float(spectrum.alpha0))[points]
-            weights, scale = 1.0, pairs.twist * np.sqrt(n)
+        # column c of B is p_c(ω), p_c(z) = Σ_j O_r[j,c]·z^{r+1−j}; on a real
+        # twist its coefficients are real, so B is exactly
+        # conjugate-symmetric.  B overwrites Q
         for c in range(r):
             poly = np.zeros(r + 1, dtype=o_r.dtype)
-            poly[1:] = (o_r[:, c] * weights)[::-1]  # power m carries row r+1−m
-            np.divide(_comp_horner(poly, z_grid), scale, out=q[c])
+            poly[1:] = o_r[::-1, c]  # power m carries row r+1−m
+            q[c] = _comp_horner(poly, omega)
         q /= eig
         if pairs is not None:
             pairs.make_real(q)
@@ -812,7 +798,7 @@ def nullspace_basis(spectrum: RotatedSpectrum) -> SubspaceBasis:
 
     # in place, which saves an r×N block per basis (``out=`` needs NumPy 2)
     z_c = np.fft.ifft(u_r, axis=1, norm="ortho", out=u_r)
-    np.multiply(untwist, z_c, out=z_c)
+    np.multiply(spectrum.untwist, z_c, out=z_c)
     imag = _norm2(z_c.imag)
     tol = _IMAG_TOL[spectrum.mode]
     if imag <= min(_SQRT_U, tol):

@@ -72,7 +72,7 @@ def legendre_values(grid: np.ndarray, max_degree: int) -> np.ndarray:
 
     Three-term recurrence (k+1)P_{k+1} = (2k+1)xP_k − kP_{k−1}, columnwise.
     """
-    grid = np.asarray(grid, dtype=float)
+    grid = _real_array(grid, "grid")
     cols = [np.ones_like(grid)]
     if max_degree >= 1:
         cols.append(grid.copy())

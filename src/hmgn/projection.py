@@ -179,7 +179,9 @@ class _LstsqFactor:
     def solve(self, xw: np.ndarray) -> np.ndarray:
         if not np.isfinite(xw).all():
             raise ValueError("weighted right-hand side must not contain infs or NaNs")
-        y, info = _TRTRS(self._rt, self._q.T @ xw, lower=1, trans=1)
+        # dgemm takes another kernel per layout for r ≥ 5, with other last
+        # bits, so it always gets xw in C order
+        y, info = _TRTRS(self._rt, self._q.T @ np.ascontiguousarray(xw), lower=1, trans=1)
         if info != 0:
             raise np.linalg.LinAlgError(f"triangular solve failed (info={info})")
         coeffs = np.empty_like(y)
@@ -198,7 +200,7 @@ def weighted_pinv_apply(
     rank and raises ``RankDeficiencyError`` — for masked weights this
     typically means a basis vector is unobserved on the mask's support.
     """
-    z = np.asarray(z, dtype=float)
+    z = _real_array(z, "basis")
     if z.ndim != 2:
         raise ValueError("basis must be a two-dimensional array")
     rhs = _as_vector_or_batch(x)

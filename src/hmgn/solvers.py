@@ -73,6 +73,7 @@ from .projection import GammaFactor, _LstsqFactor, _vp_columns, project_gamma
 from .series import (
     GlrrVector,
     TimeSeries,
+    _real_array,
     as_time_series,
     embed,
     glrr_residual,
@@ -363,7 +364,7 @@ def line_search(
     floor γ·ρ < ζ or exhausted the grid; with a True flag it is the
     small-step stop verdict.  Either way no projection is returned.
     """
-    delta = np.asarray(delta, dtype=float)
+    delta = _real_array(delta, "search direction")
     if not np.isfinite(delta).all():
         raise ValueError("non-finite search direction")
 

@@ -506,6 +506,15 @@ def cgs2_oracle(l_rows):
     return q, rhat
 
 
+def fourier_columns_oracle(n, r):
+    """R_r ∈ C^{N×r}, the unitary DFT of the last r standard basis vectors,
+    held one column per row (r×N): row j (1-based) is the Fourier mode
+    (1/√N)·exp(i2πk(r+1−j)/N), k = 0..N−1."""
+    k = np.arange(n)[None, :]
+    powers = (r - np.arange(r))[:, None]
+    return np.exp(2j * np.pi * k * powers / n) / np.sqrt(n)
+
+
 def full_grid_basis_oracle(coeffs, alpha0, n, mode):
     """Orthonormal basis of Z(a) built on every point of the rotated grid,
     in complex arithmetic throughout, as ``nullspace_basis`` built it
@@ -529,8 +538,7 @@ def full_grid_basis_oracle(coeffs, alpha0, n, mode):
     m = n - r + np.arange(r)
     phase = np.exp(1j * alpha0 * m)
     k = np.arange(n)
-    fourier = np.exp(2j * np.pi * k[None, :] * (r - np.arange(r))[:, None] / n) / np.sqrt(n)
-    q, rhat = cgs2_oracle(fourier * phase[:, None] / eig)
+    q, rhat = cgs2_oracle(fourier_columns_oracle(n, r) * phase[:, None] / eig)
     u_r = q
     if mode == "compensated":
         o_r = scipy.linalg.solve_triangular(rhat, np.eye(r, dtype=complex))

@@ -32,8 +32,8 @@ def test_fit_digest_is_deterministic_and_sees_every_fit():
 #: digests of the self-test sizes at seed 100; a change that moves any bit
 #: of a fit changes them, and says so where it records its changes
 SMOKE_DIGESTS = {
-    "trend-long": "f36f9644e6a96d8e5cea34897fa56c28aa75be16a55d51ec87565657aa7620e2",
-    "gapped-short": "9e6eed83c4026bb884bc748189e11a2aeeb65703017cdf7b7d7c3a345953e4a6",
+    "trend-long": "87040a11db4ee3cedab0b6a3677b2e88af840e9f87ce69d4f861ea9e2ed65644",
+    "gapped-short": "f8cb056bc6a28bdeda9788b8e55710318e3b33970c1b83677fd078cf87c951aa",
     "kernel-banded": "929a9b3bcc66632abdbb7dd801479e0fa09d0833198af51727765e2796b8ca0c",
 }
 
@@ -46,10 +46,10 @@ def test_smoke_fits_are_bitwise_pinned(name):
 
 
 #: digest of the order-6 fits below.  The benchmark workloads fit orders up
-#: to 4, but from order 5 on ``_LstsqFactor.solve`` rounds a C-ordered and a
-#: Fortran-ordered right-hand side differently, so a change of array layout
-#: anywhere upstream of the solve moves these fits and not those
-ORDER_SIX_DIGEST = "198f5c58187c1598bbbdaed03b5eb805b17d1c1e6f2c1734ee0e7a5f141cb91d"
+#: to 4, but from order 5 on dgemm rounds a C-ordered and a Fortran-ordered
+#: right-hand side differently; ``_LstsqFactor.solve`` hands it C order
+#: always, and these fits watch that no upstream layout reaches their bits
+ORDER_SIX_DIGEST = "aad6b43dc5f0aa38588ba5c189e0fece051ffe43ec5eac4f7f9926140f141a6f"
 
 _Cell = collections.namedtuple("_Cell", "cell_id")
 

@@ -20,6 +20,7 @@ import hmgn.nullspace
 import hmgn.solvers
 from hmgn.nullspace import (
     RotatedSpectrum,
+    SubspaceBasis,
     eval_poly_grid,
     fhat_matrix,
     find_rotation,
@@ -43,6 +44,7 @@ from _oracles import (
     fhat_columns_oracle,
     fhat_packed_oracle,
     find_rotation_oracle,
+    fourier_columns_oracle,
     full_grid_basis_oracle,
     gram_schmidt_cols,
     grid_min_abs_loop_oracle,
@@ -64,6 +66,13 @@ glrr_arrays = st.integers(min_value=1, max_value=4).flatmap(
 
 def _rotated_grid(n, alpha):
     return np.exp(1j * (2.0 * np.pi * np.arange(n) / n - alpha))
+
+
+def _fold(root_poly, t):
+    out = np.array([1.0])
+    for _ in range(t):
+        out = np.convolve(out, root_poly)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +387,7 @@ def test_real_part_basis_spans_the_svd_realization(monkeypatch, mode, n):
         if mode == "plain":
             assert orth <= _REAL_PART_ORTH[mode]
         else:
-            l_rows = hmgn.nullspace._fourier_columns(n, 3) / spectrum.eigenvalues
+            l_rows = fourier_columns_oracle(n, 3) / spectrum.eigenvalues
             u_kappa = np.finfo(float).eps / 2 * np.linalg.cond(l_rows.T)
             assert orth <= _REAL_PART_ORTH[mode] * u_kappa
 
@@ -521,19 +530,50 @@ def test_real_twist_basis_matches_the_kernel_and_the_full_grid_construction(r):
     assert shifts == {0, 1, -1}
 
 
+#: (a, N, α₀) of complex twists, e^{iNα₀} ≠ ±1: two the closed form places
+#: (None; about 0.67π/N and 0.72π/N) and t-fold roots at 1 at a forced α₀
+_COMPLEX_TWIST_CASES = [
+    (np.convolve(_fold((-1.0, 1.0), 5), (1.0, 1.0)), 999, None),
+    (_fold((-1.0, 1.0), 5), 5000, None),
+] + [(_fold((-1.0, 1.0), r), n, 0.3 * np.pi / n) for r in range(1, 7) for n in (999, 1000)]
+
+
+@pytest.mark.parametrize("a,n,alpha0", _COMPLEX_TWIST_CASES)
+def test_complex_twist_basis_matches_the_kernel_and_the_full_grid_construction(a, n, alpha0):
+    # L_r and B built from the rotated grid alone keep a complex twist's
+    # basis in the accuracy class of the full-grid construction with the
+    # de-phased Fourier columns, under the bound real twists have
+    kernel = recurrence_kernel_oracle(a, n)
+    for mode in ("plain", "compensated"):
+        if alpha0 is None:
+            spectrum = rotated_spectrum(a, n, mode)
+        else:
+            spectrum = RotatedSpectrum(a, mode, alpha0, eval_poly_grid(a, alpha0, n, mode))
+        assert not spectrum.real_twist
+        basis = nullspace_basis(spectrum)
+        err = np.max(subspace_angles(basis.z, kernel))
+        if mode == "compensated":
+            assert err <= 2e-13, (n, spectrum.alpha0)
+        else:
+            full = full_grid_basis_oracle(a, spectrum.alpha0, n, mode)
+            full_err = np.max(subspace_angles(full, kernel))
+            assert err <= 4.0 * full_err + 1e-13, (n, spectrum.alpha0)
+
+
 @pytest.mark.parametrize("r", range(1, 7))
 def test_basis_layout_is_one_on_both_routes(monkeypatch, r):
     n = 64
     a = np.random.default_rng(r).standard_normal(r + 1)
     real = rotated_spectrum(a, n)
     # any rotation off the roots diagonalizes the circulant; one that is
-    # not 0 or ±π/N makes the basis go through the SVD
+    # not 0 or ±π/N makes the basis go through the SVD for r ≥ 2.  At r = 1
+    # the one column of Z_c is real up to rounding on any twist
     alpha0 = 0.3 * np.pi / n
     general = RotatedSpectrum(a, "plain", alpha0, eval_poly_grid(a, alpha0, n))
     assert real.real_twist and not general.real_twist
     calls = _count_realizations(monkeypatch)
     bases = []
-    for spectrum, svd_calls in ((real, 0), (general, 1)):
+    for spectrum, svd_calls in ((real, 0), (general, int(r >= 2))):
         basis = nullspace_basis(spectrum)
         assert len(calls) == svd_calls
         z = basis.z
@@ -562,6 +602,14 @@ def test_complex_coefficients_are_rejected_where_they_enter(a):
             enter()
 
 
+def test_subspace_basis_rejects_a_nonzero_imaginary_part():
+    # a complex Z once lost its imaginary part with only a ComplexWarning
+    with pytest.raises(ValueError, match="must be real"):
+        SubspaceBasis(np.ones((5, 2)) * (1 + 1j), 0.0)
+    basis = SubspaceBasis(np.eye(5, 2).astype(complex), 0.0)
+    assert basis.z.dtype == np.float64 and np.array_equal(basis.z, np.eye(5, 2))
+
+
 def test_basis_of_complex_coefficients_with_zero_imaginary_part():
     real = nullspace_basis(rotated_spectrum([1.0, -1.8, 1.0], 50))
     spectrum = rotated_spectrum(np.array([1.0, -1.8, 1.0], dtype=complex), 50)
@@ -578,9 +626,10 @@ def test_basis_of_complex_coefficients_with_zero_imaginary_part():
 
 def _l_rows(a, n):
     """L_r = A_g⁻¹·R_r, one column per row (r×N): the input of
-    ``nullspace_basis``'s Gram–Schmidt before its columns are de-phased."""
+    ``nullspace_basis``'s Gram–Schmidt, ω^{r+1−j}/λ, up to the scale √N and
+    a unimodular factor per column."""
     spectrum = rotated_spectrum(a, n)
-    return hmgn.nullspace._fourier_columns(n, spectrum.r) / spectrum.eigenvalues
+    return fourier_columns_oracle(n, spectrum.r) / spectrum.eigenvalues
 
 
 def _check_cgs2_factor(l_rows):
@@ -682,7 +731,6 @@ def test_fhat_rejects_bad_shapes():
 
 def _clear_grid_tables():
     hmgn.nullspace._unit_grid.cache_clear()
-    hmgn.nullspace._fourier_columns.cache_clear()
     hmgn.nullspace._rotated_grid.cache_clear()
     hmgn.nullspace._untwist.cache_clear()
 
@@ -755,7 +803,6 @@ def test_grid_tables_read_only_and_bounded():
     nullspace_basis(spectrum)
     for table in (
         hmgn.nullspace._unit_grid(200),
-        hmgn.nullspace._fourier_columns(200, 3),
         spectrum.untwist,
     ):
         with pytest.raises(ValueError):
@@ -913,13 +960,6 @@ def test_rotation_is_bitwise_the_roots_form_on_random_polynomials():
             a = rng.standard_normal(r + 1)
         n = int(rng.integers(r + 1, 700))
         _assert_rotation_is_the_roots_form(a, n)
-
-
-def _fold(root_poly, t):
-    out = np.array([1.0])
-    for _ in range(t):
-        out = np.convolve(out, root_poly)
-    return out
 
 
 _ADVERSARIAL_POLYS = {

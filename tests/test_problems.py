@@ -69,6 +69,13 @@ def test_legendre_values_recurrence_degree4():
     )
 
 
+def test_legendre_values_reject_a_nonzero_imaginary_part():
+    grid = np.linspace(-1, 1, 7)
+    with pytest.raises(ValueError, match="must be real"):
+        legendre_values(grid + 1j, 2)
+    assert np.array_equal(legendre_values(grid.astype(complex), 2), legendre_values(grid, 2))
+
+
 def test_known_minimum_rejects_short_series():
     with pytest.raises(ValueError):
         build_known_minimum(12)

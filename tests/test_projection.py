@@ -125,6 +125,16 @@ def test_pinv_rejects_a_nonzero_imaginary_part():
     assert np.array_equal(got, weighted_pinv_apply(z, w, x).projected)
 
 
+def test_pinv_rejects_a_basis_with_a_nonzero_imaginary_part():
+    rng = np.random.default_rng(5)
+    z = rng.standard_normal((25, 2))
+    x = rng.standard_normal(25)
+    with pytest.raises(ValueError, match="must be real"):
+        weighted_pinv_apply(z + 1j, Identity(25), x)
+    got = weighted_pinv_apply(z.astype(complex), Identity(25), x).projected
+    assert np.array_equal(got, weighted_pinv_apply(z, Identity(25), x).projected)
+
+
 def test_pinv_rank_deficiency_detected():
     rng = np.random.default_rng(3)
     col = rng.standard_normal(20)
@@ -167,6 +177,24 @@ def test_lstsq_factor_is_bitwise_the_scipy_kernel(weight):
                 want = whitened_lstsq_oracle(zw, xw)
                 assert np.array_equal(factor.solve(xw), want)
                 assert np.array_equal(weighted_pinv_apply(z, w, x).coefficients, want)
+
+
+def test_lstsq_solve_is_bitwise_the_same_in_every_layout():
+    # dgemm takes another kernel per layout of Qᵀ·xw for r ≥ 5, with other
+    # last bits, so an r ≥ 5 fit once depended on the layout of the blocks
+    # that whitening returned
+    rng = np.random.default_rng(31)
+    for r in range(1, 9):
+        for n in (50, 501, 5000):
+            factor = projection._LstsqFactor(rng.standard_normal((n, r)))
+            wide = rng.standard_normal((2 * n, 2 * r + 4))
+            xw = np.ascontiguousarray(wide[::2, ::2])
+            want = factor.solve(xw)
+            for layout in (np.asfortranarray(xw), wide[::2, ::2], wide[::2, ::2].T.T):
+                assert np.array_equal(factor.solve(layout), want), (r, n)
+            want = factor.solve(np.ascontiguousarray(xw[:, 0]))
+            for col in (xw[:, 0], np.asfortranarray(xw)[:, 0], wide[::2, 0]):
+                assert np.array_equal(factor.solve(col), want), (r, n)
 
 
 def test_lstsq_factor_full_rank_beyond_cond_limit_is_rank_deficient():

@@ -460,6 +460,15 @@ def test_line_search_exhausts_on_adversarial_direction():
     assert_allclose(nxt, adot)
 
 
+def test_line_search_rejects_a_nonzero_imaginary_part():
+    x = rank2_signal(30)
+    w = Identity(30)
+    tau, adot = normalize_glrr(initial_glrr(x, 2).coeffs)
+    base = _base_point(adot, tau, x, w)
+    with pytest.raises(ValueError, match="must be real"):
+        line_search(_problem(x, w), adot, np.full(2, 1e-3j), tau, *base, None)
+
+
 @pytest.mark.parametrize("rho", [1e-6, 1e-3, 1.0])
 def test_line_search_stops_backtracking_at_the_noise_floor(rho, monkeypatch):
     # every trial moves the signal by ρ relative to the base point and raises
