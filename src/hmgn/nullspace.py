@@ -39,32 +39,34 @@ spread, because the orthonormalized product has condition number O(1).
 The Gram–Schmidt inner products are numpy reductions, not BLAS calls, so a
 basis is the same at any BLAS thread count.
 
-For real a and e^{iNα₀} = ±1, which the closed-form placement gives for
-nearly every spectrum of a fit (α₀ = π/N or 0), T_N(−α₀)·C(ã)⁻¹·T_N(α₀) is
-the inverse of a real circulant or skew-circulant (Davis, *Circulant
+For real a the forbidden rotations are symmetric about 0, and the
+placement snaps a candidate within rounding of 0 or ±π/N onto exactly 0 or
+π/N (−π/N gives the π/N grid shifted by one index).  Then, for nearly
+every spectrum of a fit, e^{iNα₀} = ±1, T_N(−α₀)·C(ã)⁻¹·T_N(α₀) is the
+inverse of a real circulant or skew-circulant (Davis, *Circulant
 Matrices*, 1979), the complex basis Z_c = T_N(−α₀)·F⁻¹·U_r is real, and
 every quantity over the grid is conjugate-symmetric: the rotated grid ω_j
-satisfies conj(ω_j) = ω_{p(j)} with p(j) = (s − j) mod N, s = 0, 1 or −1
-for α₀ = 0, π/N or −π/N, so g_a(ω_{p(j)}) = conj g_a(ω_j), and likewise
-for L_r, its Gram–Schmidt factor Q and the re-evaluated product B.  Each
-is computed on the ⌈N/2⌉ pair representatives, a contiguous slice of the
-grid, with real values at the self-conjugate points (ω = ±1), and the
-other points are their partners' conjugates, a reversed slice
-(``_ConjugatePairs``).  The inner products over the grid are then real,
-Σ_pairs 2·Re(ū_j·v_j) plus Σ_self u_j·v_j, so Gram–Schmidt runs on the
-real view of the representatives and R̂ and O_r are real.  B is then a
-polynomial in ω with real coefficients and exactly conjugate-symmetric,
-where the rounded phases Φ on the unrotated grid would break its symmetry
-by an error that O_r amplifies by up to κ(L_r).  With exactly symmetric
-U_r, the one inverse FFT leaves ‖Im Z_c‖_F at its own rounding (about
-3e-16 at N = 5000), and the real part is the basis whenever ‖Im Z_c‖_F ≤
-min(√u, the mode's realization bound); then σ_{r+1}([Re Z_c | Im Z_c]) ≤
-‖Im Z_c‖_F (Weyl), so this route is taken only where the SVD realization
-would pass.  A complex twist evaluates the whole grid in complex
-arithmetic; at r = 1 its one column of Z_c is real up to rounding too,
-and from r = 2 on it realizes its basis by the SVD of [Re Z_c | Im Z_c]
-(``_realize_basis``).  Either way Z is stored one column per contiguous
-line (Fortran order).
+satisfies conj(ω_j) = ω_{p(j)} with p(j) = (s − j) mod N, s = 0 or 1 for
+α₀ = 0 or π/N, so g_a(ω_{p(j)}) = conj g_a(ω_j), and likewise for L_r,
+its Gram–Schmidt factor Q and the re-evaluated product B.  Each (the
+eigenvalues in ``eval_poly_grid``) is computed on the ⌈N/2⌉ pair
+representatives, a contiguous slice of the grid, with real values at the
+self-conjugate points (ω = ±1), and the other points are their partners'
+conjugates, a reversed slice (``_ConjugatePairs``).  The inner products
+over the grid are then real, Σ_pairs 2·Re(ū_j·v_j) plus Σ_self u_j·v_j,
+so Gram–Schmidt runs on the real view of the representatives and R̂ and
+O_r are real.  B is then a polynomial in ω with real coefficients and
+exactly conjugate-symmetric, where the rounded phases Φ on the unrotated
+grid would break its symmetry by an error that O_r amplifies by up to
+κ(L_r).  With exactly symmetric U_r, the one inverse FFT leaves
+‖Im Z_c‖_F at its own rounding (about 3e-16 at N = 5000), and the real
+part is the basis whenever ‖Im Z_c‖_F ≤ min(√u, the mode's realization
+bound); then σ_{r+1}([Re Z_c | Im Z_c]) ≤ ‖Im Z_c‖_F (Weyl), so this
+route is taken only where the SVD realization would pass.  A complex
+twist evaluates the whole grid in complex arithmetic; at r = 1 its one
+column of Z_c is real up to rounding too, and from r = 2 on it realizes
+its basis by the SVD of [Re Z_c | Im Z_c] (``_realize_basis``).  Either
+way Z is stored one column per contiguous line (Fortran order).
 
 The same rotated spectrum also solves the banded system Qᵀ(a)·F̂ = M that
 the search-direction computation needs (``fhat_matrix``): extend M by r
@@ -303,13 +305,28 @@ def _plain_horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
 def eval_poly_grid(
     a: CoeffLike, alpha: float, n: int, mode: str = "plain"
 ) -> np.ndarray:
-    """g_a on the rotated grid: value j is g_a(exp(i(2πj/N − α))), j = 0..N−1."""
+    """g_a on the rotated grid: value j is g_a(exp(i(2πj/N − α))), j = 0..N−1.
+
+    On a real twist (α = 0 or 0.5·(2π/N) exactly), g_a(conj z) = conj g_a(z)
+    for real a, so only the pair representatives are evaluated, on the
+    rotated-grid table's points; the self-conjugate ones are taken real and
+    the partners are their conjugates, so the values are exactly
+    conjugate-symmetric.  Any other rotation evaluates the whole grid.
+    """
     _check_mode(mode)
+    if n < 1:
+        raise ValueError(f"grid size must be at least 1, got {n}")
     coeffs = _coeffs(a)
     z = _rotated_grid(n, float(alpha))
-    if mode == "compensated":
-        return _comp_horner(coeffs, z)
-    return _plain_horner(coeffs, z)
+    horner = _comp_horner if mode == "compensated" else _plain_horner
+    shift = _pair_shift(n, alpha)
+    if shift is None:
+        return horner(coeffs, z)
+    pairs = _conjugate_pairs(n, shift)
+    eig = np.empty(n, dtype=complex)
+    eig[pairs.reps] = horner(coeffs, z[pairs.reps])
+    pairs.make_real(eig[pairs.reps])
+    return pairs.complete(eig)
 
 
 #: complex entries per block of the batched rotation search (256 KB).  At
@@ -362,6 +379,13 @@ def _companion_roots(p: np.ndarray) -> np.ndarray:
     return np.linalg.eigvals(companion)
 
 
+#: radians within which ``find_rotation`` snaps a candidate onto 0 or π/N:
+#: 8·π·u (2.8e-15).  A forbidden rotation (−arg ρ) mod 2π/N is rounded to
+#: about π·u, and the midpoint and the wrap add a few ulps of 2π/N (at most
+#: 2.2e-15 of the spacing seen, 2.8e-16 rad at N = 50)
+_SNAP = 8.0 * math.pi * 2.0**-53
+
+
 def find_rotation(a: CoeffLike, n: int) -> float:
     """Rotation α₀ ∈ (−π/N, π/N] keeping the grid away from the roots of g_a.
 
@@ -370,16 +394,19 @@ def find_rotation(a: CoeffLike, n: int) -> float:
     eigenvalues of the companion matrix of g_a, formed directly as
     ``np.roots`` forms it, so they are bitwise its roots.  The candidates
     are the midpoint of every circular gap between the forbidden rotations
-    plus the half-spacing offset π/N; the one with the largest plain
-    min_j |g_a| wins, where a real-twist candidate (0 or ±π/N) scores its
-    self-conjugate points, whose eigenvalues ``rotated_spectrum`` takes
-    real, by |Re g_a|.  Every gap is tried, not only the widest, because the
+    plus the half-spacing offset π/N.  For real a the roots come in
+    conjugate pairs, so a midpoint that should be 0 or ±π/N is one up to
+    rounding, and one within ``_SNAP`` of it is put on exactly 0.0 or
+    0.5·(2π/N) (−π/N is the π/N grid shifted by one index).  The largest
+    plain min_j |g_a| wins, where a real-twist candidate scores its
+    self-conjugate points, whose eigenvalues ``eval_poly_grid`` takes real,
+    by |Re g_a|.  Every gap is tried, not only the widest, because the
     eigenvalue solver splits a t-fold root into a ring of radius about
     u^{1/t} whose gaps say little about where the true root is.  The at
-    most r forbidden rotations and r + 1 candidates are sorted, spaced and
-    wrapped in Python floats (whose ``%`` rounds as ``np.mod``).  Cost: one
-    r×r eigenproblem and at most r + 1 grid evaluations, taken in one pass,
-    plus at most two points per rescored candidate.
+    most r forbidden rotations and r + 1 candidates are handled in Python
+    floats (whose ``%`` rounds as ``np.mod``).  Cost: one r×r eigenproblem
+    and at most r + 1 grid evaluations, taken in one pass, plus at most two
+    points per rescored candidate.
     """
     coeffs = _coeffs(a)
     if n < coeffs.size:
@@ -402,9 +429,12 @@ def find_rotation(a: CoeffLike, n: int) -> float:
         if forbidden:
             ends = forbidden[1:] + [forbidden[0] + spacing]
             cand.extend(f + 0.5 * (e - f) for f, e in zip(forbidden, ends))
-    # wrap into (−π/N, π/N] (the grid is 2π/N-periodic in the rotation)
+    # wrap into (−π/N, π/N] (the grid is 2π/N-periodic in the rotation),
+    # then snap onto the real twists 0 and π/N
     wrapped = [(c + half) % spacing for c in cand]
     cand = [(w if w != 0.0 else spacing) - half for w in wrapped]
+    cand = [0.0 if abs(c) <= _SNAP else c for c in cand]
+    cand = [half if half - abs(c) <= _SNAP else c for c in cand]
     vals = _grid_min_abs(coeffs, _unit_grid(n), np.array(cand))
     # a real-twist candidate scores its self-conjugate points by |Re g_a|;
     # that can only lower its value, so only a leader is rescored, until
@@ -424,23 +454,19 @@ def find_rotation(a: CoeffLike, n: int) -> float:
     return float(cand[best])
 
 
-#: ulps of π/N within which a rotation counts as ±π/N (``real_twist``)
-_TWIST_ULPS = 4
-
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT2 = 1.0 / _SQRT2
 
 
 def _pair_shift(n: int, alpha0: float) -> Optional[int]:
     """s with conj(ω_j) = ω_{(s−j) mod N} on the rotated grid
-    ω_j = exp(i(2πj/N − α₀)): 0 for α₀ = 0, ±1 for α₀ = ±π/N within
-    ``_TWIST_ULPS`` ulps; None for any other rotation."""
-    alpha0 = float(alpha0)
+    ω_j = exp(i(2πj/N − α₀)): 0 for α₀ = 0, 1 for α₀ = 0.5·(2π/N) exactly,
+    where ``find_rotation`` puts real twists; None for any other rotation."""
     if alpha0 == 0.0:
         return 0
-    half = 0.5 * (2.0 * math.pi / n)
-    if abs(abs(alpha0) - half) <= _TWIST_ULPS * math.ulp(half):
-        return 1 if alpha0 > 0.0 else -1
+    if alpha0 == 0.5 * (2.0 * math.pi / n):
+        # a one-point grid pairs its point with itself under either shift
+        return 1 if n > 1 else 0
     return None
 
 
@@ -449,14 +475,13 @@ class _ConjugatePairs(NamedTuple):
     which every grid quantity of the basis route is conjugate-symmetric:
     x[p(j)] = conj(x[j]); made by ``_conjugate_pairs``.
 
-    The k = ⌈N/2⌉ (s = ±1) or ⌊N/2⌋ + 1 (s = 0) pair representatives are
-    the contiguous points ``reps`` = t..t+k−1, t = 1 for s = 1 and 0
-    otherwise.  The partners of all but the self-conjugate ones (p(j) = j,
-    where the rotated grid point is ±1) are the rest of the grid,
-    ``filled``, and are the representatives ``partners`` in reverse order;
-    with t = 1 (``wraps``) point 0 is the partner of point 1.
-    ``self_conjugate`` holds the self-conjugate points as offsets into
-    ``reps``: 0 when s = 0, and k − 1 when N − s is even.
+    The k = ⌈N/2⌉ (s = 1) or ⌊N/2⌋ + 1 (s = 0) pair representatives are
+    the contiguous points ``reps`` = s..s+k−1.  The partners of all but the
+    self-conjugate ones (p(j) = j, where the rotated grid point is ±1) are
+    the rest of the grid, ``filled``, and are the representatives
+    ``partners`` in reverse order; with s = 1 (``wraps``) point 0 is the
+    partner of point 1.  ``self_conjugate`` holds the self-conjugate points
+    as offsets into ``reps``: 0 when s = 0, and k − 1 when N − s is even.
     """
 
     reps: slice
@@ -506,7 +531,7 @@ class _ConjugatePairs(NamedTuple):
 
 def _self_conjugate_min_abs(coeffs: np.ndarray, n: int, alpha: float) -> float:
     """min |Re g_a| over the self-conjugate points of the grid rotated by
-    α, where ``_eigenvalues`` takes g_a real (inf when α is not a real
+    α, where ``eval_poly_grid`` takes g_a real (inf when α is not a real
     twist, or its grid has no such point).  On a grid through a real root,
     |g_a| there is rounding in the imaginary part alone, and the eigenvalue
     would be 0, so ``find_rotation`` scores those points by this."""
@@ -522,14 +547,14 @@ def _self_conjugate_min_abs(coeffs: np.ndarray, n: int, alpha: float) -> float:
 
 @functools.lru_cache(maxsize=_TABLE_SIZE)
 def _conjugate_pairs(n: int, shift: int) -> _ConjugatePairs:
-    """The pairing of the size-``n`` grid with shift s (tabled per (N, s))."""
-    t = 1 if shift == 1 else 0
+    """The pairing of the size-``n`` grid with shift s = 0 or 1 (tabled per
+    (N, s))."""
     k = n // 2 + 1 if shift == 0 else (n + 1) // 2
     selfs = ((0,) if shift == 0 else ()) + ((k - 1,) if (n - shift) % 2 == 0 else ())
-    # points k + t..N − 1 are the partners of points N + s − k − t down to
-    # s + 1
-    partners = slice(n + shift - k - t, shift if shift >= 0 else None, -1)
-    return _ConjugatePairs(slice(t, t + k), selfs, slice(k + t, n), partners, t == 1)
+    # points k + s..N − 1 are the partners of points N − k down to s + 1
+    partners = slice(n - k, shift, -1)
+    reps = slice(shift, shift + k)
+    return _ConjugatePairs(reps, selfs, slice(k + shift, n), partners, shift == 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -542,9 +567,9 @@ class RotatedSpectrum:
     the eigenvalue count and r the order of a, with 1 ≤ r < N/2.
     ``untwist`` is the diagonal of T_N(−α₀), from a table per (N, α₀), and
     ``real_twist`` says whether e^{iNα₀} = ±1.  On a real twist,
-    ``rotated_spectrum`` makes the eigenvalues exactly conjugate-symmetric,
-    ``eigenvalues[(s − j) mod N] == conj(eigenvalues[j])`` with s = 0, 1 or
-    −1 for α₀ = 0, π/N or −π/N, and real at the self-conjugate points;
+    ``eval_poly_grid`` makes the eigenvalues exactly conjugate-symmetric,
+    ``eigenvalues[(s − j) mod N] == conj(eigenvalues[j])`` with s = 0 or 1
+    for α₀ = 0 or π/N, and real at the self-conjugate points;
     ``nullspace_basis`` reads only the pair representatives.
 
     Compared and hashed by identity (``eq=False``): a field-wise ``==``
@@ -593,50 +618,24 @@ class RotatedSpectrum:
 
     @property
     def real_twist(self) -> bool:
-        """Whether e^{iNα₀} = ±1: α₀ is 0, or ±π/N within ``_TWIST_ULPS``
-        ulps, since a gap midpoint of the closed-form placement can land a
-        few ulps off −π/N (2 ulps for (z − 1)⁵ at N = 2000).  Then
-        T_N(−α₀)·C(ã)⁻¹·T_N(α₀) is the inverse of a real circulant or
+        """Whether e^{iNα₀} = ±1: α₀ is exactly 0 or 0.5·(2π/N), where
+        ``find_rotation`` snaps a candidate within rounding of 0 or ±π/N.
+        Then T_N(−α₀)·C(ã)⁻¹·T_N(α₀) is the inverse of a real circulant or
         skew-circulant."""
         return self._pairs is not None
 
 
-def _eigenvalues(coeffs: np.ndarray, alpha0: float, n: int, mode: str) -> np.ndarray:
-    """g_a on the grid rotated by α₀, as ``rotated_spectrum`` evaluates it.
-
-    On a real twist, g_a(conj z) = conj g_a(z) for real a, so only the pair
-    representatives are evaluated, on the rotated-grid table's points (their
-    values are bitwise ``eval_poly_grid``'s); the self-conjugate ones are
-    taken real and the partners are their conjugates, so the eigenvalues
-    are exactly conjugate-symmetric.  Any other rotation evaluates the whole
-    grid through ``eval_poly_grid``.
-    """
-    shift = _pair_shift(n, alpha0)
-    if shift is None:
-        return eval_poly_grid(coeffs, alpha0, n, mode)
-    pairs = _conjugate_pairs(n, shift)
-    z = _rotated_grid(n, float(alpha0))[pairs.reps]
-    horner = _comp_horner if mode == "compensated" else _plain_horner
-    eig = np.empty(n, dtype=complex)
-    eig[pairs.reps] = horner(coeffs, z)
-    pairs.make_real(eig[pairs.reps])
-    return pairs.complete(eig)
-
-
 def rotated_spectrum(a: CoeffLike, n: int, mode: str = "plain") -> RotatedSpectrum:
-    """Place the rotation and evaluate the circulant eigenvalues in ``mode``.
-
-    On a real twist (α₀ = 0 or ±π/N, nearly every spectrum of a fit) the
-    eigenvalues are evaluated at the ⌈N/2⌉ conjugate-pair representatives of
-    the grid and mirrored, so they are exactly conjugate-symmetric under
-    the pairing j ↔ (s − j) mod N, s = 0, 1 or −1 for α₀ = 0, π/N or −π/N.
+    """Place the rotation and evaluate the circulant eigenvalues in ``mode``
+    through ``eval_poly_grid``, which on a real twist (α₀ = 0 or π/N,
+    nearly every spectrum of a fit) makes them exactly conjugate-symmetric.
     """
     coeffs = _coeffs(a)
     # fail on the order and mode before the rotation search
     _check_mode(mode)
     _check_order(coeffs.size - 1, n)
     alpha0 = find_rotation(coeffs, n)
-    return RotatedSpectrum(coeffs, mode, alpha0, _eigenvalues(coeffs, alpha0, n, mode))
+    return RotatedSpectrum(coeffs, mode, alpha0, eval_poly_grid(coeffs, alpha0, n, mode))
 
 
 # ---------------------------------------------------------------------------
@@ -744,9 +743,9 @@ def nullspace_basis(spectrum: RotatedSpectrum) -> SubspaceBasis:
     λ_max/λ_min error amplification of the plain route.
     Z_c = T_N(−α₀)·F⁻¹·U_r.
 
-    When e^{iNα₀} = ±1 (α₀ = 0 or ±π/N, nearly every spectrum of a fit),
-    L_r, Q and B are conjugate-symmetric under the spectrum's pairing
-    j ↔ (s − j) mod N, so each is computed on the ⌈N/2⌉ pair
+    When e^{iNα₀} = ±1 (α₀ exactly 0 or π/N, nearly every spectrum of a
+    fit), L_r, Q and B are conjugate-symmetric under the spectrum's pairing
+    j ↔ (s − j) mod N, s = 0 or 1, so each is computed on the ⌈N/2⌉ pair
     representatives only, with real values at the self-conjugate points.
     The Gram–Schmidt inner products are real, with weight 2 per pair and 1
     per self-conjugate point, so R̂ and O_r are real and B is a polynomial

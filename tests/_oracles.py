@@ -418,8 +418,10 @@ def grid_min_abs_loop_oracle(coeffs, base, alphas):
 
 def find_rotation_oracle(coeffs, n):
     """The rotation α₀ of ``find_rotation`` as ``np.roots`` and numpy set
-    operations on the candidate arrays give it; ``None`` where every
-    candidate hits a root (the package raises there)."""
+    operations on the candidate arrays give it, with the wrapped candidates
+    within 8·π·u of 0 or ±π/N snapped onto 0 or π/N as the package snaps
+    them; ``None`` where every candidate hits a root (the package raises
+    there)."""
     coeffs = np.asarray(coeffs)
     if coeffs.dtype.kind not in "fc":
         coeffs = coeffs.astype(float)
@@ -439,6 +441,9 @@ def find_rotation_oracle(coeffs, n):
     wrapped = np.mod(np.asarray(cand) + half, spacing)
     wrapped[wrapped == 0.0] = spacing
     cand = wrapped - half
+    snap = 8.0 * np.pi * 2.0**-53
+    cand[np.abs(cand) <= snap] = 0.0
+    cand[half - np.abs(cand) <= snap] = half
     base = np.exp(2j * np.pi * np.arange(n) / n)
     vals = grid_min_abs_loop_oracle(coeffs, base, cand)
     best = int(np.argmax(vals))

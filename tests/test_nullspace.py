@@ -99,6 +99,36 @@ def test_eval_poly_matches_naive_powers(mode):
     assert_allclose(got, want, rtol=1e-12)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_eval_poly_rejects_an_empty_grid(n):
+    with pytest.raises(ValueError, match="grid size"):
+        eval_poly_grid((1.0, -0.5), 0.0, n)
+
+
+@pytest.mark.parametrize("mode", ["plain", "compensated"])
+def test_eval_poly_on_a_one_point_grid(mode):
+    # half the spacing of one point is π, which puts the point on −1
+    for alpha, want in ((0.0, 3.0), (np.pi, -1.0)):
+        assert eval_poly_grid((1.0, 2.0), alpha, 1, mode).tolist() == [want]
+
+
+def _assert_real_twist_values(got, horner, shift):
+    """``got`` is ``eval_poly_grid`` on a real twist with pairing shift s:
+    bitwise the full-grid Horner values ``horner`` at the pair
+    representatives (their real parts, with a zero imaginary part, at the
+    self-conjugate points), and the conjugates of their partners elsewhere."""
+    n = got.size
+    pairs = hmgn.nullspace._conjugate_pairs(n, shift)
+    partner = (shift - np.arange(n)) % n
+    selfs = np.flatnonzero(partner == np.arange(n))
+    assert tuple(selfs - pairs.reps.start) == pairs.self_conjugate
+    reps = np.setdiff1d(np.arange(pairs.reps.start, pairs.reps.stop), selfs)
+    assert got[reps].tobytes() == horner[reps].tobytes()
+    assert got[selfs].real.tobytes() == horner[selfs].real.tobytes()
+    assert np.all(got[selfs].imag == 0.0)
+    assert np.array_equal(got[partner], np.conj(got))
+
+
 def test_grid_rotation_identity():
     # evaluating on the rotated grid equals evaluating the coefficient
     # polynomial at the rotated points directly
@@ -414,7 +444,7 @@ def test_trend_long_fits_realize_no_basis_by_svd(monkeypatch, smoke):
 
 
 #: the pairing shifts s, conj(ω_j) = ω_{(s − j) mod N}, of α₀ = s·π/N
-_SHIFTS = [-1, 0, 1]
+_SHIFTS = [0, 1]
 
 
 @pytest.mark.parametrize("shift", _SHIFTS)
@@ -444,34 +474,29 @@ def test_real_twist_eigenvalues_are_exactly_conjugate_symmetric(shift, n, mode):
     ns = hmgn.nullspace
     rng = np.random.default_rng(n + 7 * shift)
     alpha0 = shift * np.pi / n
-    pairs = ns._conjugate_pairs(n, shift)
     partner = (shift - np.arange(n)) % n
     selfs = np.flatnonzero(partner == np.arange(n))
-    assert tuple(selfs - pairs.reps.start) == pairs.self_conjugate
     grid = _rotated_grid(n, alpha0)
     assert np.abs(np.abs(grid[selfs].real) - 1.0).max(initial=0.0) <= 1e-15
+    horner = ns._comp_horner if mode == "compensated" else ns._plain_horner
     for a in [rng.standard_normal(r + 1) for r in range(1, 7)] + [_fold((-0.9, 1.0), 3)]:
-        eig = ns._eigenvalues(a, alpha0, n, mode)
-        assert np.array_equal(eig[partner], np.conj(eig))
-        assert np.all(eig[selfs].imag == 0.0)
-        # the representatives are the full-grid values, bitwise
-        full = eval_poly_grid(a, alpha0, n, mode)
-        reps = np.setdiff1d(np.arange(pairs.reps.start, pairs.reps.stop), selfs)
-        assert eig[reps].tobytes() == full[reps].tobytes()
-        assert eig[selfs].real.tobytes() == full[selfs].real.tobytes()
+        eig = eval_poly_grid(a, alpha0, n, mode)
+        # the representatives are the table's full-grid Horner values, bitwise
+        _assert_real_twist_values(eig, horner(a, ns._rotated_grid(n, alpha0)), shift)
         spectrum = RotatedSpectrum(a, mode, alpha0, eig)
-        assert spectrum.real_twist and spectrum._pairs is pairs
+        assert spectrum.real_twist and spectrum._pairs is ns._conjugate_pairs(n, shift)
 
 
 @pytest.mark.parametrize("mode", ["plain", "compensated"])
 @pytest.mark.parametrize(
-    "roots,n,shift",
-    [(1.0, 1000, 1), (1.0, 999, 1), (-1.0, 999, 0), (-1.0, 2000, 1), (1.0, 2000, -1)],
+    "root,t,n,shift",
+    [(1.0, 3, 1000, 1), (1.0, 3, 999, 1), (-1.0, 3, 999, 0), (-1.0, 3, 2000, 1), (1.0, 5, 2000, 1)],
 )
-def test_rotated_spectrum_of_a_real_twist_is_exactly_conjugate_symmetric(roots, n, shift, mode):
+def test_rotated_spectrum_of_a_real_twist_is_exactly_conjugate_symmetric(root, t, n, shift, mode):
     # a t-fold root at 1 forbids α₀ = 0 and one at −1 on an odd grid
-    # forbids π/N; (z − 1)⁵ at N = 2000 gets −π/N + 2 ulp
-    a = _fold((-roots, 1.0), 5 if shift == -1 else 3)
+    # forbids π/N; (z − 1)⁵ at N = 2000 has a gap midpoint 4.3e-19 off −π/N,
+    # which snaps to π/N
+    a = _fold((-root, 1.0), t)
     spectrum = rotated_spectrum(a, n, mode)
     assert hmgn.nullspace._pair_shift(n, spectrum.alpha0) == shift
     eig = spectrum.eigenvalues
@@ -494,14 +519,12 @@ def test_rotation_scores_self_conjugate_points_by_the_real_part(n):
 
 
 def _real_twist_cases(r):
-    """(a, N, α₀) with α₀ on each pairing shift for order r: a t-fold root
-    at 1 (the closed form places α₀ = π/N; None below), the same with
-    α₀ = −π/N, and a t-fold root at −1 on an odd grid with α₀ = 0 (the
-    closed form lands a few ulps off 0 for r ≤ 2)."""
-    cases = []
-    for n in (999, 1000):
-        cases += [(_fold((-1.0, 1.0), r), n, None), (_fold((-1.0, 1.0), r), n, -np.pi / n)]
-    return cases + [(_fold((1.0, 1.0), r), n, 0.0) for n in (999, 1001)]
+    """(a, N) with α₀ on each pairing shift for order r: a t-fold root at 1
+    (the closed form places α₀ = π/N) and a t-fold root at −1 on an odd
+    grid (α₀ = 0; a few ulps off 0 before the snap for r ≤ 2)."""
+    return [(_fold((-1.0, 1.0), r), n) for n in (999, 1000)] + [
+        (_fold((1.0, 1.0), r), n) for n in (999, 1001)
+    ]
 
 
 @pytest.mark.parametrize("r", range(1, 7))
@@ -510,14 +533,10 @@ def test_real_twist_basis_matches_the_kernel_and_the_full_grid_construction(r):
     # within 4× its subspace angle to the exact kernel (plus 1e-13), in
     # both modes and for every pairing shift
     shifts = set()
-    for a, n, alpha0 in _real_twist_cases(r):
+    for a, n in _real_twist_cases(r):
         kernel = recurrence_kernel_oracle(a, n)
         for mode in ("plain", "compensated"):
-            if alpha0 is None:
-                spectrum = rotated_spectrum(a, n, mode)
-            else:
-                eig = hmgn.nullspace._eigenvalues(a, alpha0, n, mode)
-                spectrum = RotatedSpectrum(a, mode, alpha0, eig)
+            spectrum = rotated_spectrum(a, n, mode)
             shifts.add(hmgn.nullspace._pair_shift(n, spectrum.alpha0))
             basis = nullspace_basis(spectrum)
             assert basis.defect <= _REAL_TWIST_DEFECT
@@ -527,15 +546,19 @@ def test_real_twist_basis_matches_the_kernel_and_the_full_grid_construction(r):
             assert err <= 4.0 * full_err + 1e-13, (mode, n, spectrum.alpha0)
             if mode == "compensated":
                 assert err <= 1e-13
-    assert shifts == {0, 1, -1}
+    assert shifts == {0, 1}
 
 
 #: (a, N, α₀) of complex twists, e^{iNα₀} ≠ ±1: two the closed form places
-#: (None; about 0.67π/N and 0.72π/N) and t-fold roots at 1 at a forced α₀
+#: (None; about 0.67π/N and 0.72π/N) and t-fold roots at 1 at a forced α₀,
+#: among them −π/N, which the closed form never returns and which takes
+#: the full-grid route though e^{iNα₀} = −1
 _COMPLEX_TWIST_CASES = [
     (np.convolve(_fold((-1.0, 1.0), 5), (1.0, 1.0)), 999, None),
     (_fold((-1.0, 1.0), 5), 5000, None),
-] + [(_fold((-1.0, 1.0), r), n, 0.3 * np.pi / n) for r in range(1, 7) for n in (999, 1000)]
+] + [(_fold((-1.0, 1.0), r), n, 0.3 * np.pi / n) for r in range(1, 7) for n in (999, 1000)] + [
+    (_fold((-1.0, 1.0), r), 1000, -np.pi / 1000) for r in (1, 3, 5)
+]
 
 
 @pytest.mark.parametrize("a,n,alpha0", _COMPLEX_TWIST_CASES)
@@ -566,7 +589,7 @@ def test_basis_layout_is_one_on_both_routes(monkeypatch, r):
     a = np.random.default_rng(r).standard_normal(r + 1)
     real = rotated_spectrum(a, n)
     # any rotation off the roots diagonalizes the circulant; one that is
-    # not 0 or ±π/N makes the basis go through the SVD for r ≥ 2.  At r = 1
+    # not 0 or π/N makes the basis go through the SVD for r ≥ 2.  At r = 1
     # the one column of Z_c is real up to rounding on any twist
     alpha0 = 0.3 * np.pi / n
     general = RotatedSpectrum(a, "plain", alpha0, eval_poly_grid(a, alpha0, n))
@@ -889,13 +912,15 @@ def test_rotation_tables_are_bitwise_the_direct_forms():
             spectrum = RotatedSpectrum((1.0, -1.0), "plain", alpha, np.ones(n))
             assert spectrum.untwist.tobytes() == untwist.tobytes()
             coeffs = np.array([1.0, -2.0, 1.0]) + 1e-6
-            assert np.array_equal(
-                eval_poly_grid(coeffs, alpha, n), ns._plain_horner(coeffs, grid)
-            )
-            assert np.array_equal(
-                eval_poly_grid(coeffs, alpha, n, "compensated"),
-                ns._comp_horner(coeffs, grid),
-            )
+            # a real twist's values are the representatives' Horner values
+            # and their conjugates
+            shift = ns._pair_shift(n, alpha)
+            for mode, horner in (("plain", ns._plain_horner), ("compensated", ns._comp_horner)):
+                got = eval_poly_grid(coeffs, alpha, n, mode)
+                if shift is None:
+                    assert np.array_equal(got, horner(coeffs, grid))
+                else:
+                    _assert_real_twist_values(got, horner(coeffs, grid), shift)
     assert ns._rotated_grid(50, np.pi / 50) is ns._rotated_grid(50, np.pi / 50)
 
 
@@ -919,8 +944,9 @@ def test_rotation_tables_read_only_and_bounded():
 
 
 def _assert_rotation_is_the_roots_form(a, n):
-    """find_rotation(a, n) is bitwise the ``np.roots`` form, or both find
-    every candidate on a root."""
+    """find_rotation(a, n) is bitwise the ``np.roots`` form with the same
+    snap onto 0 or π/N before scoring, or both find every candidate on a
+    root."""
     want = find_rotation_oracle(a, n)
     if want is None:
         with pytest.raises(SpectrumDegeneracyError):
@@ -1055,7 +1081,7 @@ def _poly_of_roots(roots):
     return np.real(np.poly(roots))[::-1].copy()
 
 
-#: real coefficients whose closed-form rotation is neither 0 nor ±π/N: real
+#: real coefficients whose closed-form rotation is neither 0 nor π/N: real
 #: roots at 1 and −1 on an odd grid, or a root at 1 beside a unit-circle pair
 _GENERAL_TWISTS = [
     ([1.0, -1.0], 9),
@@ -1090,13 +1116,13 @@ def test_fhat_of_a_gapped_series_reads_the_stored_values():
     _assert_fhat_is_its_oracle(spectrum, stored, 2)
 
 
-def test_rotation_a_few_ulps_off_pi_over_n_is_a_real_twist():
-    # the closed form returns −π/N + 2 ulp for (z − 1)⁵ at N = 2000
+def test_rotation_off_minus_pi_over_n_snaps_to_pi_over_n():
+    # the gap midpoint of (z − 1)⁵ at N = 2000 wraps to −π/N + 4.3e-19; the
+    # snap puts it on π/N, the same grid shifted by one index
     n = 2000
     a = _poly_of_roots([1.0] * 5)
     spectrum = rotated_spectrum(a, n)
-    half = 0.5 * (2.0 * np.pi / n)
-    assert spectrum.alpha0 != -half and abs(spectrum.alpha0 + half) <= 4 * np.spacing(half)
+    assert spectrum.alpha0 == 0.5 * (2.0 * np.pi / n)
     assert spectrum.real_twist
     compensated = rotated_spectrum(a, n, "compensated")
     assert compensated.real_twist
@@ -1112,14 +1138,37 @@ def test_rotation_a_few_ulps_off_pi_over_n_is_a_real_twist():
 
 
 @pytest.mark.parametrize(
+    "roots,n",
+    [
+        ([-1.0], 999),
+        ([-1.0, -1.0], 999),
+        ([-1.0153, 1.0759, 0.8345 + 0.5076j, 0.8345 - 0.5076j], 50),
+    ],
+)
+def test_rotation_within_rounding_of_zero_is_exactly_zero(roots, n):
+    # the gap midpoints of these wrap to within 3e-16 of 0 (−2.1e-16 for
+    # (z + 1) and (z + 1)² at N = 999, 1.4e-16 for the quartic); the snap
+    # puts them on 0, so their spectra take the half grid
+    a = _poly_of_roots(roots)
+    assert find_rotation(a, n) == 0.0
+    for mode in ("plain", "compensated"):
+        spectrum = rotated_spectrum(a, n, mode)
+        assert spectrum.alpha0 == 0.0 and spectrum.real_twist
+        assert nullspace_basis(spectrum).defect <= _REAL_TWIST_DEFECT
+
+
+@pytest.mark.parametrize(
     "alpha0,real",
     [
         (0.0, True),
+        (-0.0, True),
         (np.pi / 50, True),
-        (-np.pi / 50, True),
-        (np.nextafter(-np.pi / 50, 0.0), True),
-        (-np.pi / 50 + 4 * np.spacing(np.pi / 50), True),
-        (-np.pi / 50 + 5 * np.spacing(np.pi / 50), False),
+        # e^{iNα₀} = −1 too, but the closed form never returns −π/N or a
+        # rotation off a real twist by rounding, so these take the full grid
+        (-np.pi / 50, False),
+        (np.nextafter(-np.pi / 50, 0.0), False),
+        (np.nextafter(np.pi / 50, 0.0), False),
+        (np.nextafter(np.pi / 50, 1.0), False),
         (np.nextafter(0.0, 1.0), False),
         (0.5 * np.pi / 50, False),
     ],
